@@ -31,6 +31,7 @@ from .words import PathWord
 from .paths import (
     BilipReport,
     EnfiladeDecomposition,
+    GeodesicLoopReport,
     IncompleteVerification,
     PathSegment,
     decompose_escapes,

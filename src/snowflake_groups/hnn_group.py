@@ -22,9 +22,12 @@ Internally a normal form is a flat tuple of integers
 
     (hu, hv, c_1, u_1, v_1, ..., c_k, u_k, v_k)
 
-with letter codes s=1, s^-1=-1, t=2, t^-1=-2 and (u_i, v_i) the canonical
-coordinates of r_i.  All helpers taking such "keys" are pure; the module
-has no mutable state, so everything here is safe to share across threads.
+with letter codes s=1, s^-1=-1, t=3, t^-1=-3 and (u_i, v_i) the canonical
+coordinates of r_i.  (Not t=2, t^-1=-2: CPython hashes -1 and -2 alike, so
+keys differing only in s^-1 against t^-1 would share a hash and slow down
+every dict the searches keep.)  All helpers taking such "keys" are pure;
+the module has no mutable state, so everything here is safe to share
+across threads.
 """
 from __future__ import annotations
 
@@ -38,8 +41,8 @@ from .params import GroupParams
 from .vertex_group import HPoint
 from .words import format_word, parse_word, power_chars
 
-_CODE = {"s": 1, "S": -1, "t": 2, "T": -2}
-_LETTER = {1: "s", -1: "S", 2: "t", -2: "T"}
+_CODE = {"s": 1, "S": -1, "t": 3, "T": -3}
+_LETTER = {1: "s", -1: "S", 3: "t", -3: "T"}
 
 DEFAULT_MAX_STATES = 10_000_000
 
@@ -73,7 +76,7 @@ def _feed_stable(L: int, key: Key, code: int) -> Key:
         ru, rv, cu, cv = u, 0, v, 0
     elif code == -1:  # s^-1: <a> crosses, a^u -> x^u
         ru, rv, cu, cv = 0, v, 0, u
-    elif code == 2:  # t: <y> crosses, y^-v -> a^-v
+    elif code == 3:  # t: <y> crosses, y^-v -> a^-v
         ru, rv, cu, cv = u + v * L, 0, -v, 0
     else:  # t^-1: <a> crosses, a^u -> y^u
         ru, rv, cu, cv = 0, v, u * L, -u
@@ -260,8 +263,8 @@ def _neighbors(L: int, key: Key) -> tuple[Key, ...]:
         _feed_h(key, -1, 0),
         _feed_stable(L, key, 1),
         _feed_stable(L, key, -1),
-        _feed_stable(L, key, 2),
-        _feed_stable(L, key, -2),
+        _feed_stable(L, key, 3),
+        _feed_stable(L, key, -3),
     )
 
 
@@ -302,17 +305,20 @@ class Ball:
             fp.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
-def bfs_ball(params: GroupParams, radius: int, max_states: int = DEFAULT_MAX_STATES) -> Ball:
-    """All elements with |g| <= radius, by layered BFS with normal-form dedup.
+def _ball_layers(params: GroupParams, max_states: int = DEFAULT_MAX_STATES) -> Iterator[Ball]:
+    """B(1, 0), B(1, 1), B(1, 2), ... by layered BFS with normal-form dedup.
 
-    The memory budget caps the size of a single BFS layer (the quantity that
-    drives the growth of the search); exceeding it raises BudgetExceeded with
-    the frontier size reached.
+    All yielded balls share one distances dict, which each further step
+    extends by one layer, so a caller may stop at the first radius it needs.
+    The budget caps the size of a single layer as in bfs_ball.
     """
     L = params.L
     dist: dict[Key, int] = {identity_key(): 0}
     frontier: list[Key] = [identity_key()]
-    for d in range(1, radius + 1):
+    d = 0
+    while True:
+        yield Ball(params, d, dist)
+        d += 1
         nxt: list[Key] = []
         for key in frontier:
             for nb in _neighbors(L, key):
@@ -322,7 +328,19 @@ def bfs_ball(params: GroupParams, radius: int, max_states: int = DEFAULT_MAX_STA
         if len(nxt) > max_states:
             raise BudgetExceeded(frontier=len(nxt), visited=len(dist))
         frontier = nxt
-    return Ball(params, radius, dist)
+
+
+def bfs_ball(params: GroupParams, radius: int, max_states: int = DEFAULT_MAX_STATES) -> Ball:
+    """All elements with |g| <= radius, by layered BFS with normal-form dedup.
+
+    The memory budget caps the size of a single BFS layer (the quantity that
+    drives the growth of the search); exceeding it raises BudgetExceeded with
+    the frontier size reached.
+    """
+    for ball in _ball_layers(params, max_states):
+        if ball.radius >= radius:
+            break
+    return Ball(params, radius, ball.distances)
 
 
 def pair_dist(
@@ -369,3 +387,88 @@ def pair_dist(
     if best is not None and best <= cap:
         return best
     return None
+
+
+def _ball_dist(
+    ball: Ball, goal: Key, cap: int, max_states: int = DEFAULT_MAX_STATES
+) -> Optional[int]:
+    """Exact |goal| if it is <= cap, else None, by BFS out of goal into `ball`.
+
+    `ball` must be an exact ball B(1, R), of bfs_ball or _ball_layers.
+    Layer k of the search holds the elements at distance k from goal.  A
+    geodesic from goal to 1 of length d <= k + R meets the ball within k
+    steps, so once layer k has no ball element, d > k + R; then the first
+    hit in layer k + 1 lies on the sphere of radius R and d = k + 1 + R
+    exactly.  The search stops with None once k + R >= cap, so it expands
+    at most max(cap - R, 0) layers.  The budget caps each stored layer as
+    in bfs_ball; the last layer is only probed against the ball, never
+    stored, as it is the largest.
+    """
+    dist, R = ball.distances, ball.radius
+    d = dist.get(goal)
+    if d is not None:
+        return d if d <= cap else None
+    L = ball.params.L
+    seen = {goal}
+    frontier = [goal]
+    for k in range(1, cap - R):
+        nxt: list[Key] = []
+        for key in frontier:
+            for nb in _neighbors(L, key):
+                if nb not in seen:
+                    if nb in dist:
+                        return k + R
+                    seen.add(nb)
+                    nxt.append(nb)
+        if len(nxt) > max_states:
+            raise BudgetExceeded(frontier=len(nxt), visited=len(seen))
+        frontier = nxt
+    if cap > R:  # layer cap - R: only probed, no layer comes after it
+        for key in frontier:
+            for nb in _neighbors(L, key):
+                if nb in dist:
+                    return cap
+    return None
+
+
+def _goal_distances(
+    params: GroupParams,
+    goals: list[tuple[Key, int]],
+    max_states: int = DEFAULT_MAX_STATES,
+    first_only: bool = False,
+) -> dict[int, Optional[int]]:
+    """{index: |goal| if it is <= cap, else None} for the (goal, cap) pairs.
+
+    One ball B(1, r) grows a layer at a time.  After each layer, every goal
+    not yet settled is searched with _ball_dist to min(cap, 2r - p), p the
+    parity of the goal (= |goal| mod 2, so a cap of the other parity is
+    lowered by one); a goal is settled once its distance is found or the
+    search reached its cap.  A goal at distance d is settled at radius
+    ceil(d / 2) and the ball grows only as far as the farthest unsettled
+    goal needs.  Searching again at each radius costs a geometric series,
+    about a quarter more than one search at the last radius (spheres of
+    G_6 grow about 4.9x per layer).
+
+    With first_only, only the lowest index within its cap matters: once a
+    goal is found, the goals above it are dropped (and left out of the
+    result), and the search stops once no goal below it is unsettled.
+    """
+    pending = [
+        (i, goal, cap - (cap - GroupElement(params, goal).parity()) % 2)
+        for i, (goal, cap) in enumerate(goals)
+    ]
+    out: dict[int, Optional[int]] = {}
+    for ball in _ball_layers(params, max_states):
+        rest = []
+        for i, goal, cap in pending:
+            c = min(cap, 2 * ball.radius - cap % 2)  # cap has the parity of |goal|
+            d = _ball_dist(ball, goal, c, max_states)
+            if d is None and c < cap:
+                rest.append((i, goal, cap))
+                continue
+            out[i] = d
+            if first_only and d is not None:
+                break
+        pending = rest
+        if not pending:
+            return out

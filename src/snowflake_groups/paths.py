@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .hnn_group import GroupElement, pair_dist, reduce_word
+from .hnn_group import GroupElement, _goal_distances
 from .params import GroupParams
 from .vertex_group import HPoint
 from .words import PathWord, invert_chars
@@ -258,7 +258,18 @@ def _loop_vertices(params: GroupParams, loop: PathWord) -> list[tuple]:
 def loop_bilip_constant(
     params: GroupParams, loop: PathWord, cap: int, max_states: int = 10_000_000
 ) -> BilipReport:
-    """Max distortion ratio d_loop / d_X over vertex pairs of an embedded loop."""
+    """Max distortion ratio d_loop / d_X over vertex pairs of an embedded loop.
+
+    Since d(g_i, g_j) = |g_i^-1 g_j|, one ball B(1, r) around the identity
+    serves every pair, each searched to c = min(cap, d_loop) out of
+    g_i^-1 g_j.  The ball grows a layer at a time; a pair at distance d is
+    settled at radius ceil(d/2), one beyond its cap at radius about c/2, so
+    the ball reaches at most radius ceil(min(cap, n/2) / 2) on an n-vertex
+    loop.  At radius r a pair is searched to depth at most r, and repeating
+    the search at every radius costs about a quarter more than the last one
+    alone.  The budget caps every stored BFS layer, of the ball and of each
+    search, and exceeding it raises BudgetExceeded.
+    """
     keys = _loop_vertices(params, loop)
     n = len(keys)
     seen: dict[tuple, int] = {}
@@ -272,31 +283,65 @@ def loop_bilip_constant(
         if e in edges:
             return BilipReport(False, True, None, None, repeated_at=(i, (i + 1) % n))
         edges.add(e)
+    pairs: list[tuple[int, int, int]] = []
+    goals: list[tuple[tuple, int]] = []
+    for i in range(n):
+        gi_inv = GroupElement(params, keys[i]).inverse()
+        for j in range(i + 1, n):
+            d_loop = min(j - i, n - (j - i))
+            if d_loop > 1:
+                pairs.append((i, j, d_loop))
+                goals.append(((gi_inv * GroupElement(params, keys[j])).key, min(cap, d_loop)))
+    dists = _goal_distances(params, goals, max_states)
     best = Fraction(0)
     witness: Optional[tuple[int, int]] = None
     complete = True
-    for i in range(n):
-        gi = GroupElement(params, keys[i])
-        for j in range(i + 1, n):
-            d_loop = min(j - i, n - (j - i))
-            if d_loop <= 1:
-                continue
-            d = pair_dist(params, gi, GroupElement(params, keys[j]), min(cap, d_loop), max_states)
-            if d is None:
-                complete = False
-                continue
-            r = Fraction(d_loop, d)
-            if r > best:
-                best, witness = r, (i, j)
+    for k, (i, j, d_loop) in enumerate(pairs):
+        d = dists[k]
+        if d is None:
+            complete = False
+            continue
+        r = Fraction(d_loop, d)
+        if r > best:
+            best, witness = r, (i, j)
     if witness is None:
         best = Fraction(1)
     return BilipReport(True, complete, best, witness)
 
 
+@dataclass(frozen=True)
+class GeodesicLoopReport:
+    """Result of verify_geodesic_loop; truthy iff the loop is geodesic.
+
+    For a loop that is not, `witness` is the first antipodal vertex pair
+    (i, i + |loop|/2) found closer than half the loop and `distance` is
+    their distance in the Cayley graph.
+    """
+
+    geodesic: bool
+    witness: Optional[tuple[int, int]] = None
+    distance: Optional[int] = None
+
+    def __bool__(self) -> bool:
+        return self.geodesic
+
+
 def verify_geodesic_loop(
     params: GroupParams, loop: PathWord, cap: int | None = None, max_states: int = 10_000_000
-) -> bool:
-    """True iff every antipodal vertex pair of the loop is at distance |loop|/2."""
+) -> GeodesicLoopReport:
+    """Whether every antipodal vertex pair of the loop is at distance |loop|/2.
+
+    Each antipodal pair (g_i, g_(i+h)), h = |loop|/2, is searched out of
+    g_i^-1 g_(i+h) to c = h - 2 (distances have the parity of h, so this
+    rules out d <= h - 1) against one ball B(1, r) around the identity that
+    grows a layer at a time.  A geodesic loop costs one ball B(1, ceil(c/2))
+    plus one search of radius floor(c/2) per pair, and repeating the
+    searches at the smaller radii adds about a quarter to that.  A loop that
+    is not geodesic stops at radius ceil(d/2), d the distance of its first
+    failing pair, once every pair before it is settled.  The budget caps
+    every stored BFS layer, of the ball and of each search, and exceeding it
+    raises BudgetExceeded.
+    """
     keys = _loop_vertices(params, loop)
     n = len(keys)
     if n % 2:
@@ -306,30 +351,14 @@ def verify_geodesic_loop(
         cap = half
     if cap < half:
         raise IncompleteVerification(f"cap {cap} is below the antipodal distance {half}")
+    # the loop arc shows d <= half; distances have the parity of half, so
+    # ruling out d <= half - 1 pins the antipodal distance to exactly half
+    goals = []
     for i in range(half):
-        # the loop arc shows d <= half; distances have the parity of half, so
-        # ruling out d <= half - 1 pins the antipodal distance to exactly half
-        d = pair_dist(
-            params, GroupElement(params, keys[i]), GroupElement(params, keys[i + half]),
-            half - 1, max_states,
-        )
+        goal = GroupElement(params, keys[i]).inverse() * GroupElement(params, keys[i + half])
+        goals.append((goal.key, half - 1))
+    dists = _goal_distances(params, goals, max_states, first_only=True)
+    for i, d in sorted(dists.items()):
         if d is not None:
-            return False
-    return True
-
-
-def measure_bilip_constant(
-    params: GroupParams, path: PathWord, max_states: int = 10_000_000
-) -> Fraction:
-    """Max over vertex pairs of arc distance / graph distance, for an open path."""
-    keys = path.vertex_keys()
-    best = Fraction(1)
-    for i in range(len(keys)):
-        gi = GroupElement(params, keys[i])
-        for j in range(i + 2, len(keys)):
-            d_arc = j - i
-            d = pair_dist(params, gi, GroupElement(params, keys[j]), d_arc, max_states)
-            assert d is not None
-            if d > 0:
-                best = max(best, Fraction(d_arc, d))
-    return best
+            return GeodesicLoopReport(False, (i, i + half), d)
+    return GeodesicLoopReport(True)

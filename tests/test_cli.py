@@ -47,8 +47,9 @@ def test_verify_loop_failure_exit_code(capsys):
         capsys, "verify-loop", "--L", "6", "--word", "a^12 a^-12"
     )
     assert code == 1
-    assert "geodesic: false" in out
-    assert "counterexample" in err
+    assert out == "geodesic: false\n"
+    # the first failing antipodal pair: |a^12| = 8 < 12
+    assert err == "counterexample: vertices 0 and 12 are at distance 8 < 12\n"
 
 
 def test_table_csv(capsys):

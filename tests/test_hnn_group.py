@@ -21,6 +21,7 @@ from snowflake_groups import (
     pair_dist,
     reduce_word,
 )
+from snowflake_groups.hnn_group import _ball_dist, _goal_distances
 
 words = st.text(alphabet="aAsStT", max_size=30)
 
@@ -186,3 +187,47 @@ def test_pair_dist_cap(p6):
     a36 = reduce_word(p6, "a^36")  # distance 16
     assert pair_dist(p6, one, a36, 10) is None
     assert pair_dist(p6, one, a36, 16) == 16
+
+
+@pytest.mark.parametrize("L", [6, 8])
+def test_ball_dist_matches_pair_dist(L):
+    # one-sided search into B(1, R) against the bidirectional oracle
+    params = GroupParams(L)
+    one = GroupElement.identity(params)
+    balls = {R: bfs_ball(params, R) for R in range(8)}
+    rng = random.Random(L)
+    for _ in range(300):
+        word = "".join(rng.choice("aAsStT") for _ in range(rng.randrange(13)))
+        g = reduce_word(params, word)
+        cap = rng.randrange(8)
+        R = rng.randint(cap // 2, cap)
+        assert _ball_dist(balls[R], g.key, cap) == pair_dist(params, one, g, cap), (word, cap, R)
+
+
+def test_ball_dist_budget(p6):
+    # cap 6 over B(1, 2): layers 1-3 (6, 30, 150 elements) are stored, the
+    # last one (734) is only probed
+    a36 = reduce_word(p6, "a^36")  # distance 16
+    ball = bfs_ball(p6, 2)
+    assert _ball_dist(ball, a36.key, 6, max_states=150) is None
+    with pytest.raises(BudgetExceeded):
+        _ball_dist(ball, a36.key, 6, max_states=149)
+
+
+@pytest.mark.parametrize("L", [6, 8])
+def test_goal_distances_match_pair_dist(L):
+    # the growing ball against the bidirectional oracle, caps of both parities
+    params = GroupParams(L)
+    one = GroupElement.identity(params)
+    rng = random.Random(L)
+    goals = []
+    for _ in range(60):
+        word = "".join(rng.choice("aAsStT") for _ in range(rng.randrange(13)))
+        goals.append((reduce_word(params, word).key, rng.randrange(9)))
+    expected = {i: pair_dist(params, one, GroupElement(params, g), cap) for i, (g, cap) in enumerate(goals)}
+    assert _goal_distances(params, goals) == expected
+    # first_only settles every goal up to the lowest one within its cap
+    first = min(i for i, d in expected.items() if d is not None)
+    got = _goal_distances(params, goals, first_only=True)
+    assert set(range(first + 1)) <= set(got)
+    assert all(got[i] == expected[i] for i in got)

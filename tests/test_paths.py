@@ -5,6 +5,9 @@ from fractions import Fraction
 import pytest
 
 from snowflake_groups import (
+    BilipReport,
+    BudgetExceeded,
+    GroupElement,
     GroupParams,
     HPoint,
     IncompleteVerification,
@@ -12,6 +15,7 @@ from snowflake_groups import (
     decompose_escapes,
     enfilade_decompose,
     loop_bilip_constant,
+    pair_dist,
     snowflake_loop,
     snowflake_path,
     trace,
@@ -195,7 +199,24 @@ def test_snowflake_loops_are_geodesic(p6):
 
 def test_backtrack_loop_is_not_geodesic(p6):
     loop = PathWord(p6, "a" * 12 + "A" * 12)
-    assert not verify_geodesic_loop(p6, loop)
+    report = verify_geodesic_loop(p6, loop)
+    assert not report
+    assert report.witness == (0, 12) and report.distance == 8  # |a^12| = 8
+    assert verify_geodesic_loop(p6, snowflake_loop(p6, 1)).witness is None
+
+
+def test_non_geodesic_loop_stops_early(p6):
+    # |a^20| = 12: the ball only grows to radius 6 (3574 elements in its
+    # last layer), not to ceil(18/2) = 9 (about 2 M), which the budget forbids
+    loop = PathWord.from_str(p6, "a^20 a^-20")
+    report = verify_geodesic_loop(p6, loop, max_states=20_000)
+    assert not report
+    assert report.witness == (0, 20) and report.distance == 12
+
+
+def test_verify_loop_budget(p6):
+    with pytest.raises(BudgetExceeded):
+        verify_geodesic_loop(p6, snowflake_loop(p6, 2), max_states=1000)
 
 
 def test_verify_loop_cap_too_small(p6):
@@ -239,3 +260,44 @@ def test_loop_bilip_incomplete_under_cap(p6):
     report = loop_bilip_constant(p6, loop, 3)
     assert not report.complete
     assert report.constant >= 1  # certified lower bound
+
+
+def _reference_bilip(params, loop, cap):
+    """loop_bilip_constant's scan of an embedded loop, one pair_dist per pair."""
+    keys = loop.vertex_keys()[:-1]
+    n = len(keys)
+    best, witness, complete = Fraction(0), None, True
+    for i in range(n):
+        for j in range(i + 1, n):
+            d_loop = min(j - i, n - (j - i))
+            if d_loop <= 1:
+                continue
+            d = pair_dist(
+                params, GroupElement(params, keys[i]), GroupElement(params, keys[j]),
+                min(cap, d_loop),
+            )
+            if d is None:
+                complete = False
+            elif Fraction(d_loop, d) > best:
+                best, witness = Fraction(d_loop, d), (i, j)
+    return BilipReport(True, complete, best if witness else Fraction(1), witness)
+
+
+@pytest.mark.parametrize(
+    "word",
+    [
+        "a^12 t a^-2 t^-1 s a^-2 s^-1",
+        "s a^2 s^-1 t a^2 t^-1 s a^-2 s^-1 t a^-2 t^-1",
+        "s a s^-1 t a t^-1 a t a^-1 t^-1 s a^-1 s^-1 a^-1",
+    ],
+)
+def test_loop_bilip_matches_pair_dist_scan(p6, word):
+    # the same loop rotated, reversed and with s <-> t swapped
+    chars = PathWord.from_str(p6, word).chars
+    swapped = chars.translate(str.maketrans("sStT", "tTsS"))
+    for variant in (chars, chars[5:] + chars[:5], invert_chars(chars), swapped):
+        loop = PathWord(p6, variant)
+        half = len(variant) // 2
+        for cap in (3, half - 2, half):
+            expected = _reference_bilip(p6, loop, cap)
+            assert loop_bilip_constant(p6, loop, cap) == expected, (variant, cap)
