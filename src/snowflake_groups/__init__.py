@@ -1,7 +1,7 @@
 """Exact word metrics, geodesics, distortion and van Kampen fillings in the
 snowflake groups G_L (double HNN extensions of Z^2 with a^L = xy)."""
 
-from .params import GroupParams, params_new
+from .params import GroupParams
 from .vertex_group import (
     GeodesicExpression,
     HPoint,
@@ -21,9 +21,6 @@ from .hnn_group import (
     BudgetExceeded,
     GroupElement,
     bfs_ball,
-    invert,
-    is_identity,
-    multiply,
     pair_dist,
     reduce_word,
 )

@@ -162,6 +162,14 @@ def _cmd_enfilade(args) -> int:
     return 0
 
 
+def _subdivision(data, name: str) -> list[int]:
+    """The exponent list `name` of a polygon file."""
+    try:
+        return [int(k) for k in data[name]]
+    except (KeyError, TypeError, ValueError):
+        raise ValueError(f"polygon JSON: {name!r} must be a list of integers") from None
+
+
 def _cmd_fill(args) -> int:
     params = _params(args)
     if args.shape == "snowflake":
@@ -172,14 +180,14 @@ def _cmd_fill(args) -> int:
         data = json.load(fp)
     poly = filling.polygon_from_json(params, data)
     if args.shape == "bigon":
-        diagram, out = filling.fill_bigon(params, poly, data["subdivision"])
+        diagram, out = filling.fill_bigon(params, poly, _subdivision(data, "subdivision"))
         subdivisions = [list(out.exponents)]
     elif args.shape == "triangle":
-        diagram, sx, sy = filling.fill_triangle(params, poly, data["subdivision"])
+        diagram, sx, sy = filling.fill_triangle(params, poly, _subdivision(data, "subdivision"))
         subdivisions = [list(sx.exponents), list(sy.exponents)]
     else:
         diagram, s2, s3 = filling.fill_diamond(
-            params, poly, data["subdivision"], data["subdivision2"]
+            params, poly, _subdivision(data, "subdivision"), _subdivision(data, "subdivision2")
         )
         subdivisions = [list(s2.exponents), list(s3.exponents)]
     payload = diagram.to_json()
@@ -221,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="snowflake-groups",
         description="Word metrics, geodesics, distortion and fillings in the snowflake groups G_L.",
     )
-    parser.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
+    parser.add_argument("--format", choices=("plain", "json"), default="plain")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):

@@ -13,9 +13,10 @@ planarity is by construction and is not re-verified.
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .params import GroupParams
 from .paths import snowflake_loop, snowflake_path
@@ -31,6 +32,17 @@ from .vertex_group import (
 from .words import PathWord, format_word, invert_chars, parse_word
 
 _FLAVOR_ORDER = {"bigon": None, "triangle": ("x", "y", "a"), "diamond": ("x", "y", "x", "y")}
+
+
+@contextmanager
+def _json_fields(what: str) -> Iterator[None]:
+    """Report a missing or mistyped field of a JSON input as a one-line ValueError."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ValueError(f"{what}: missing field {exc}") from None
+    except (TypeError, AttributeError) as exc:
+        raise ValueError(f"{what}: malformed field: {exc}") from None
 
 
 def _flavor_point(params: GroupParams, flavor: str, k: int) -> HPoint:
@@ -746,10 +758,11 @@ class HnnDualTree:
 
     @classmethod
     def from_json(cls, data: dict) -> "HnnDualTree":
-        arcs = {n["id"]: tuple(n.get("arcs", ())) for n in data["nodes"]}
-        kinds = {n["id"]: n["kind"] for n in data["nodes"] if n.get("kind")}
-        edges = [(a, b, int(l)) for a, b, l in data["edges"]]
-        return cls(arcs, edges, kinds)
+        with _json_fields("dual tree JSON"):
+            arcs = {n["id"]: tuple(int(a) for a in n.get("arcs", ())) for n in data["nodes"]}
+            kinds = {n["id"]: n["kind"] for n in data["nodes"] if n.get("kind")}
+            edges = [(a, b, int(l)) for a, b, l in data["edges"]]
+            return cls(arcs, edges, kinds)
 
     def to_dot(self) -> str:
         lines = ["graph dual_tree {"]
@@ -912,16 +925,17 @@ def polygon_to_json(poly: ApproxPolygon) -> dict:
 
 
 def polygon_from_json(params: GroupParams, data: dict) -> ApproxPolygon:
-    corner_paths = None
-    if data.get("corner_paths") is not None:
-        corner_paths = tuple(
-            PathWord(params, parse_word(w)) for w in data["corner_paths"]
+    with _json_fields("polygon JSON"):
+        corner_paths = None
+        if data.get("corner_paths") is not None:
+            corner_paths = tuple(
+                PathWord(params, parse_word(w)) for w in data["corner_paths"]
+            )
+        return ApproxPolygon(
+            data["kind"],
+            tuple(HPoint(int(u), int(v)) for u, v in data["corners"]),
+            tuple(data["flavors"]),
+            tuple(int(e) for e in data["exponents"]),
+            int(data["D"]),
+            corner_paths,
         )
-    return ApproxPolygon(
-        data["kind"],
-        tuple(HPoint(int(u), int(v)) for u, v in data["corners"]),
-        tuple(data["flavors"]),
-        tuple(int(e) for e in data["exponents"]),
-        int(data["D"]),
-        corner_paths,
-    )

@@ -41,7 +41,6 @@ from .params import GroupParams
 from .vertex_group import HPoint
 from .words import format_word, parse_word, power_chars
 
-_CODE = {"s": 1, "S": -1, "t": 3, "T": -3}
 _LETTER = {1: "s", -1: "S", 3: "t", -3: "T"}
 
 DEFAULT_MAX_STATES = 10_000_000
@@ -86,46 +85,46 @@ def _feed_stable(L: int, key: Key, code: int) -> Key:
     return key[:-2] + (ru, rv, code, cu, cv)
 
 
-def feed_char(L: int, key: Key, ch: str) -> Key:
-    code = _CODE.get(ch)
-    if code is not None:
-        return _feed_stable(L, key, code)
-    if ch == "a":
-        return _feed_h(key, 1, 0)
-    if ch == "A":
-        return _feed_h(key, -1, 0)
-    if ch == "x":
-        return _feed_h(key, 0, 1)
-    if ch == "X":
-        return _feed_h(key, 0, -1)
-    if ch == "y":
-        return _feed_h(key, L, -1)
-    if ch == "Y":
-        return _feed_h(key, -L, 1)
-    raise ValueError(f"unknown letter {ch!r}")
+def _letters(L: int) -> dict[str, tuple[int, int, int]]:
+    """The letter dispatch: letter -> (code, du, dv).
+
+    A stable letter has its code and (0, 0); a letter of H has code 0 and the
+    step (du, dv) by which it moves the tail, with y = a^L x^-1.
+    """
+    return {
+        "s": (1, 0, 0), "S": (-1, 0, 0),
+        "t": (3, 0, 0), "T": (-3, 0, 0),
+        "a": (0, 1, 0), "A": (0, -1, 0),
+        "x": (0, 0, 1), "X": (0, 0, -1),
+        "y": (0, L, -1), "Y": (0, -L, 1),
+    }
 
 
 def reduce_chars(L: int, chars: str, key: Key = (0, 0)) -> Key:
-    # batch runs of H letters; stable letters are fed one at a time
+    """Key of the element `key` times the word chars; a run of one H letter
+    moves the tail at once, stable letters are fed one at a time."""
+    letters = _letters(L)
     for ch, grp in groupby(chars):
         n = sum(1 for _ in grp)
-        if ch == "a":
-            key = _feed_h(key, n, 0)
-        elif ch == "A":
-            key = _feed_h(key, -n, 0)
-        elif ch == "x":
-            key = _feed_h(key, 0, n)
-        elif ch == "X":
-            key = _feed_h(key, 0, -n)
-        elif ch == "y":
-            key = _feed_h(key, n * L, -n)
-        elif ch == "Y":
-            key = _feed_h(key, -n * L, n)
-        else:
-            code = _CODE[ch]
+        code, du, dv = letters[ch]
+        if code:
             for _ in range(n):
                 key = _feed_stable(L, key, code)
+        else:
+            key = _feed_h(key, n * du, n * dv)
     return key
+
+
+def prefix_keys(L: int, chars: str) -> list[Key]:
+    """The keys of all prefixes of chars, shortest first (len(chars) + 1 keys)."""
+    letters = _letters(L)
+    key = identity_key()
+    keys = [key]
+    for ch in chars:
+        code, du, dv = letters[ch]
+        key = _feed_stable(L, key, code) if code else _feed_h(key, du, dv)
+        keys.append(key)
+    return keys
 
 
 def _key_parts(key: Key) -> Iterator[tuple[int, int, int]]:
@@ -218,39 +217,18 @@ class GroupElement:
         return p & 1
 
 
-def reduce_word(params: GroupParams, letters, direction: str = "left") -> GroupElement:
+def reduce_word(params: GroupParams, letters) -> GroupElement:
     """Britton-reduce a word over {a, s, t, x, y}^(+-1) to its normal form.
 
     `letters` may be a token string ("s a^6 s^-1"), a character string in the
-    internal encoding, or an iterable of such tokens.  `direction` selects the
-    reduction order (left-to-right folding or right-to-left folding); both
-    must agree, which the test suite checks on random words.
+    internal encoding, or an iterable of such tokens.  The word is folded in
+    left to right, one run of equal letters at a time.
     """
     if isinstance(letters, str):
         chars = parse_word(letters) if (" " in letters or "^" in letters or letters == "1") else letters
     else:
         chars = parse_word(" ".join(letters))
-    L = params.L
-    if direction == "left":
-        return GroupElement(params, reduce_chars(L, chars))
-    if direction == "right":
-        out = identity_key()
-        for ch in reversed(chars):
-            out = _key_mul(L, reduce_chars(L, ch), out)
-        return GroupElement(params, out)
-    raise ValueError(f"unknown direction {direction!r}")
-
-
-def multiply(g1: GroupElement, g2: GroupElement) -> GroupElement:
-    return g1 * g2
-
-
-def invert(g: GroupElement) -> GroupElement:
-    return g.inverse()
-
-
-def is_identity(g: GroupElement) -> bool:
-    return g.is_identity()
+    return GroupElement(params, reduce_chars(params.L, chars))
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +303,8 @@ def _ball_layers(params: GroupParams, max_states: int = DEFAULT_MAX_STATES) -> I
                 if nb not in dist:
                     dist[nb] = d
                     nxt.append(nb)
-        if len(nxt) > max_states:
-            raise BudgetExceeded(frontier=len(nxt), visited=len(dist))
+            if len(nxt) > max_states:
+                raise BudgetExceeded(frontier=len(nxt), visited=len(dist))
         frontier = nxt
 
 
@@ -334,8 +312,9 @@ def bfs_ball(params: GroupParams, radius: int, max_states: int = DEFAULT_MAX_STA
     """All elements with |g| <= radius, by layered BFS with normal-form dedup.
 
     The memory budget caps the size of a single BFS layer (the quantity that
-    drives the growth of the search); exceeding it raises BudgetExceeded with
-    the frontier size reached.
+    drives the growth of the search).  It is checked as the layer grows, after
+    each expanded key, so BudgetExceeded is raised with a frontier of at most
+    max_states + 6 elements, before the rest of the layer is stored.
     """
     for ball in _ball_layers(params, max_states):
         if ball.radius >= radius:
@@ -379,8 +358,8 @@ def pair_dist(
                     od = other.get(nb)
                     if od is not None and (best is None or d + od < best):
                         best = d + od
-        if len(nxt) > max_states:
-            raise BudgetExceeded(frontier=len(nxt), visited=len(side[0]) + len(side[1]))
+            if len(nxt) > max_states:
+                raise BudgetExceeded(frontier=len(nxt), visited=len(side[0]) + len(side[1]))
         frontier = (nxt, frontier[1]) if i == 0 else (frontier[0], nxt)
         if not nxt:
             break  # component exhausted (cannot happen in G_L, but be safe)
@@ -420,8 +399,8 @@ def _ball_dist(
                         return k + R
                     seen.add(nb)
                     nxt.append(nb)
-        if len(nxt) > max_states:
-            raise BudgetExceeded(frontier=len(nxt), visited=len(seen))
+            if len(nxt) > max_states:
+                raise BudgetExceeded(frontier=len(nxt), visited=len(seen))
         frontier = nxt
     if cap > R:  # layer cap - R: only probed, no layer comes after it
         for key in frontier:

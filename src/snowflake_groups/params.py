@@ -38,8 +38,3 @@ class GroupParams:
         if m == 0:
             return 0.0
         return 2.0 ** (math.log(abs(m)) / math.log(self.L))
-
-
-def params_new(L: int) -> GroupParams:
-    """Build GroupParams, rejecting odd L or L < 6."""
-    return GroupParams(L)

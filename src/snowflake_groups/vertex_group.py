@@ -14,22 +14,21 @@ The length of a^m is computed by the dynamic program
 and |a^-m| = |a^m|.  Lengths of general H elements reduce to this via
 
     |a^l x^m y^n| = min over decompositions l = qL + r, |r| < L, of
-        min( |r| + |x^(m+q)| + |y^(n+q)|,
-             L - |r| + |x^(m+q+sgn r)| + |y^(n+q+sgn r)| )
+        |r| + |x^(m+q)| + |y^(n+q)|
 
 where |g^k| = 2 + |a^k| for g in {x, y}, k != 0.  The sign convention of r
-is not pinned down; we minimize over every valid decomposition, which is
-safe and is validated against the breadth-first-search oracle.
+is not pinned down; we minimize over every valid decomposition (r = l mod L
+and r - L), which is safe and is validated against the breadth-first-search
+oracle.
 
-All functions are pure.  The only state is the internal |a^m| memo table,
-whose inserts are idempotent, so concurrent use from several threads is
-safe under CPython and results are deterministic either way.
+|a^(qL+r)| needs only |a^q| and |a^(q+1)|, so |a^m| is one pass down the
+base-L digits of m carrying that pair, in O(log_L m) steps.  All
+functions are pure and the module keeps no state.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .params import GroupParams
 from .words import PathWord, power_chars
@@ -86,25 +85,40 @@ class HPoint(NamedTuple):
 # ---------------------------------------------------------------------------
 # distance of a-powers
 
-_dist_memo: dict[tuple[int, int], int] = {}
+
+def _routes(L: int, lo: int, hi: int, r: int) -> tuple[int, int]:
+    """The two guard routes to a^(qL + r), 0 <= r <= L, given lo = |a^q|, hi = |a^(q+1)|.
+
+    Through a^(qL) and r steps up, or through a^((q+1)L) and L - r steps
+    down; |a^(qL + r)| is the shorter.  |a^(kL)| = 4 + 2|a^k| for k >= 1,
+    and a^(0L) = 1 (lo = 0 exactly when q = 0).
+    """
+    return (4 + 2 * lo if lo else 0) + r, 4 + 2 * hi + L - r
+
+
+def _prefix_pairs(L: int, m: int) -> list[tuple[int, int]]:
+    """[(|a^p|, |a^(p+1)|) for p = m, m // L, m // L^2, ..., 0], for m >= 0.
+
+    One pass down the base-L digits of m: the pair of p = qL + r follows
+    from the pair of q by the guard routes, starting from (|a^0|, |a^1|).
+    """
+    digits = []
+    while m:
+        m, r = divmod(m, L)
+        digits.append(r)
+    lo, hi = 0, 1
+    pairs = [(lo, hi)]
+    for r in reversed(digits):
+        low, high = _routes(L, lo, hi, r)  # those to a^(p+1) are 1 longer and 1 shorter
+        lo, hi = (low if low < high else high), (low + 1 if low + 1 < high - 1 else high - 1)
+        pairs.append((lo, hi))
+    pairs.reverse()
+    return pairs
 
 
 def _dist_a(L: int, m: int) -> int:
-    """|a^m| for m >= 0; memoized on (L, m) for m > L."""
-    if m <= 3 + L // 2:
-        return m
-    if m <= L:
-        return 6 + L - m
-    key = (L, m)
-    hit = _dist_memo.get(key)
-    if hit is not None:
-        return hit
-    q, r = divmod(m, L)
-    val = 4 + 2 * _dist_a(L, q)
-    if r:
-        val = min(val + r, 4 + 2 * _dist_a(L, q + 1) + L - r)
-    _dist_memo[key] = val
-    return val
+    """|a^m| for m >= 0."""
+    return _prefix_pairs(L, m)[0][0]
 
 
 def dist_a_power(params: GroupParams, m: int) -> int:
@@ -115,15 +129,13 @@ def dist_a_power(params: GroupParams, m: int) -> int:
 def dist_table(params: GroupParams, m_max: int) -> list[int]:
     """[|a^0|, |a^1|, ..., |a^m_max|] built iteratively (bulk scans)."""
     L = params.L
-    table = [0] * (m_max + 1)
-    for m in range(1, min(m_max, L) + 1):
-        table[m] = m if m <= 3 + L // 2 else 6 + L - m
-    for m in range(L + 1, m_max + 1):
-        q, r = divmod(m, L)
-        val = 4 + 2 * table[q]
-        if r:
-            val = min(val + r, 4 + 2 * table[q + 1] + L - r)
-        table[m] = val
+    table: list[int] = []
+    for q in range(m_max // L + 1):
+        # the routes to a^(qL + r) are r longer and r shorter than those to a^(qL)
+        lo, hi = (table[q], table[q + 1]) if q else (0, 1)
+        low, high = _routes(L, lo, hi, 0)
+        table += [low + r if low + r < high - r else high - r for r in range(L)]
+    del table[m_max + 1 :]
     return table
 
 
@@ -141,30 +153,24 @@ def dist_power(params: GroupParams, gen: str, m: int) -> int:
     raise ValueError(f"not an H generator: {gen!r}")
 
 
-def _decompositions(L: int, u: int) -> Iterator[tuple[int, int]]:
-    """All (q, r) with u = qL + r and |r| < L; at most two."""
-    q, r = divmod(u, L)
-    yield q, r
-    if r:
-        yield q + 1, r - L
+def _h_route(L: int, u: int, v: int) -> tuple[int, int, int]:
+    """(|a^u x^v|, q, p) for the shortest route x^(v+q) y^q a^p to a^u x^v.
+
+    Minimizes over both decompositions u = qL + p with |p| < L, that is
+    0 <= p < L and p - L; ties go to the first.
+    """
+    q, p = divmod(u, L)
+    route = (p + _gpow(L, v + q) + _gpow(L, q), q, p)
+    if p:
+        other = (L - p + _gpow(L, v + q + 1) + _gpow(L, q + 1), q + 1, p - L)
+        if other[0] < route[0]:
+            route = other
+    return route
 
 
 def dist_h(params: GroupParams, h: HPoint) -> int:
     """|a^u x^v| over {a, s, t}, minimizing over all decompositions."""
-    L = params.L
-    u, v = h
-    best: int | None = None
-    for q, r in _decompositions(L, u):
-        cand = abs(r) + _gpow(L, v + q) + _gpow(L, q)
-        if best is None or cand < best:
-            best = cand
-        if r:
-            s = 1 if r > 0 else -1
-            cand = L - abs(r) + _gpow(L, v + q + s) + _gpow(L, q + s)
-            if cand < best:
-                best = cand
-    assert best is not None
-    return best
+    return _h_route(params.L, h.u, h.v)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -192,17 +198,32 @@ class GeodesicExpression:
 
 
 def _expr_digits(L: int, m: int) -> list[int]:
-    """Digit list (low to high) for m > 0."""
-    if m <= L // 2 + 2:
-        return [m]
-    q, r = divmod(m, L)
-    len_low = (4 + 2 * _dist_a(L, q) if q else 0) + r
-    len_high = 4 + 2 * _dist_a(L, q + 1) + (L - r)
-    if len_low < len_high or (len_low == len_high and r <= L // 2):
-        # route through a^(qL); q = 0 cannot win here since m > L/2 + 2
-        assert q > 0
-        return [r] + _expr_digits(L, q)
-    return [r - L] + _expr_digits(L, q + 1)
+    """Digit list (low to high) for m > 0.
+
+    At level i the value c still to expand is m // L^i or one more, and
+    (lo, hi) is the prefix pair of p = m // L^(i+1).  With c = qL + r,
+    q = p except when c = (p + 1)L: then r = 0, and the route through
+    a^(qL) is the shorter one, so neither route needs |a^(p+2)|.
+    """
+    digits = []
+    c, above = m, False  # above: c = m // L^i + 1
+    for lo, hi in _prefix_pairs(L, m)[1:]:
+        if c <= L // 2 + 2:
+            break
+        q, r = divmod(c, L)
+        if above and not r:
+            digits.append(0)
+            c = q
+            continue
+        low, high = _routes(L, lo, hi, r)
+        if low < high or (low == high and r <= L // 2):
+            digits.append(r)
+            c, above = q, False
+        else:
+            digits.append(r - L)
+            c, above = q + 1, True
+    digits.append(c)
+    return digits
 
 
 def geodesic_expression(params: GroupParams, m: int) -> GeodesicExpression:
@@ -237,20 +258,8 @@ def geodesic_word_a_power(params: GroupParams, m: int) -> PathWord:
 
 def geodesic_word_h(params: GroupParams, h: HPoint) -> PathWord:
     """A geodesic word from 1 to h of the shape (x-escape)(y-escape)(a-path)."""
-    L = params.L
     u, v = h
-    best: tuple[int, int, int] | None = None  # (length, q', a-exponent)
-    for q, r in _decompositions(L, u):
-        cand = (abs(r) + _gpow(L, v + q) + _gpow(L, q), q, r)
-        if best is None or cand[0] < best[0]:
-            best = cand
-        if r:
-            s = 1 if r > 0 else -1
-            cand = (L - abs(r) + _gpow(L, v + q + s) + _gpow(L, q + s), q + s, r - s * L)
-            if cand[0] < best[0]:
-                best = cand
-    assert best is not None
-    _, q, p = best
+    _, q, p = _h_route(params.L, u, v)
     chars = ""
     if v + q:
         chars += "s" + geodesic_word_a_power(params, v + q).chars + "S"
@@ -300,14 +309,3 @@ def project_to_x_line(params: GroupParams, p: int) -> HPoint:
     if p % params.L:
         raise ValueError(f"L = {params.L} does not divide {p}")
     return HPoint(0, p // params.L)
-
-
-def ratio(params: GroupParams, m: int, dist: int) -> float:
-    """dist / |m|^(1/alpha), the distortion ratio (m != 0)."""
-    if m == 0:
-        raise ValueError("ratio undefined at m = 0")
-    return dist / params.root(m)
-
-
-def log_base(params: GroupParams, m: int) -> float:
-    return math.log(abs(m)) / math.log(params.L)

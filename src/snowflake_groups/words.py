@@ -118,11 +118,6 @@ class PathWord:
 
     def vertex_keys(self) -> list[tuple]:
         """Normal-form keys of all vertices visited, in order (length+1 entries)."""
-        from .hnn_group import feed_char, identity_key
+        from .hnn_group import prefix_keys
 
-        keys = [identity_key()]
-        k = identity_key()
-        for ch in self.chars:
-            k = feed_char(self.params.L, k, ch)
-            keys.append(k)
-        return keys
+        return prefix_keys(self.params.L, self.chars)

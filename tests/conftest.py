@@ -1,6 +1,18 @@
 import pytest
 
 from snowflake_groups import GroupParams, bfs_ball
+from snowflake_groups.hnn_group import _key_mul, reduce_chars
+
+
+def right_fold_key(L, chars):
+    """Normal-form key of chars folded in from the right, one letter at a time.
+
+    O(n^2): the slow cross-check of reduce_word, which folds from the left.
+    """
+    out = (0, 0)
+    for ch in reversed(chars):
+        out = _key_mul(L, reduce_chars(L, ch), out)
+    return out
 
 
 @pytest.fixture(scope="session")

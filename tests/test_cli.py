@@ -156,6 +156,46 @@ def test_value_error_becomes_exit_2(capsys):
     assert "even" in err
 
 
+def test_huge_exponent(capsys):
+    # |a^m| and the digit expansion are one loop over the digits of m, not a
+    # recursion per digit, so 10^1000 (1286 base-6 digits) is fine
+    m = str(10**1000)
+    code, dist, err = run_cli(capsys, "dist", "--L", "6", "--a-power", m)
+    assert code == 0 and err == ""
+    code, out, err = run_cli(capsys, "expr", "--L", "6", "--m", m)
+    assert code == 0 and err == ""
+    assert out.startswith("digits [") and out.endswith(f"] length {dist}")
+
+
+@pytest.mark.parametrize(
+    "argv, payload",
+    [
+        (("fill", "bigon"), {"kind": "bigon"}),
+        (("fill", "bigon"), ["not", "an", "object"]),
+        (
+            ("fill", "diamond"),
+            {
+                "kind": "diamond",
+                "corners": [[0, 0], [0, 1], [6, 0], [6, -1]],
+                "flavors": ["x", "y", "x", "y"],
+                "exponents": [1, 1, -1, -1],
+                "D": 0,
+                "subdivision": [1],
+            },
+        ),
+        (("central",), {"nodes": 3}),
+        (("central",), {"nodes": [{"id": "a"}]}),
+    ],
+)
+def test_malformed_input_file_exit_2(tmp_path, capsys, argv, payload):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, *argv, "--L", "6", "--input", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_determinism(capsys):
     outs = set()
     for _ in range(2):

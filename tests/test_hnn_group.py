@@ -15,13 +15,12 @@ from snowflake_groups import (
     HPoint,
     bfs_ball,
     dist_h,
-    invert,
-    is_identity,
-    multiply,
     pair_dist,
     reduce_word,
 )
 from snowflake_groups.hnn_group import _ball_dist, _goal_distances
+
+from conftest import right_fold_key
 
 words = st.text(alphabet="aAsStT", max_size=30)
 
@@ -62,10 +61,10 @@ def test_canonical_coset_representatives(p6):
 def test_multiply_invert_examples(p6):
     x = reduce_word(p6, "s a s^-1")
     y = reduce_word(p6, "t a t^-1")
-    assert multiply(x, y).h_point() == HPoint(6, 0)  # a^L = x y
-    assert is_identity(invert(GroupElement.identity(p6)))
+    assert (x * y).h_point() == HPoint(6, 0)  # a^L = x y
+    assert GroupElement.identity(p6).inverse().is_identity()
     xinv = reduce_word(p6, "s a^-1 s^-1")
-    assert multiply(x, xinv).is_identity()
+    assert (x * xinv).is_identity()
 
 
 def test_vertex_group_embedding(p6):
@@ -89,9 +88,8 @@ def test_vertex_group_embedding(p6):
 @given(w=words)
 def test_confluence_and_inverse(w):
     params = GroupParams(6)
-    gl = reduce_word(params, w, direction="left")
-    gr = reduce_word(params, w, direction="right")
-    assert gl.key == gr.key
+    gl = reduce_word(params, w)
+    assert gl.key == right_fold_key(params.L, w)
     assert (gl * gl.inverse()).is_identity()
     assert (gl.inverse() * gl).is_identity()
 
@@ -147,7 +145,8 @@ def test_ball_oracle_and_parity(p6, ball6_r6):
 def test_ball_budget_error(p6):
     with pytest.raises(BudgetExceeded) as info:
         bfs_ball(p6, 8, max_states=1000)
-    assert info.value.frontier > 1000
+    # checked as the layer grows: one expanded key (6 neighbours) past the budget
+    assert 1000 < info.value.frontier <= 1000 + 6
 
 
 def test_ball_jsonl_dump(p6):
@@ -189,6 +188,14 @@ def test_pair_dist_cap(p6):
     assert pair_dist(p6, one, a36, 16) == 16
 
 
+def test_pair_dist_budget(p6):
+    one = GroupElement.identity(p6)
+    a36 = reduce_word(p6, "a^36")  # distance 16: both sides reach layer 5 (3574)
+    with pytest.raises(BudgetExceeded) as info:
+        pair_dist(p6, one, a36, 16, max_states=1000)
+    assert 1000 < info.value.frontier <= 1000 + 6
+
+
 @pytest.mark.parametrize("L", [6, 8])
 def test_ball_dist_matches_pair_dist(L):
     # one-sided search into B(1, R) against the bidirectional oracle
@@ -210,8 +217,9 @@ def test_ball_dist_budget(p6):
     a36 = reduce_word(p6, "a^36")  # distance 16
     ball = bfs_ball(p6, 2)
     assert _ball_dist(ball, a36.key, 6, max_states=150) is None
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded) as info:
         _ball_dist(ball, a36.key, 6, max_states=149)
+    assert 149 < info.value.frontier <= 149 + 6
 
 
 @pytest.mark.parametrize("L", [6, 8])

@@ -215,8 +215,9 @@ def test_non_geodesic_loop_stops_early(p6):
 
 
 def test_verify_loop_budget(p6):
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded) as info:
         verify_geodesic_loop(p6, snowflake_loop(p6, 2), max_states=1000)
+    assert 1000 < info.value.frontier <= 1000 + 6
 
 
 def test_verify_loop_cap_too_small(p6):

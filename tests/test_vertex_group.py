@@ -1,6 +1,7 @@
 """Distances, geodesic expressions and words, and line geometry in H."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -87,6 +88,65 @@ def test_dist_table_matches_recursion(p6, p10):
         table = dist_table(params, 500)
         for m in range(501):
             assert table[m] == dist_a_power(params, m)
+
+
+def _reference_dist_a(L):
+    """|a^m| by the recursive guard DP with a memo: the reference oracle."""
+    memo = {}
+
+    def dist(m):
+        if m <= 3 + L // 2:
+            return m
+        if m <= L:
+            return 6 + L - m
+        if m not in memo:
+            q, r = divmod(m, L)
+            val = 4 + 2 * dist(q)
+            if r:
+                val = min(val + r, 4 + 2 * dist(q + 1) + L - r)
+            memo[m] = val
+        return memo[m]
+
+    def expr_digits(m):
+        if m <= L // 2 + 2:
+            return [m]
+        q, r = divmod(m, L)
+        len_low = (4 + 2 * dist(q) if q else 0) + r
+        len_high = 4 + 2 * dist(q + 1) + (L - r)
+        if len_low < len_high or (len_low == len_high and r <= L // 2):
+            assert q > 0
+            return [r] + expr_digits(q)
+        return [r - L] + expr_digits(q + 1)
+
+    return dist, expr_digits
+
+
+@pytest.mark.parametrize("L", [6, 8, 10, 12])
+def test_dist_a_power_matches_reference_on_large_m(L):
+    params = GroupParams(L)
+    dist, expr_digits = _reference_dist_a(L)
+    rng = random.Random(f"large-m-{L}")
+    for _ in range(500):
+        m = rng.randrange(1, 10**300)
+        assert dist_a_power(params, m) == dist_a_power(params, -m) == dist(m), m
+        assert geodesic_expression(params, m).digits == tuple(expr_digits(m)), m
+
+
+@pytest.mark.parametrize("L", [6, 8, 10, 12])
+def test_dist_a_power_matches_table_and_reference(L):
+    params = GroupParams(L)
+    dist, expr_digits = _reference_dist_a(L)
+    table = dist_table(params, 2 * 10**5)
+    for m in range(2 * 10**5 + 1):
+        assert dist_a_power(params, m) == table[m] == dist(m), m
+    for m in range(1, 30_000):
+        assert geodesic_expression(params, m).digits == tuple(expr_digits(m)), m
+
+
+def test_dist_table_short(p6, p10):
+    assert dist_table(p6, 0) == [0]
+    assert dist_table(p6, 1) == [0, 1]
+    assert dist_table(p10, 11) == [0, 1, 2, 3, 4, 5, 6, 7, 8, 7, 6, 7]
 
 
 def test_oracle_equivalence_small_ball(p6, ball6_r6):
