@@ -20,6 +20,7 @@ from .hnn_group import (
     Ball,
     BudgetExceeded,
     GroupElement,
+    InvariantViolation,
     bfs_ball,
     pair_dist,
     reduce_word,
@@ -29,7 +30,6 @@ from .paths import (
     BilipReport,
     EnfiladeDecomposition,
     GeodesicLoopReport,
-    IncompleteVerification,
     PathSegment,
     decompose_escapes,
     enfilade_decompose,

@@ -1,9 +1,10 @@
 """Command-line surface for the snowflake group toolkit.
 
 Every subcommand prints deterministic output.  Exit codes: 0 on success,
-1 when a verification fails (the counterexample is printed), 2 on usage
-errors.  The BFS memory budget can be overridden with the environment
-variable SNOWFLAKE_BFS_BUDGET (states per search layer).
+1 when a verification fails or a stated invariant does not hold (the
+counterexample is printed), 2 on usage errors, malformed inputs and
+exhausted search budgets.  The BFS memory budget can be overridden with
+the environment variable SNOWFLAKE_BFS_BUDGET (states per search layer).
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import distortion, filling, paths
-from .hnn_group import DEFAULT_MAX_STATES, bfs_ball
+from .hnn_group import DEFAULT_MAX_STATES, BudgetExceeded, InvariantViolation, bfs_ball
 from .params import GroupParams
 from .vertex_group import (
     HPoint,
@@ -123,8 +124,7 @@ def _cmd_verify_loop(args) -> int:
         loop = paths.snowflake_loop(params, args.n)
     else:
         loop = PathWord(params, parse_word(args.word))
-    cap = args.cap if args.cap is not None else loop.length // 2
-    report = paths.verify_geodesic_loop(params, loop, cap, max_states=_budget(args))
+    report = paths.verify_geodesic_loop(params, loop, max_states=_budget(args))
     ok = report.geodesic
     _emit(args, {"geodesic": ok, "length": loop.length}, f"geodesic: {'true' if ok else 'false'}")
     if not ok:
@@ -277,7 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--n", type=int, help="use the depth-n snowflake loop")
     g.add_argument("--word", type=str, help="explicit loop word, e.g. 's a s^-1 ...'")
-    p.add_argument("--cap", type=int, default=None)
     p.set_defaults(func=_cmd_verify_loop)
 
     p = sub.add_parser("ball", help="dump the BFS ball as JSON lines")
@@ -326,9 +325,12 @@ def main(argv=None) -> int:
         parser.error(f"fill {args.shape} requires --input")
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InvariantViolation as exc:
+        print(f"invariant violated: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -2,10 +2,15 @@
 the snowflake loop subdivision, and central regions of corridor dual trees.
 
 An approximate polygon is a cycle of a/x/y-line segments in the vertex
-group whose consecutive endpoints are close (within D).  The primitive
-fillings below snap such polygons to true ones, fill them by grids of
-small cells, and hand back subdivisions of the un-subdivided sides, with
-exact bookkeeping of cell count (area) and longest cell boundary (mesh).
+group whose consecutive endpoints are close (within D).  A bigon is
+filled by one strip of cells along its subdivided side.  Triangles and
+diamonds share one skeleton: snap to the true polygon, carry the given
+subdivisions across bigon strips onto it, fill its interior by a grid of
+small cells, carry the induced subdivisions of the other sides back
+across bigon strips, and close each corner with one cell.  A given
+subdivision may have any number of segments of any size, as long as it
+sums to its side's exponent; area (cell count) and mesh (longest cell
+boundary) follow from it as the docstrings state.
 
 Diagrams here are combinatorial: cells with closed boundary words plus
 gluing records.  Every produced boundary word reduces to the identity;
@@ -16,8 +21,10 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from itertools import accumulate
+from typing import Callable, Iterator, Optional, Sequence
 
+from .hnn_group import InvariantViolation
 from .params import GroupParams
 from .paths import snowflake_loop, snowflake_path
 from .vertex_group import (
@@ -63,6 +70,16 @@ def _geo_chars(params: GroupParams, flavor: str, k: int) -> str:
     if flavor == "y":
         return "t" + inner + "T"
     raise ValueError(f"bad flavor {flavor!r}")
+
+
+def _cell_word(params: GroupParams, *pieces: tuple[str, int]) -> str:
+    """The geodesic words of the (flavor, exponent) pieces, one after another."""
+    return "".join(_geo_chars(params, flavor, k) for flavor, k in pieces)
+
+
+def _backward(exps: Sequence[int]) -> list[int]:
+    """A side's subdivision read from its other end."""
+    return [-e for e in reversed(exps)]
 
 
 # ---------------------------------------------------------------------------
@@ -142,11 +159,6 @@ class Diagram:
     def boundaries_trivial(self) -> bool:
         return all(c.boundary.is_closed() for c in self.cells)
 
-    def extend(self, other: "Diagram") -> None:
-        offset = len(self.cells)
-        self.cells.extend(other.cells)
-        self.gluings.extend((i + offset, j + offset, w) for i, j, w in other.gluings)
-
     def to_json(self) -> dict:
         return {
             "area": self.area,
@@ -204,7 +216,8 @@ def _corner_paths(params: GroupParams, poly: ApproxPolygon) -> list[PathWord]:
 def snap_triangle(params: GroupParams, poly: ApproxPolygon) -> ApproxPolygon:
     """The true triangle within 2D + L of a D-approximate triangle.
 
-    The output exponents satisfy m0' = m1' and m2' = -L * m0'.
+    The output exponents satisfy m0' = m1' and m2' = -L * m0'; both
+    guarantees are checked and raise InvariantViolation.
     """
     if poly.kind != "triangle":
         raise ValueError("snap_triangle needs a triangle")
@@ -218,16 +231,18 @@ def snap_triangle(params: GroupParams, poly: ApproxPolygon) -> ApproxPolygon:
     m0p = g1p.v - g0p.v
     m1p = (g2p.u - g1p.u) // L
     m2p = g0p.u - g2p.u
-    assert m1p == m0p and m2p == -L * m0p
+    if m1p != m0p or m2p != -L * m0p:
+        raise InvariantViolation(f"snapped exponents {(m0p, m1p, m2p)} are not (m, m, -Lm)")
     bound = 2 * poly.D + L
     for old, new in zip(poly.corners, (g0p, g1p, g2p)):
         moved = dist_h(params, old.inverse() * new)
-        assert moved <= bound, f"snap moved a corner by {moved} > 2D + L = {bound}"
+        if moved > bound:
+            raise InvariantViolation(f"snap moved a corner by {moved} > 2D + L = {bound}")
     return ApproxPolygon("triangle", (g0p, g1p, g2p), ("x", "y", "a"), (m0p, m1p, m2p), 0)
 
 
 def snap_diamond(params: GroupParams, poly: ApproxPolygon) -> ApproxPolygon:
-    """The true diamond within D + 3L/2 of a D-approximate diamond."""
+    """The true diamond within D + 3L/2 of a D-approximate diamond (checked)."""
     if poly.kind != "diamond":
         raise ValueError("snap_diamond needs a diamond")
     L = params.L
@@ -245,14 +260,17 @@ def snap_diamond(params: GroupParams, poly: ApproxPolygon) -> ApproxPolygon:
     g1p = HPoint(g1.u, (yline2 - g1.u) // L)
     n2p = (g1p.u - h2p.u) // L
     m1p = h1p.v - g1p.v
-    assert m2p == -m1p and n2p == -n1p
+    if m2p != -m1p or n2p != -n1p:
+        raise InvariantViolation(f"snapped exponents {(m1p, n1p, m2p, n2p)} are not (m, n, -m, -n)")
     true = ApproxPolygon(
         "diamond", (g1p, h1p, g2p, h2p), ("x", "y", "x", "y"), (m1p, n1p, m2p, n2p), 0
     )
-    assert true.is_true(params)
+    if not true.is_true(params):
+        raise InvariantViolation(f"snapped diamond has gaps {true.gaps(params)}")
     for old, new in zip(poly.corners, true.corners):
         moved = 2 * dist_h(params, old.inverse() * new)
-        assert moved <= 2 * poly.D + 3 * L, f"snap moved a corner by {moved}/2 > D + 3L/2"
+        if moved > 2 * poly.D + 3 * L:
+            raise InvariantViolation(f"snap moved a corner by {moved}/2 > D + 3L/2")
     return true
 
 
@@ -260,25 +278,17 @@ def snap_diamond(params: GroupParams, poly: ApproxPolygon) -> ApproxPolygon:
 # bigon core
 
 SubdivisionExps = Sequence[int]
+Sides = dict[int, list[int]]  # side index -> exponents, forward along the side
 
 
-def _validate_subdivision(
-    label: str,
-    exps: SubdivisionExps,
-    total: int,
-    max_segments: Optional[int],
-    max_exponent: Optional[int],
-) -> None:
+def _validate_subdivision(label: str, exps: SubdivisionExps, total: int) -> None:
     if sum(exps) != total:
         raise ValueError(f"{label} subdivision sums to {sum(exps)}, expected {total}")
-    if max_segments is not None and len(exps) > max_segments:
-        raise ValueError(f"{label} subdivision has {len(exps)} > {max_segments} segments")
-    if max_exponent is not None and any(abs(e) > max_exponent for e in exps):
-        raise ValueError(f"{label} subdivision exceeds the exponent bound {max_exponent}")
 
 
 def _bigon_cells(
     params: GroupParams,
+    diagram: Diagram,
     G0: HPoint,
     flavor: str,
     exps: SubdivisionExps,
@@ -286,24 +296,24 @@ def _bigon_cells(
     M1: int,
     cp_end: str,
     cp_start: str,
-) -> tuple[list[Cell], list[tuple[int, int, str]], list[int]]:
+) -> list[int]:
     """Fill the bigon side0 = (G0, flavor, sum exps) against side1 = (G1, flavor, M1).
 
     cp_end joins G0 f^(sum exps) to G1; cp_start joins G1 f^M1 to G0.
-    Returns cells, gluings and the induced subdivision of side1 (from G1).
-    Area is exactly len(exps); the induced subdivision has <= len(exps) parts.
+    Appends the cells and their gluings to `diagram` and returns the
+    induced subdivision of side1 (from G1).  Area is exactly len(exps);
+    the induced subdivision has <= len(exps) parts.
     """
     n = len(exps)
     if n == 0:
         raise ValueError("subdivision must have at least one segment")
-    prefix = [0]
-    for e in exps:
-        prefix.append(prefix[-1] + e)
+    prefix = list(accumulate(exps, initial=0))
     m0 = prefix[-1]
     lo, hi = min(0, -M1), max(0, -M1)
     qualifying = [i for i, s in enumerate(prefix) if lo <= s <= hi]
     p = min(n - 1, max(qualifying, default=0))
     delta0 = invert_chars(cp_start)  # from G0 to G1 f^M1; translates along side0
+    cells, gluings = diagram.cells, diagram.gluings
 
     def fpoint(k: int) -> HPoint:
         return _flavor_point(params, flavor, k)
@@ -311,8 +321,6 @@ def _bigon_cells(
     def geo(k: int) -> str:
         return _geo_chars(params, flavor, k)
 
-    cells: list[Cell] = []
-    gluings: list[tuple[int, int, str]] = []
     for i in range(1, p + 1):
         word = geo(exps[i - 1]) + delta0 + geo(-exps[i - 1]) + invert_chars(delta0)
         cells.append(Cell(PathWord(params, word), G0 * fpoint(prefix[i - 1])))
@@ -338,38 +346,27 @@ def _bigon_cells(
             word = geo(exps[i]) + verticals[i + 1] + invert_chars(verticals[i])
             cells.append(Cell(PathWord(params, word), G0 * fpoint(prefix[i])))
             gluings.append((len(cells) - 2, len(cells) - 1, verticals[i]))
-    out = [M1 + prefix[p]] + [-exps[i - 1] for i in range(p, 0, -1)]
-    return cells, gluings, out
+    return [M1 + prefix[p]] + _backward(exps[:p])
 
 
 def fill_bigon(
-    params: GroupParams,
-    poly: ApproxPolygon,
-    subdivision: SubdivisionExps,
-    max_segments: Optional[int] = None,
-    max_exponent: Optional[int] = None,
+    params: GroupParams, poly: ApproxPolygon, subdivision: SubdivisionExps
 ) -> tuple[Diagram, Subdivision]:
-    """Fill a D-approximate bigon whose side 0 is pre-subdivided.
+    """Fill a D-approximate bigon whose side 0 is subdivided into n segments.
 
-    Returns the diagram (area <= number of segments, mesh <=
-    2(2C+1) D + 2C E^(1/alpha)) and the induced subdivision of side 1,
-    whose exponents are bounded by E + L D^alpha.
+    Returns the diagram (area <= n, mesh <= 2(2C+1) D + 2C E^(1/alpha),
+    E the largest segment |exponent|) and the induced subdivision of
+    side 1, with at most n segments bounded by E + L D^alpha.
     """
     if poly.kind != "bigon":
         raise ValueError("fill_bigon needs a bigon")
-    _validate_subdivision("side 0", subdivision, poly.exponents[0], max_segments, max_exponent)
+    _validate_subdivision("side 0", subdivision, poly.exponents[0])
     cps = _corner_paths(params, poly)
-    cells, gluings, out = _bigon_cells(
-        params,
-        poly.corners[0],
-        poly.flavors[0],
-        subdivision,
-        poly.corners[1],
-        poly.exponents[1],
-        cps[0].chars,
-        cps[1].chars,
+    diagram = Diagram(params, [])
+    out = _bigon_cells(
+        params, diagram, poly.corners[0], poly.flavors[0], subdivision,
+        poly.corners[1], poly.exponents[1], cps[0].chars, cps[1].chars,
     )
-    diagram = Diagram(params, cells, gluings)
     return diagram, Subdivision(poly.corners[1], poly.flavors[1], tuple(out))
 
 
@@ -377,12 +374,62 @@ def fill_bigon(
 # triangle and diamond fillings
 
 
+def _fill_polygon(
+    params: GroupParams,
+    poly: ApproxPolygon,
+    snap: Callable[[GroupParams, ApproxPolygon], ApproxPolygon],
+    given: dict[int, SubdivisionExps],
+    interior: Callable[[Diagram, ApproxPolygon, Sides], Sides],
+) -> tuple[Diagram, Subdivision, Subdivision]:
+    """The skeleton shared by triangles and diamonds.
+
+    alphas[i] joins corner i to its snapped image and gammas[i] joins the
+    end of side i to snapped corner i + 1.  Each given subdivision of a
+    side is carried across a bigon strip onto the true polygon `snap`
+    returns; `interior(diagram, true, inbound)` fills the true polygon
+    and returns subdivisions of its remaining sides, which are carried
+    back across bigon strips onto `poly`; one cell closes each corner.
+    Returns the diagram and the subdivisions of the remaining sides.
+    """
+    for i, exps in given.items():
+        _validate_subdivision(f"{poly.flavors[i]}-side", exps, poly.exponents[i])
+    n = len(poly.corners)
+    cps = _corner_paths(params, poly)
+    true = snap(params, poly)
+    alphas = [geodesic_word_h(params, a.inverse() * b).chars for a, b in zip(poly.corners, true.corners)]
+    gammas = [
+        geodesic_word_h(params, poly.side_end(params, i).inverse() * true.corners[(i + 1) % n]).chars
+        for i in range(n)
+    ]
+    diagram = Diagram(params, [])
+    inbound: Sides = {}
+    for i, exps in given.items():
+        out = _bigon_cells(
+            params, diagram, poly.corners[i], poly.flavors[i], exps,
+            true.corners[(i + 1) % n], -true.exponents[i], gammas[i], invert_chars(alphas[i]),
+        )
+        inbound[i] = _backward(out)  # true side i, forward from its corner
+    subs = []
+    for i, exps in interior(diagram, true, inbound).items():
+        out = _bigon_cells(
+            params, diagram, true.corners[i], poly.flavors[i], exps,
+            poly.side_end(params, i), -poly.exponents[i], invert_chars(gammas[i]), alphas[i],
+        )
+        subs.append(Subdivision(poly.corners[i], poly.flavors[i], tuple(_backward(out))))
+    for i in range(n):
+        word = cps[i].chars + alphas[(i + 1) % n] + invert_chars(gammas[i])
+        if word:
+            diagram.cells.append(Cell(PathWord(params, word), poly.side_end(params, i)))
+    return diagram, subs[0], subs[1]
+
+
 def _round_to_multiples(L: int, prefix: list[int]) -> list[int]:
     """Move interior subdivision points to the nearest multiples of L.
 
     Each point moves by at most L/2; ties go to the multiple nearer zero.
     The endpoints are kept (they are already multiples of L for a true
-    triangle's a-side).
+    triangle's a-side).  Rounding keeps a monotone prefix monotone; a
+    prefix whose rounding is not raises InvariantViolation.
     """
     out = [prefix[0]]
     for s in prefix[1:-1]:
@@ -392,115 +439,84 @@ def _round_to_multiples(L: int, prefix: list[int]) -> list[int]:
         else:
             out.append((q + 1) * L)
     out.append(prefix[-1])
-    # weak monotonicity survives nearest-multiple rounding; assert, don't fix
     direction = 1 if prefix[-1] >= prefix[0] else -1
-    assert all(direction * (b - a) >= 0 for a, b in zip(out, out[1:]))
+    if any(direction * (b - a) < 0 for a, b in zip(out, out[1:])):
+        raise InvariantViolation(f"rounding {prefix} to multiples of {L} gave {out}, not monotone")
     return out
 
 
-def fill_triangle(
-    params: GroupParams,
-    poly: ApproxPolygon,
-    a_subdivision: SubdivisionExps,
-    max_segments: Optional[int] = None,
-    max_exponent: Optional[int] = None,
-) -> tuple[Diagram, Subdivision, Subdivision]:
-    """Fill a D-approximate triangle whose a-side is pre-subdivided.
+def _triangle_interior(diagram: Diagram, true: ApproxPolygon, inbound: Sides) -> Sides:
+    """Rounding strip and grid of a true triangle whose a-side is subdivided.
 
-    Returns the diagram (area <= (n^2 + 9n + 6)/2 for n segments, mesh <=
-    4C + (6C+2) D + 2C E^(1/alpha)) plus induced subdivisions of the x-side
-    and y-side with exponents bounded by 1 + E/L + D^alpha.
+    The strip moves the a-side's subdivision points to multiples of L; the
+    grid has one small triangle per step and one small diamond per pair of
+    steps, and cuts the x- and y-sides alike.
     """
-    if poly.kind != "triangle":
-        raise ValueError("fill_triangle needs a triangle")
+    params = diagram.params
     L = params.L
-    _validate_subdivision("a-side", a_subdivision, poly.exponents[2], max_segments, max_exponent)
-    cps = _corner_paths(params, poly)
-    true = snap_triangle(params, poly)
-    g0, g1, g2 = poly.corners
-    g0p, g1p, g2p = true.corners
-    alphas = [geodesic_word_h(params, a.inverse() * b).chars for a, b in zip(poly.corners, true.corners)]
-    gammas = [
-        geodesic_word_h(params, poly.side_end(params, i).inverse() * true.corners[(i + 1) % 3]).chars
-        for i in range(3)
-    ]
-
-    diagram = Diagram(params, [])
-
-    # 1. bigon between the two a-sides; induces a subdivision of the true a-side
-    cells, gl, out = _bigon_cells(
-        params, g2, "a", a_subdivision, g0p, -true.exponents[2], gammas[2], invert_chars(alphas[2])
-    )
-    diagram.extend(Diagram(params, cells, gl))
-    true_a = [-e for e in reversed(out)]  # forward from g2'
-
-    # 2. strip moving the subdivision points to multiples of L
-    prefix = [0]
-    for e in true_a:
-        prefix.append(prefix[-1] + e)
+    g2p = true.corners[2]
+    prefix = list(accumulate(inbound[2], initial=0))
     rounded = _round_to_multiples(L, prefix)
     for j in range(1, len(prefix)):
         if rounded[j] == prefix[j] and rounded[j - 1] == prefix[j - 1]:
             continue  # nothing moved; no strip cell needed
-        word = (
-            _geo_chars(params, "a", prefix[j] - prefix[j - 1])
-            + _geo_chars(params, "a", rounded[j] - prefix[j])
-            + _geo_chars(params, "a", rounded[j - 1] - rounded[j])
-            + _geo_chars(params, "a", prefix[j - 1] - rounded[j - 1])
+        word = _cell_word(
+            params,
+            ("a", prefix[j] - prefix[j - 1]),
+            ("a", rounded[j] - prefix[j]),
+            ("a", rounded[j - 1] - rounded[j]),
+            ("a", prefix[j - 1] - rounded[j - 1]),
         )
         diagram.cells.append(Cell(PathWord(params, word), g2p * HPoint(prefix[j - 1], 0)))
 
-    # 3. interior grid on the true triangle
     heights = [-r // L for r in rounded]  # n_j, from 0 up to m0'
-    N = true.exponents[0]
-    assert heights[-1] == N
-    d = [heights[j + 1] - heights[j] for j in range(len(heights) - 1)]
-    for j in range(len(d)):
-        if d[j] == 0:
+    if heights[-1] != true.exponents[0]:
+        raise InvariantViolation(f"the grid rises to {heights[-1]}, not to {true.exponents[0]}")
+    d = [b - a for a, b in zip(heights, heights[1:])]
+    for j, dj in enumerate(d):
+        if dj == 0:
             continue
-        word = (
-            _geo_chars(params, "a", -L * d[j])
-            + _geo_chars(params, "x", d[j])
-            + _geo_chars(params, "y", d[j])
-        )
+        word = _cell_word(params, ("a", -L * dj), ("x", dj), ("y", dj))
         diagram.cells.append(Cell(PathWord(params, word), g2p * HPoint(rounded[j], 0)))
         for i in range(j):
             if d[i] == 0:
                 continue
-            word = (
-                _geo_chars(params, "x", d[i])
-                + _geo_chars(params, "y", -d[j])
-                + _geo_chars(params, "x", -d[i])
-                + _geo_chars(params, "y", d[j])
-            )
+            word = _cell_word(params, ("x", d[i]), ("y", -dj), ("x", -d[i]), ("y", dj))
             base_pt = g2p * HPoint(rounded[j], heights[j] - heights[i])
             diagram.cells.append(Cell(PathWord(params, word), base_pt))
+    grid = d[::-1]
+    return {0: grid, 1: grid}
 
-    grid = list(reversed(d))  # subdivision of both true outer sides
 
-    # 4. bigons between true and approximate x- and y-sides
-    cells, gl, out_x = _bigon_cells(
-        params, g0p, "x", grid,
-        g0 * _flavor_point(params, "x", poly.exponents[0]), -poly.exponents[0],
-        invert_chars(gammas[0]), alphas[0],
-    )
-    diagram.extend(Diagram(params, cells, gl))
-    cells, gl, out_y = _bigon_cells(
-        params, g1p, "y", grid,
-        g1 * _flavor_point(params, "y", poly.exponents[1]), -poly.exponents[1],
-        invert_chars(gammas[1]), alphas[1],
-    )
-    diagram.extend(Diagram(params, cells, gl))
+def fill_triangle(
+    params: GroupParams, poly: ApproxPolygon, a_subdivision: SubdivisionExps
+) -> tuple[Diagram, Subdivision, Subdivision]:
+    """Fill a D-approximate triangle whose a-side is subdivided into n segments.
 
-    # 5. corner cells
-    for i in range(3):
-        word = cps[i].chars + alphas[(i + 1) % 3] + invert_chars(gammas[i])
-        if word:
-            diagram.cells.append(Cell(PathWord(params, word), poly.side_end(params, i)))
+    Returns the diagram (area <= (n^2 + 9n + 6)/2, mesh <= 4C + (6C+2) D +
+    2C E^(1/alpha), E the largest segment |exponent|) plus induced
+    subdivisions of the x-side and y-side, with at most n segments
+    bounded by 1 + E/L + D^alpha.
+    """
+    if poly.kind != "triangle":
+        raise ValueError("fill_triangle needs a triangle")
+    return _fill_polygon(params, poly, snap_triangle, {2: a_subdivision}, _triangle_interior)
 
-    sub_x = Subdivision(g0, "x", tuple(-e for e in reversed(out_x)))
-    sub_y = Subdivision(g1, "y", tuple(-e for e in reversed(out_y)))
-    return diagram, sub_x, sub_y
+
+def _diamond_interior(diagram: Diagram, true: ApproxPolygon, inbound: Sides) -> Sides:
+    """Grid of small diamonds on a true diamond whose sides 0 and 1 are subdivided."""
+    params = diagram.params
+    dw, dz = inbound[0], inbound[1]
+    for wp, w in zip(accumulate(dw, initial=0), dw):
+        if w == 0:
+            continue
+        for zp, z in zip(accumulate(dz, initial=0), dz):
+            if z == 0:
+                continue
+            word = _cell_word(params, ("x", w), ("y", z), ("x", -w), ("y", -z))
+            base_pt = true.corners[0] * _flavor_point(params, "x", wp) * _flavor_point(params, "y", zp)
+            diagram.cells.append(Cell(PathWord(params, word), base_pt))
+    return {2: _backward(dw), 3: _backward(dz)}
 
 
 def fill_diamond(
@@ -508,90 +524,19 @@ def fill_diamond(
     poly: ApproxPolygon,
     x_subdivision: SubdivisionExps,
     y_subdivision: SubdivisionExps,
-    max_segments: Optional[int] = None,
-    max_exponent: Optional[int] = None,
 ) -> tuple[Diagram, Subdivision, Subdivision]:
-    """Fill a D-approximate diamond with sides 0 (x) and 1 (y) pre-subdivided.
+    """Fill a D-approximate diamond with sides 0 (x) and 1 (y) subdivided.
 
-    Returns the diagram (area <= n^2 + 4n + 4, mesh <= 3L + (8C+2) D +
-    4C E^(1/alpha)) plus induced subdivisions of the other two sides with
-    exponents bounded by E + 2L D^alpha.
+    For at most n segments per side, returns the diagram (area <= n^2 +
+    4n + 4, mesh <= 3L + (8C+2) D + 4C E^(1/alpha), E the largest segment
+    |exponent|) plus induced subdivisions of the other two sides, with at
+    most n segments bounded by E + 2L D^alpha.
     """
     if poly.kind != "diamond":
         raise ValueError("fill_diamond needs a diamond")
-    _validate_subdivision("x-side", x_subdivision, poly.exponents[0], max_segments, max_exponent)
-    _validate_subdivision("y-side", y_subdivision, poly.exponents[1], max_segments, max_exponent)
-    cps = _corner_paths(params, poly)
-    true = snap_diamond(params, poly)
-    g1, h1, g2, h2 = poly.corners
-    g1p, h1p, g2p, h2p = true.corners
-    alphas = [geodesic_word_h(params, a.inverse() * b).chars for a, b in zip(poly.corners, true.corners)]
-    gammas = [
-        geodesic_word_h(params, poly.side_end(params, i).inverse() * true.corners[(i + 1) % 4]).chars
-        for i in range(4)
-    ]
-    diagram = Diagram(params, [])
-
-    cells, gl, out0 = _bigon_cells(
-        params, g1, "x", x_subdivision, h1p, -true.exponents[0], gammas[0], invert_chars(alphas[0])
+    return _fill_polygon(
+        params, poly, snap_diamond, {0: x_subdivision, 1: y_subdivision}, _diamond_interior
     )
-    diagram.extend(Diagram(params, cells, gl))
-    dw = [-e for e in reversed(out0)]  # true x-side forward from g1'
-
-    cells, gl, out1 = _bigon_cells(
-        params, h1, "y", y_subdivision, g2p, -true.exponents[1], gammas[1], invert_chars(alphas[1])
-    )
-    diagram.extend(Diagram(params, cells, gl))
-    dz = [-e for e in reversed(out1)]  # true y-side forward from h1'
-
-    # interior grid of small diamonds
-    wpref = [0]
-    for e in dw:
-        wpref.append(wpref[-1] + e)
-    zpref = [0]
-    for e in dz:
-        zpref.append(zpref[-1] + e)
-    for i in range(1, len(wpref)):
-        if dw[i - 1] == 0:
-            continue
-        for j in range(1, len(zpref)):
-            if dz[j - 1] == 0:
-                continue
-            word = (
-                _geo_chars(params, "x", dw[i - 1])
-                + _geo_chars(params, "y", dz[j - 1])
-                + _geo_chars(params, "x", -dw[i - 1])
-                + _geo_chars(params, "y", -dz[j - 1])
-            )
-            base_pt = (
-                g1p
-                * _flavor_point(params, "x", wpref[i - 1])
-                * _flavor_point(params, "y", zpref[j - 1])
-            )
-            diagram.cells.append(Cell(PathWord(params, word), base_pt))
-
-    # bigons handing the opposite sides back to the approximate diamond
-    cells, gl, out2 = _bigon_cells(
-        params, g2p, "x", [-e for e in reversed(dw)],
-        g2 * _flavor_point(params, "x", poly.exponents[2]), -poly.exponents[2],
-        invert_chars(gammas[2]), alphas[2],
-    )
-    diagram.extend(Diagram(params, cells, gl))
-    cells, gl, out3 = _bigon_cells(
-        params, h2p, "y", [-e for e in reversed(dz)],
-        h2 * _flavor_point(params, "y", poly.exponents[3]), -poly.exponents[3],
-        invert_chars(gammas[3]), alphas[3],
-    )
-    diagram.extend(Diagram(params, cells, gl))
-
-    for i in range(4):
-        word = cps[i].chars + alphas[(i + 1) % 4] + invert_chars(gammas[i])
-        if word:
-            diagram.cells.append(Cell(PathWord(params, word), poly.side_end(params, i)))
-
-    sub2 = Subdivision(g2, "x", tuple(-e for e in reversed(out2)))
-    sub3 = Subdivision(h2, "y", tuple(-e for e in reversed(out3)))
-    return diagram, sub2, sub3
 
 
 # ---------------------------------------------------------------------------
@@ -643,12 +588,7 @@ def subdivide_snowflake(
 
     # central diamond -> lam^2 small diamonds
     k1 = L ** (depth - 1) // lam
-    word = (
-        _geo_chars(params, "x", k1)
-        + _geo_chars(params, "y", k1)
-        + _geo_chars(params, "x", -k1)
-        + _geo_chars(params, "y", -k1)
-    )
+    word = _cell_word(params, ("x", k1), ("y", k1), ("x", -k1), ("y", -k1))
     for i in range(lam):
         for j in range(lam):
             base_pt = _flavor_point(params, "x", i * k1) * _flavor_point(params, "y", j * k1)
@@ -667,17 +607,8 @@ def subdivide_snowflake(
                 f"subdivision constant {lam} leaves non-integral grid at depth {m}"
             )
         d = piece // L
-        tri_word = (
-            _geo_chars(params, "a", -L * d)
-            + _geo_chars(params, "x", d)
-            + _geo_chars(params, "y", d)
-        )
-        dia_word = (
-            _geo_chars(params, "x", d)
-            + _geo_chars(params, "y", -d)
-            + _geo_chars(params, "x", -d)
-            + _geo_chars(params, "y", d)
-        )
+        tri_word = _cell_word(params, ("a", -L * d), ("x", d), ("y", d))
+        dia_word = _cell_word(params, ("x", d), ("y", -d), ("x", -d), ("y", d))
         for _ in range(4 * 2 ** (m - 1)):
             diagram.cells.extend(Cell(PathWord(params, tri_word)) for _ in range(lam))
             diagram.cells.extend(

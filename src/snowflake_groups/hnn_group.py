@@ -48,6 +48,10 @@ DEFAULT_MAX_STATES = 10_000_000
 Key = tuple  # flat normal-form tuple
 
 
+class InvariantViolation(RuntimeError):
+    """A guarantee the code states (a snap distance, a rounding order) failed."""
+
+
 class BudgetExceeded(RuntimeError):
     """Raised when a search would exceed its state budget."""
 

@@ -32,10 +32,6 @@ _ESCAPE_FLAVOR = {"s": "x", "S": "a", "t": "y", "T": "a"}
 _INNER_FLAVOR = {"s": "a", "S": "x", "t": "a", "T": "y"}
 
 
-class IncompleteVerification(RuntimeError):
-    """A verification could not be completed under the given search cap."""
-
-
 def snowflake_path(params: GroupParams, n: int, flavor: str = "s") -> PathWord:
     """sigma_{n,flavor}: a geodesic from 1 to a^(L^n) of length 5 * 2^n - 4."""
     if n < 1:
@@ -327,7 +323,7 @@ class GeodesicLoopReport:
 
 
 def verify_geodesic_loop(
-    params: GroupParams, loop: PathWord, cap: int | None = None, max_states: int = 10_000_000
+    params: GroupParams, loop: PathWord, max_states: int = 10_000_000
 ) -> GeodesicLoopReport:
     """Whether every antipodal vertex pair of the loop is at distance |loop|/2.
 
@@ -347,10 +343,6 @@ def verify_geodesic_loop(
     if n % 2:
         raise ValueError("loops in G_L have even length")
     half = n // 2
-    if cap is None:
-        cap = half
-    if cap < half:
-        raise IncompleteVerification(f"cap {cap} is below the antipodal distance {half}")
     # the loop arc shows d <= half; distances have the parity of half, so
     # ruling out d <= half - 1 pins the antipodal distance to exactly half
     goals = []

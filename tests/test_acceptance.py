@@ -83,8 +83,8 @@ def test_acceptance_3_geodesic_loops():
     loop1 = snowflake_loop(params, 1)
     loop2 = snowflake_loop(params, 2)
     assert loop1.length == 12 and loop2.length == 32
-    assert verify_geodesic_loop(params, loop1, cap=6)
-    assert verify_geodesic_loop(params, loop2, cap=16)
+    assert verify_geodesic_loop(params, loop1)
+    assert verify_geodesic_loop(params, loop2)
     elapsed = time.time() - t0
     assert elapsed < 300
     _report(3, f"snowflake loops 1 (12/6) and 2 (32/16) are geodesic ({elapsed:.0f}s)")

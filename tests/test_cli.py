@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from snowflake_groups import InvariantViolation, filling
 from snowflake_groups.cli import main
 
 
@@ -110,6 +111,118 @@ def test_fill_polygon_file(tmp_path, capsys):
     assert data["trivial"] is True
     assert data["area"] <= 2
     assert data["subdivisions"] == [[-6, -6]]
+
+
+def fill_file(tmp_path, capsys, shape, payload):
+    path = tmp_path / f"{shape}.json"
+    path.write_text(json.dumps(payload))
+    return run_cli(capsys, "fill", shape, "--L", "6", "--input", str(path))
+
+
+def test_fill_triangle_file(tmp_path, capsys):
+    # the true triangle x^2 y^2 a^-12 with two corners moved by a and x
+    payload = {
+        "kind": "triangle",
+        "corners": [[1, 0], [0, 2], [12, 1]],
+        "flavors": ["x", "y", "a"],
+        "exponents": [2, 2, -12],
+        "D": 4,
+        "subdivision": [-6, -6],
+    }
+    expected = {
+        "area": 10,
+        "cells": [
+            {"boundary": "s a^-1 s^-1 t a^-1 t^-1 a^-5 s a s^-1 t a t^-1 a^5"},
+            {"boundary": "s a^-1 s^-1 t a^-1 t^-1 a^6"},
+            {"boundary": "s a^-1 s^-1 t a^-1 t^-1 s a s^-1 t a t^-1"},
+            {"boundary": "s a^-1 s^-1 s a s^-1"},
+            {"boundary": "s a s^-1 s a^-2 s^-1 s a s^-1"},
+            {"boundary": "a^-1 a"},
+            {"boundary": "t a t^-1 a^-1 t a t^-1 t a^-2 t^-1 a"},
+            {"boundary": "a^-1 a"},
+            {"boundary": "s a s^-1 a^-6 t a t^-1"},
+            {"boundary": "s a^-1 s^-1 a s a s^-1 a^-1"},
+        ],
+        "gluings": [[0, 1, "a^-5"], [3, 4, "s a^-1 s^-1"], [5, 6, "a^-1"]],
+        "mesh": 22,
+        "subdivisions": [[0, 2], [0, 2]],
+        "trivial": True,
+    }
+    code, out, err = fill_file(tmp_path, capsys, "triangle", payload)
+    assert code == 0 and err == ""
+    assert out == json.dumps(expected, sort_keys=True) + "\n"
+
+
+def test_fill_diamond_file(tmp_path, capsys):
+    # the true diamond x^2 y^2 x^-2 y^-2 with one corner moved by a
+    payload = {
+        "kind": "diamond",
+        "corners": [[0, 0], [1, 2], [12, 0], [12, -2]],
+        "flavors": ["x", "y", "x", "y"],
+        "exponents": [2, 2, -2, -2],
+        "D": 1,
+        "subdivision": [1, 1],
+        "subdivision2": [1, 1],
+    }
+    unit = "s a s^-1 t a t^-1 s a^-1 s^-1 t a^-1 t^-1"
+    expected = {
+        "area": 14,
+        "cells": [
+            {"boundary": "s a s^-1 s a^-1 s^-1"},
+            {"boundary": "s a s^-1 s a^-1 s^-1"},
+            {"boundary": "t a t^-1 a^-1 t a^-1 t^-1 a"},
+            {"boundary": "t a t^-1 a^-1 t a^-1 t^-1 a"},
+            {"boundary": unit},
+            {"boundary": unit},
+            {"boundary": unit},
+            {"boundary": unit},
+            {"boundary": "s a^-1 s^-1 s a s^-1"},
+            {"boundary": "s a^-1 s^-1 s a s^-1"},
+            {"boundary": "t a^-1 t^-1 t a t^-1"},
+            {"boundary": "t a^-1 t^-1 t a t^-1"},
+            {"boundary": "a a^-1"},
+            {"boundary": "a^-1 a"},
+        ],
+        "gluings": [[0, 1, "1"], [2, 3, "a^-1"], [8, 9, "1"], [10, 11, "1"]],
+        "mesh": 12,
+        "subdivisions": [[-1, -1], [-1, -1]],
+        "trivial": True,
+    }
+    code, out, err = fill_file(tmp_path, capsys, "diamond", payload)
+    assert code == 0 and err == ""
+    assert out == json.dumps(expected, sort_keys=True) + "\n"
+
+
+def test_invariant_violation_exit_1(tmp_path, capsys, monkeypatch):
+    def broken(*args):
+        raise InvariantViolation("snap moved a corner by 9 > 2D + L = 8")
+
+    monkeypatch.setattr(filling, "fill_triangle", broken)
+    payload = {
+        "kind": "triangle",
+        "corners": [[0, 0], [0, 2], [12, 0]],
+        "flavors": ["x", "y", "a"],
+        "exponents": [2, 2, -12],
+        "D": 0,
+        "subdivision": [-12],
+    }
+    code, out, err = fill_file(tmp_path, capsys, "triangle", payload)
+    assert code == 1 and out == ""
+    assert err == "invariant violated: snap moved a corner by 9 > 2D + L = 8\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify-loop", "--L", "6", "--n", "2", "--budget", "100"),
+        ("ball", "--L", "6", "--radius", "5", "--budget", "100"),
+    ],
+    ids=["verify-loop", "ball"],
+)
+def test_budget_exceeded_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: state budget exceeded: ") and err.count("\n") == 1
 
 
 def test_central_from_file(tmp_path, capsys):

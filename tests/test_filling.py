@@ -11,6 +11,7 @@ from snowflake_groups import (
     GroupParams,
     HnnDualTree,
     HPoint,
+    InvariantViolation,
     area_budget,
     dist_h,
     fill_bigon,
@@ -24,6 +25,7 @@ from snowflake_groups import (
     subdivide_snowflake,
 )
 from snowflake_groups.filling import (
+    _round_to_multiples,
     cap_depth,
     f_at_edge_point,
     f_at_vertex,
@@ -220,14 +222,36 @@ def test_fill_bigon_zero_offset(p6):
     assert tuple(sub.exponents) == (-5, -5)
 
 
-def test_fill_bigon_rejects_limits(p6):
-    poly = ApproxPolygon("bigon", (HPoint(0, 0), HPoint(10, 0)), ("a", "a"), (10, -10), 0)
-    with pytest.raises(ValueError):
-        fill_bigon(p6, poly, [5, 5], max_segments=1)
-    with pytest.raises(ValueError):
-        fill_bigon(p6, poly, [5, 5], max_exponent=4)
-    with pytest.raises(ValueError):
-        fill_bigon(p6, poly, [5, 4])  # wrong total
+@pytest.mark.parametrize(
+    "kind, side",
+    [("bigon", "side 0"), ("triangle", "a-side"), ("diamond", "x-side"), ("diamond", "y-side")],
+    ids=["bigon", "triangle-a", "diamond-x", "diamond-y"],
+)
+@pytest.mark.parametrize("bad", [[5, 4], []], ids=["wrong-sum", "empty"])
+def test_fill_rejects_wrong_totals(p6, kind, side, bad):
+    # every given side is checked against its exponent (10, -12, 2 and 2)
+    # before any cell is built; the message names the side
+    if kind == "bigon":
+        poly = ApproxPolygon("bigon", (HPoint(0, 0), HPoint(10, 0)), ("a", "a"), (10, -10), 0)
+        fill = lambda bad: fill_bigon(p6, poly, bad)
+    elif kind == "triangle":
+        corners = (HPoint(0, 0), HPoint(0, 2), HPoint(12, 0))
+        poly = ApproxPolygon("triangle", corners, ("x", "y", "a"), (2, 2, -12), 0)
+        fill = lambda bad: fill_triangle(p6, poly, bad)
+    else:
+        corners = (HPoint(0, 0), HPoint(0, 2), HPoint(12, 0), HPoint(12, -2))
+        poly = ApproxPolygon("diamond", corners, ("x", "y", "x", "y"), (2, 2, -2, -2), 0)
+        good = [1, 1]
+        fill = lambda bad: fill_diamond(p6, poly, *((bad, good) if side == "x-side" else (good, bad)))
+    with pytest.raises(ValueError, match=f"^{side} subdivision sums to {sum(bad)}, expected"):
+        fill(bad)
+
+
+def test_round_to_multiples_checks_order():
+    # 10 rounds up to 12 and 3 down to 0: not monotone, so no grid exists
+    with pytest.raises(InvariantViolation):
+        _round_to_multiples(6, [0, 10, 3, 12])
+    assert _round_to_multiples(6, [0, 4, 9, 12]) == [0, 6, 6, 12]  # 9: the tie goes to 6
 
 
 def test_fill_triangle_lambda_two_area(p6):

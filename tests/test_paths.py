@@ -10,7 +10,6 @@ from snowflake_groups import (
     GroupElement,
     GroupParams,
     HPoint,
-    IncompleteVerification,
     PathWord,
     decompose_escapes,
     enfilade_decompose,
@@ -218,11 +217,6 @@ def test_verify_loop_budget(p6):
     with pytest.raises(BudgetExceeded) as info:
         verify_geodesic_loop(p6, snowflake_loop(p6, 2), max_states=1000)
     assert 1000 < info.value.frontier <= 1000 + 6
-
-
-def test_verify_loop_cap_too_small(p6):
-    with pytest.raises(IncompleteVerification):
-        verify_geodesic_loop(p6, snowflake_loop(p6, 2), cap=3)
 
 
 def test_loop_bilip_snowflake(p6):
