@@ -3,14 +3,13 @@
 Every subcommand prints deterministic output.  Exit codes: 0 on success,
 1 when a verification fails or a stated invariant does not hold (the
 counterexample is printed), 2 on usage errors, malformed inputs and
-exhausted search budgets.  The BFS memory budget can be overridden with
-the environment variable SNOWFLAKE_BFS_BUDGET (states per search layer).
+exhausted search budgets.  `verify-loop` and `ball` take --budget, the
+most states a BFS layer may hold (default 10^7).
 """
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -26,13 +25,6 @@ from .vertex_group import (
     geodesic_word_h,
 )
 from .words import PathWord, parse_word
-
-
-def _budget(args) -> int:
-    if args.budget is not None:
-        return args.budget
-    env = os.environ.get("SNOWFLAKE_BFS_BUDGET")
-    return int(env) if env else DEFAULT_MAX_STATES
 
 
 def _params(args) -> GroupParams:
@@ -124,7 +116,7 @@ def _cmd_verify_loop(args) -> int:
         loop = paths.snowflake_loop(params, args.n)
     else:
         loop = PathWord(params, parse_word(args.word))
-    report = paths.verify_geodesic_loop(params, loop, max_states=_budget(args))
+    report = paths.verify_geodesic_loop(params, loop, max_states=args.budget)
     ok = report.geodesic
     _emit(args, {"geodesic": ok, "length": loop.length}, f"geodesic: {'true' if ok else 'false'}")
     if not ok:
@@ -140,7 +132,7 @@ def _cmd_verify_loop(args) -> int:
 
 def _cmd_ball(args) -> int:
     params = _params(args)
-    ball = bfs_ball(params, args.radius, max_states=_budget(args))
+    ball = bfs_ball(params, args.radius, max_states=args.budget)
     ball.dump_jsonl(sys.stdout)
     return 0
 
@@ -234,7 +226,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--L", type=int, required=True, help="even defining parameter, >= 6")
-        p.add_argument("--budget", type=int, default=None, help="BFS layer budget override")
+
+    def budget(p):
+        p.add_argument(
+            "--budget", type=int, default=DEFAULT_MAX_STATES, help="BFS layer budget (states)"
+        )
 
     p = sub.add_parser("dist", help="distance of a^m or of an H element a^u x^v")
     common(p)
@@ -274,6 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-loop", help="check that a loop is geodesic")
     common(p)
+    budget(p)
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--n", type=int, help="use the depth-n snowflake loop")
     g.add_argument("--word", type=str, help="explicit loop word, e.g. 's a s^-1 ...'")
@@ -281,6 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ball", help="dump the BFS ball as JSON lines")
     common(p)
+    budget(p)
     p.add_argument("--radius", type=int, required=True)
     p.set_defaults(func=_cmd_ball)
 

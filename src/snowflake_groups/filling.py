@@ -12,9 +12,10 @@ subdivision may have any number of segments of any size, as long as it
 sums to its side's exponent; area (cell count) and mesh (longest cell
 boundary) follow from it as the docstrings state.
 
-Diagrams here are combinatorial: cells with closed boundary words plus
-gluing records.  Every produced boundary word reduces to the identity;
-planarity is by construction and is not re-verified.
+Diagrams here are combinatorial: a diagram is its list of cells, each a
+closed boundary word with the point it is read from.  Every produced
+boundary word reduces to the identity; planarity is by construction and
+is not re-verified.
 """
 from __future__ import annotations
 
@@ -36,7 +37,7 @@ from .vertex_group import (
     geodesic_word_h,
     xy_line_intersection,
 )
-from .words import PathWord, format_word, invert_chars, parse_word
+from .words import PathWord, invert_chars, parse_word
 
 _FLAVOR_ORDER = {"bigon": None, "triangle": ("x", "y", "a"), "diamond": ("x", "y", "x", "y")}
 
@@ -50,12 +51,6 @@ def _json_fields(what: str) -> Iterator[None]:
         raise ValueError(f"{what}: missing field {exc}") from None
     except (TypeError, AttributeError) as exc:
         raise ValueError(f"{what}: malformed field: {exc}") from None
-
-
-def _flavor_point(params: GroupParams, flavor: str, k: int) -> HPoint:
-    if k == 0:
-        return HPoint.identity()
-    return HPoint.generator(params, flavor, k)
 
 
 def _geo_chars(params: GroupParams, flavor: str, k: int) -> str:
@@ -119,7 +114,7 @@ class ApproxPolygon:
             raise ValueError("need one corner path per side")
 
     def side_end(self, params: GroupParams, i: int) -> HPoint:
-        return self.corners[i] * _flavor_point(params, self.flavors[i], self.exponents[i])
+        return self.corners[i] * HPoint.generator(params, self.flavors[i], self.exponents[i])
 
     def gaps(self, params: GroupParams) -> list[int]:
         n = len(self.corners)
@@ -142,11 +137,10 @@ class Cell:
 
 @dataclass
 class Diagram:
-    """A combinatorial van Kampen diagram: cells plus shared-arc records."""
+    """A combinatorial van Kampen diagram: its cells."""
 
     params: GroupParams
     cells: list[Cell]
-    gluings: list[tuple[int, int, str]] = field(default_factory=list)
 
     @property
     def area(self) -> int:
@@ -164,7 +158,6 @@ class Diagram:
             "area": self.area,
             "mesh": self.mesh,
             "cells": [{"boundary": str(c.boundary)} for c in self.cells],
-            "gluings": [[i, j, format_word(w)] for i, j, w in self.gluings],
         }
 
 
@@ -183,7 +176,7 @@ class Subdivision:
     def points(self, params: GroupParams) -> list[HPoint]:
         pts = [self.start]
         for e in self.exponents:
-            pts.append(pts[-1] * _flavor_point(params, self.flavor, e))
+            pts.append(pts[-1] * HPoint.generator(params, self.flavor, e))
         return pts
 
     def max_exponent(self) -> int:
@@ -300,52 +293,36 @@ def _bigon_cells(
     """Fill the bigon side0 = (G0, flavor, sum exps) against side1 = (G1, flavor, M1).
 
     cp_end joins G0 f^(sum exps) to G1; cp_start joins G1 f^M1 to G0.
-    Appends the cells and their gluings to `diagram` and returns the
-    induced subdivision of side1 (from G1).  Area is exactly len(exps);
-    the induced subdivision has <= len(exps) parts.
+    Appends one cell per segment to `diagram` and returns the induced
+    subdivision of side1 (from G1), which has <= len(exps) parts.
+
+    p is the last segment (at most n - 1) whose start G0 f^prefix[p] has
+    prefix[p] between 0 and -M1.  Cell i runs along segment i, up V[i+1],
+    back along top[i] and down V[i].  V[i] is delta0 (from G0 f^k to
+    G1 f^(M1+k)) up to p, the geodesic to G1 after p, and cp_end at the
+    end; top[i] is segment i reversed before p, the rest of side1 at p,
+    and empty after p.
     """
     n = len(exps)
     if n == 0:
         raise ValueError("subdivision must have at least one segment")
     prefix = list(accumulate(exps, initial=0))
-    m0 = prefix[-1]
     lo, hi = min(0, -M1), max(0, -M1)
-    qualifying = [i for i, s in enumerate(prefix) if lo <= s <= hi]
-    p = min(n - 1, max(qualifying, default=0))
+    p = min(n - 1, max(i for i, s in enumerate(prefix) if lo <= s <= hi))
+    starts = [G0 * HPoint.generator(params, flavor, s) for s in prefix[:n]]
     delta0 = invert_chars(cp_start)  # from G0 to G1 f^M1; translates along side0
-    cells, gluings = diagram.cells, diagram.gluings
-
-    def fpoint(k: int) -> HPoint:
-        return _flavor_point(params, flavor, k)
-
-    def geo(k: int) -> str:
-        return _geo_chars(params, flavor, k)
-
-    for i in range(1, p + 1):
-        word = geo(exps[i - 1]) + delta0 + geo(-exps[i - 1]) + invert_chars(delta0)
-        cells.append(Cell(PathWord(params, word), G0 * fpoint(prefix[i - 1])))
-        if i > 1:
-            gluings.append((len(cells) - 2, len(cells) - 1, delta0))
-    case_a = lo <= m0 <= hi
-    if case_a:
-        word = geo(m0 - prefix[p]) + cp_end + geo(M1 + prefix[p]) + invert_chars(delta0)
-        cells.append(Cell(PathWord(params, word), G0 * fpoint(prefix[p])))
-        if p >= 1:
-            gluings.append((len(cells) - 2, len(cells) - 1, delta0))
-    else:
-        verticals: dict[int, str] = {}
-        for i in range(p + 1, n):
-            diff = (G0 * fpoint(prefix[i])).inverse() * G1
-            verticals[i] = geodesic_word_h(params, diff).chars
-        verticals[n] = cp_end
-        word = geo(exps[p]) + verticals[p + 1] + geo(M1 + prefix[p]) + invert_chars(delta0)
-        cells.append(Cell(PathWord(params, word), G0 * fpoint(prefix[p])))
-        if p >= 1:
-            gluings.append((len(cells) - 2, len(cells) - 1, delta0))
-        for i in range(p + 1, n):
-            word = geo(exps[i]) + verticals[i + 1] + invert_chars(verticals[i])
-            cells.append(Cell(PathWord(params, word), G0 * fpoint(prefix[i])))
-            gluings.append((len(cells) - 2, len(cells) - 1, verticals[i]))
+    verticals = (
+        [delta0] * (p + 1)
+        + [geodesic_word_h(params, g.inverse() * G1).chars for g in starts[p + 1 :]]
+        + [cp_end]
+    )
+    tops = [-e for e in exps[:p]] + [M1 + prefix[p]] + [0] * (n - 1 - p)
+    for i, (e, top) in enumerate(zip(exps, tops)):
+        word = (
+            _geo_chars(params, flavor, e) + verticals[i + 1]
+            + _geo_chars(params, flavor, top) + invert_chars(verticals[i])
+        )
+        diagram.cells.append(Cell(PathWord(params, word), starts[i]))
     return [M1 + prefix[p]] + _backward(exps[:p])
 
 
@@ -514,7 +491,8 @@ def _diamond_interior(diagram: Diagram, true: ApproxPolygon, inbound: Sides) -> 
             if z == 0:
                 continue
             word = _cell_word(params, ("x", w), ("y", z), ("x", -w), ("y", -z))
-            base_pt = true.corners[0] * _flavor_point(params, "x", wp) * _flavor_point(params, "y", zp)
+            x_wp, y_zp = HPoint.generator(params, "x", wp), HPoint.generator(params, "y", zp)
+            base_pt = true.corners[0] * x_wp * y_zp
             diagram.cells.append(Cell(PathWord(params, word), base_pt))
     return {2: _backward(dw), 3: _backward(dz)}
 
@@ -591,12 +569,8 @@ def subdivide_snowflake(
     word = _cell_word(params, ("x", k1), ("y", k1), ("x", -k1), ("y", -k1))
     for i in range(lam):
         for j in range(lam):
-            base_pt = _flavor_point(params, "x", i * k1) * _flavor_point(params, "y", j * k1)
+            base_pt = HPoint.generator(params, "x", i * k1) * HPoint.generator(params, "y", j * k1)
             diagram.cells.append(Cell(PathWord(params, word), base_pt))
-            if j:
-                diagram.gluings.append(
-                    (len(diagram.cells) - 2, len(diagram.cells) - 1, _geo_chars(params, "x", k1))
-                )
 
     # branch levels
     for m in range(1, m_star):
@@ -648,6 +622,8 @@ class HnnDualTree:
 
     def __post_init__(self) -> None:
         nodes = set(self.arcs)
+        if any(a < 0 for arcs in self.arcs.values() for a in arcs):
+            raise ValueError("arc lengths must be nonnegative")
         for a, b, length in self.edges:
             if a not in nodes or b not in nodes:
                 raise ValueError(f"edge ({a}, {b}) mentions an unknown node")
@@ -754,51 +730,41 @@ class CentralLocation:
     f_value: Fraction
 
 
-def _directed_masses(tree: HnnDualTree) -> dict[tuple[str, str], int]:
-    """S(v -> w): boundary mass in the component of T - v containing w."""
+def _directed_masses(tree: HnnDualTree) -> dict[str, dict[str, int]]:
+    """masses[v][w] = S(v -> w): boundary mass in the component of T - v containing w."""
     adj = tree.adjacency()
-    masses: dict[tuple[str, str], int] = {}
+    masses: dict[str, dict[str, int]] = {v: {} for v in tree.arcs}
     root = next(iter(tree.arcs))
-    order: list[tuple[str, str]] = []
-    stack = [(root, "")]
+    order: list[tuple[str, str, int]] = []
+    stack = [root]
     seen = {root}
     while stack:
-        v, parent = stack.pop()
-        for w, _ in adj[v]:
+        v = stack.pop()
+        for w, length in adj[v]:
             if w not in seen:
                 seen.add(w)
-                order.append((v, w))
-                stack.append((w, v))
-    for v, w in reversed(order):  # children before parents
-        length = next(l for x, l in adj[v] if x == w)
-        masses[(v, w)] = (
-            2 * length
-            + sum(tree.arcs[w])
-            + sum(masses[(w, x)] for x, _ in adj[w] if x != v)
-        )
+                order.append((v, w, length))
+                stack.append(w)
+    for v, w, length in reversed(order):  # children first; masses[w] holds only them so far
+        masses[v][w] = 2 * length + sum(tree.arcs[w]) + sum(masses[w].values())
     total = tree.boundary_length
-    for v, w in order:  # now fill the upward directions
-        length = next(l for x, l in adj[v] if x == w)
+    for v, w, length in order:  # now fill the upward directions
         # the corridor's own two arcs belong to both directed masses
-        masses[(w, v)] = total - masses[(v, w)] + 2 * length
+        masses[w][v] = total - masses[v][w] + 2 * length
     return masses
 
 
-def f_at_vertex(tree: HnnDualTree, node: str, masses=None) -> Fraction:
-    masses = masses if masses is not None else _directed_masses(tree)
-    adj = tree.adjacency()
-    biggest = max((masses[(node, w)] for w, _ in adj[node]), default=0)
-    return Fraction(biggest) - Fraction(tree.boundary_length, 2)
+def f_at_vertex(tree: HnnDualTree, node: str) -> Fraction:
+    biggest = max(_directed_masses(tree)[node].values(), default=0)
+    return biggest - Fraction(tree.boundary_length, 2)
 
 
-def f_at_edge_point(
-    tree: HnnDualTree, edge: tuple[str, str], offset: Fraction, masses=None
-) -> Fraction:
-    masses = masses if masses is not None else _directed_masses(tree)
+def f_at_edge_point(tree: HnnDualTree, edge: tuple[str, str], offset: Fraction) -> Fraction:
+    masses = _directed_masses(tree)
     a, b = edge
     length = next(l for x, y, l in tree.edges if {x, y} == {a, b})
-    m_a = tree.boundary_length - masses[(a, b)]
-    m_b = tree.boundary_length - masses[(b, a)]
+    m_a = tree.boundary_length - masses[a][b]
+    m_b = tree.boundary_length - masses[b][a]
     comp_a = m_a + 2 * offset
     comp_b = m_b + 2 * (length - offset)
     return Fraction(max(comp_a, comp_b)) - Fraction(tree.boundary_length, 2)
@@ -808,23 +774,28 @@ def find_central_region(tree: HnnDualTree) -> CentralLocation:
     """The unique tree point where the longest complementary arc is <= half.
 
     Returns either a vertex (f <= 0 there) or an interior edge point where
-    f vanishes; existence and uniqueness are asserted.
+    f vanishes.  Vertices joined by zero-length corridors are one point of
+    the tree: when all that is found is such a set, its first vertex in
+    `tree.arcs` order is returned.  Anything else raises InvariantViolation.
     """
     masses = _directed_masses(tree)
     total = tree.boundary_length
+    half = Fraction(total, 2)
     found: list[CentralLocation] = []
     for v in tree.arcs:
-        f = f_at_vertex(tree, v, masses)
+        f = max(masses[v].values(), default=0) - half
         if f <= 0:
             found.append(CentralLocation("vertex", v, None, None, f))
     for a, b, length in tree.edges:
-        m_a = total - masses[(a, b)]
-        theta = Fraction(total, 2) - Fraction(m_a)
-        theta = theta / 2
+        m_a = total - masses[a][b]
+        theta = (half - m_a) / 2
         if 0 < theta < length:
             found.append(CentralLocation("edge", None, (a, b), theta, Fraction(0)))
-    assert len(found) == 1, f"expected a unique central point, found {found}"
-    return found[0]
+    vertices = {loc.node for loc in found if loc.kind == "vertex"}
+    glued = sum(1 for a, b, length in tree.edges if length == 0 and a in vertices and b in vertices)
+    if len(found) == 1 or (len(vertices) == len(found) > 1 and glued == len(found) - 1):
+        return found[0]
+    raise InvariantViolation(f"expected a unique central point, found {found}")
 
 
 # ---------------------------------------------------------------------------

@@ -174,10 +174,6 @@ class GroupElement:
     def identity(cls, params: GroupParams) -> "GroupElement":
         return cls(params, identity_key())
 
-    @classmethod
-    def from_h(cls, params: GroupParams, h: HPoint) -> "GroupElement":
-        return cls(params, (h.u, h.v))
-
     @property
     def head(self) -> HPoint:
         return HPoint(self.key[0], self.key[1])

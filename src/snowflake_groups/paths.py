@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .hnn_group import GroupElement, _goal_distances
+from .hnn_group import GroupElement, InvariantViolation, _goal_distances
 from .params import GroupParams
 from .vertex_group import HPoint
 from .words import PathWord, invert_chars
@@ -72,17 +72,14 @@ class PathSegment:
         return self.kind != "toral"
 
 
-def decompose_escapes(
-    params: GroupParams, path: PathWord, base: GroupElement | None = None
-) -> list[PathSegment]:
-    """Split a path with endpoints in the coset (base)H into escapes and toral pieces.
+def decompose_escapes(params: GroupParams, path: PathWord) -> list[PathSegment]:
+    """Split a path with endpoints in the coset H into escapes and toral pieces.
 
     Maximal runs of toral edges are consolidated into single toral segments.
     """
     keys = path.vertex_keys()
     if len(keys[-1]) != 2:
-        where = str(base) + "H" if base is not None else "H"
-        raise ValueError(f"path endpoint leaves the coset {where}")
+        raise ValueError("path endpoint leaves the coset H")
     visits = [i for i, k in enumerate(keys) if len(k) == 2]
     segments: list[PathSegment] = []
     toral_from: Optional[int] = None
@@ -122,7 +119,6 @@ def trace(segment: PathSegment) -> tuple[str, int]:
     """(flavor, exponent) of an escape: the toral path between its endpoints."""
     if not segment.is_escape():
         raise ValueError("trace is only defined for escapes")
-    assert segment.flavor is not None and segment.exponent is not None
     return segment.flavor, segment.exponent
 
 
@@ -209,7 +205,10 @@ def enfilade_decompose(params: GroupParams, path: PathWord, R) -> EnfiladeDecomp
                 tuple(flavors) + (_INNER_FLAVOR[eps],),
                 tuple(exponents),
             )
-        assert len(candidates) == 1, "R > 2 admits at most one qualifying escape"
+        if len(candidates) > 1:
+            raise InvariantViolation(
+                f"R > 2 admits at most one qualifying escape, found {len(candidates)}"
+            )
         nxt = candidates[0]
         alphas.append(PathWord(params, inner.chars[: nxt.start]))
         betas.append(PathWord(params, inner.chars[nxt.end :]))

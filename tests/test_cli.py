@@ -143,7 +143,6 @@ def test_fill_triangle_file(tmp_path, capsys):
             {"boundary": "s a s^-1 a^-6 t a t^-1"},
             {"boundary": "s a^-1 s^-1 a s a s^-1 a^-1"},
         ],
-        "gluings": [[0, 1, "a^-5"], [3, 4, "s a^-1 s^-1"], [5, 6, "a^-1"]],
         "mesh": 22,
         "subdivisions": [[0, 2], [0, 2]],
         "trivial": True,
@@ -183,7 +182,6 @@ def test_fill_diamond_file(tmp_path, capsys):
             {"boundary": "a a^-1"},
             {"boundary": "a^-1 a"},
         ],
-        "gluings": [[0, 1, "1"], [2, 3, "a^-1"], [8, 9, "1"], [10, 11, "1"]],
         "mesh": 12,
         "subdivisions": [[-1, -1], [-1, -1]],
         "trivial": True,
@@ -243,6 +241,18 @@ def test_central_from_file(tmp_path, capsys):
     assert data["f"] == [-1, 1]
 
 
+def test_central_tie_from_file(tmp_path, capsys):
+    # a zero-length corridor glues a and b into one point: the first is returned
+    tree = {"nodes": [{"id": "a", "arcs": [5]}, {"id": "b", "arcs": [5]}], "edges": [["a", "b", 0]]}
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps(tree))
+    code, out, err = run_cli(capsys, "central", "--L", "6", "--input", str(path))
+    assert code == 0 and err == ""
+    data = json.loads(out)
+    assert data["kind"] == "vertex" and data["node"] == "a"
+    assert data["f"] == [0, 1]
+
+
 def test_central_snowflake(capsys):
     code, out, _ = run_cli(capsys, "central", "--L", "6", "--p", "3")
     assert code == 0
@@ -260,6 +270,13 @@ def test_area_budget(capsys):
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as info:
         main(["dist", "--L", "6"])  # neither --a-power nor --h
+    assert info.value.code == 2
+
+
+def test_budget_only_on_searches():
+    # --budget belongs to verify-loop and ball; other subcommands reject it
+    with pytest.raises(SystemExit) as info:
+        main(["dist", "--L", "6", "--a-power", "36", "--budget", "5"])
     assert info.value.code == 2
 
 
@@ -298,6 +315,7 @@ def test_huge_exponent(capsys):
         ),
         (("central",), {"nodes": 3}),
         (("central",), {"nodes": [{"id": "a"}]}),
+        (("central",), {"nodes": [{"id": "a", "arcs": [-3]}], "edges": []}),
     ],
 )
 def test_malformed_input_file_exit_2(tmp_path, capsys, argv, payload):

@@ -17,6 +17,7 @@ from snowflake_groups import (
     fill_bigon,
     fill_diamond,
     fill_triangle,
+    filling,
     find_central_region,
     geodesic_word_h,
     snap_diamond,
@@ -482,11 +483,30 @@ def test_central_region_edge_interior():
     assert f_at_edge_point(tree, loc.edge, loc.offset) == 0
 
 
+def test_central_region_tie():
+    # a zero-length corridor glues a and b into one point: the first is returned
+    tree = HnnDualTree({"a": (5,), "b": (5,)}, [("a", "b", 0)])
+    loc = find_central_region(tree)
+    assert loc.kind == "vertex" and loc.node == "a"
+    assert loc.f_value == 0
+
+
+def test_central_region_two_points_is_a_violation(monkeypatch):
+    # two vertices with f <= 0 across a corridor of positive length cannot
+    # both be central
+    tree = HnnDualTree({"a": (10,), "b": (10,)}, [("a", "b", 4)])
+    monkeypatch.setattr(filling, "_directed_masses", lambda t: {"a": {"b": 0}, "b": {"a": 0}})
+    with pytest.raises(InvariantViolation):
+        find_central_region(tree)
+
+
 def test_tree_validation():
     with pytest.raises(ValueError):
         HnnDualTree({"a": (), "b": ()}, [])  # disconnected
     with pytest.raises(ValueError):
         HnnDualTree({"a": ()}, [("a", "z", 1)])  # unknown node
+    with pytest.raises(ValueError):
+        HnnDualTree({"a": (-3,)}, [])  # negative arc
 
 
 def test_tree_json_and_dot(p6):
