@@ -2,9 +2,9 @@
 
 Every subcommand prints deterministic output.  Exit codes: 0 on success,
 1 when a verification fails or a stated invariant does not hold (the
-counterexample is printed), 2 on usage errors, malformed inputs and
-exhausted search budgets.  `verify-loop` and `ball` take --budget, the
-most states a BFS layer may hold (default 10^7).
+counterexample is printed), 2 on usage errors, malformed inputs, words of
+more than 10^7 letters and exhausted search budgets.  `verify-loop` and
+`ball` take --budget, the most states a BFS layer may hold (default 10^7).
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ from .vertex_group import (
     geodesic_word_a_power,
     geodesic_word_h,
 )
-from .words import PathWord, parse_word
+from .words import MAX_LETTERS, PathWord, parse_word
 
 
 def _params(args) -> GroupParams:
@@ -65,11 +65,11 @@ def _cmd_expr(args) -> int:
 
 def _cmd_word(args) -> int:
     params = _params(args)
-    if args.a_power is not None:
-        w = geodesic_word_a_power(params, args.a_power)
-    else:
-        u, v = args.h
-        w = geodesic_word_h(params, HPoint(u, v))
+    h = HPoint(*args.h) if args.h is not None else None
+    length = dist_a_power(params, args.a_power) if h is None else dist_h(params, h)
+    if length > MAX_LETTERS:
+        raise ValueError(f"geodesic word longer than {MAX_LETTERS} letters")
+    w = geodesic_word_a_power(params, args.a_power) if h is None else geodesic_word_h(params, h)
     _emit(args, {"L": params.L, "word": str(w), "length": w.length}, str(w))
     return 0
 

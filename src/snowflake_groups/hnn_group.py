@@ -1,4 +1,4 @@
-"""Britton normal forms and brute-force distance oracles for G_L.
+"""Britton normal forms and exact distances for G_L.
 
 G_L is a double HNN extension of H = <a, x> = Z^2 with stable letters
 s (conjugating <a> to <x>) and t (conjugating <a> to <y>).
@@ -28,6 +28,11 @@ keys differing only in s^-1 against t^-1 would share a hash and slow down
 every dict the searches keep.)  All helpers taking such "keys" are pure;
 the module has no mutable state, so everything here is safe to share
 across threads.
+
+Distances in the {a, s, t} Cayley graph come from one search: a ball
+B(1, r) grown a layer at a time (_ball_layers) and one-sided searches from
+each goal into it (_ball_dist), the goal of d(g1, g2) being g1^-1 g2.
+bfs_ball, pair_dist and the loop checks of paths all run on it.
 """
 from __future__ import annotations
 
@@ -217,22 +222,19 @@ class GroupElement:
         return p & 1
 
 
-def reduce_word(params: GroupParams, letters) -> GroupElement:
+def reduce_word(params: GroupParams, letters: str) -> GroupElement:
     """Britton-reduce a word over {a, s, t, x, y}^(+-1) to its normal form.
 
-    `letters` may be a token string ("s a^6 s^-1"), a character string in the
-    internal encoding, or an iterable of such tokens.  The word is folded in
-    left to right, one run of equal letters at a time.
+    `letters` is a token string ("s a^6 s^-1") or a character string in the
+    internal encoding.  The word is folded in left to right, one run of
+    equal letters at a time.
     """
-    if isinstance(letters, str):
-        chars = parse_word(letters) if (" " in letters or "^" in letters or letters == "1") else letters
-    else:
-        chars = parse_word(" ".join(letters))
+    chars = parse_word(letters) if (" " in letters or "^" in letters or letters == "1") else letters
     return GroupElement(params, reduce_chars(params.L, chars))
 
 
 # ---------------------------------------------------------------------------
-# breadth-first search oracles over the {a, s, t} Cayley graph
+# breadth-first search over the {a, s, t} Cayley graph
 
 
 def _neighbors(L: int, key: Key) -> tuple[Key, ...]:
@@ -329,43 +331,16 @@ def pair_dist(
     cap: int,
     max_states: int = DEFAULT_MAX_STATES,
 ) -> Optional[int]:
-    """Exact d(g1, g2) if it is <= cap, else None (bidirectional search).
+    """Exact d(g1, g2) if it is <= cap, else None.
 
-    Sound and complete up to the cap: having expanded radii rA and rB with
-    no meeting vertex certifies d > rA + rB.
+    d(g1, g2) = |g1^-1 g2| is the one-goal case of _goal_distances: a
+    distance d is settled once the ball B(1, r) reaches r = ceil(d / 2), one
+    beyond the cap at about r = cap / 2, and the budget caps every stored
+    layer, of the ball and of the search.
     """
     L = params.L
-    start, goal = identity_key(), _key_mul(L, _key_invert(L, g1.key), g2.key)
-    if start == goal:
-        return 0
-    side = ({start: 0}, {goal: 0})
-    frontier = ([start], [goal])
-    radii = [0, 0]
-    best: Optional[int] = None
-    while radii[0] + radii[1] < cap:
-        if best is not None and best <= radii[0] + radii[1]:
-            return best
-        i = 0 if len(frontier[0]) <= len(frontier[1]) else 1
-        mine, other = side[i], side[1 - i]
-        radii[i] += 1
-        d = radii[i]
-        nxt: list[Key] = []
-        for key in frontier[i]:
-            for nb in _neighbors(L, key):
-                if nb not in mine:
-                    mine[nb] = d
-                    nxt.append(nb)
-                    od = other.get(nb)
-                    if od is not None and (best is None or d + od < best):
-                        best = d + od
-            if len(nxt) > max_states:
-                raise BudgetExceeded(frontier=len(nxt), visited=len(side[0]) + len(side[1]))
-        frontier = (nxt, frontier[1]) if i == 0 else (frontier[0], nxt)
-        if not nxt:
-            break  # component exhausted (cannot happen in G_L, but be safe)
-    if best is not None and best <= cap:
-        return best
-    return None
+    goal = _key_mul(L, _key_invert(L, g1.key), g2.key)
+    return _goal_distances(params, [(goal, cap)], max_states)[0]
 
 
 def _ball_dist(

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .hnn_group import GroupElement, InvariantViolation, _goal_distances
+from .hnn_group import DEFAULT_MAX_STATES, GroupElement, InvariantViolation, _goal_distances
 from .params import GroupParams
 from .vertex_group import HPoint
 from .words import PathWord, invert_chars
@@ -251,7 +251,7 @@ def _loop_vertices(params: GroupParams, loop: PathWord) -> list[tuple]:
 
 
 def loop_bilip_constant(
-    params: GroupParams, loop: PathWord, cap: int, max_states: int = 10_000_000
+    params: GroupParams, loop: PathWord, cap: int, max_states: int = DEFAULT_MAX_STATES
 ) -> BilipReport:
     """Max distortion ratio d_loop / d_X over vertex pairs of an embedded loop.
 
@@ -322,7 +322,7 @@ class GeodesicLoopReport:
 
 
 def verify_geodesic_loop(
-    params: GroupParams, loop: PathWord, max_states: int = 10_000_000
+    params: GroupParams, loop: PathWord, max_states: int = DEFAULT_MAX_STATES
 ) -> GeodesicLoopReport:
     """Whether every antipodal vertex pair of the loop is at distance |loop|/2.
 

@@ -21,6 +21,8 @@ if TYPE_CHECKING:  # pragma: no cover
 GENERATORS = "astxy"
 _VALID = set("aAsStTxXyY")
 
+MAX_LETTERS = 10**7  # longest word parse_word (and the CLI) will spell out
+
 
 def invert_chars(chars: str) -> str:
     """Inverse word: reverse and swap every letter with its inverse."""
@@ -41,8 +43,13 @@ def power_chars(gen: str, exponent: int) -> str:
 
 
 def parse_word(text: str) -> str:
-    """Parse token form ("s a^3 s^-1") into the character encoding."""
+    """Parse token form ("s a^3 s^-1") into the character encoding.
+
+    A word of more than MAX_LETTERS letters raises ValueError before it is
+    spelled out.
+    """
     out: list[str] = []
+    total = 0
     for token in text.split():
         if token == "1":
             continue
@@ -55,6 +62,9 @@ def parse_word(text: str) -> str:
                 k = int(exp)
             except ValueError:
                 raise ValueError(f"bad exponent in token {token!r}") from None
+        total += abs(k)
+        if total > MAX_LETTERS:
+            raise ValueError(f"word longer than {MAX_LETTERS} letters")
         out.append(power_chars(gen, k))
     return "".join(out)
 

@@ -1,7 +1,7 @@
 import pytest
 
 from snowflake_groups import GroupParams, bfs_ball
-from snowflake_groups.hnn_group import _key_mul, reduce_chars
+from snowflake_groups.hnn_group import _key_mul, _neighbors, reduce_chars
 
 
 def right_fold_key(L, chars):
@@ -13,6 +13,42 @@ def right_fold_key(L, chars):
     for ch in reversed(chars):
         out = _key_mul(L, reduce_chars(L, ch), out)
     return out
+
+
+def bidirectional_dist(L, goal, cap):
+    """Exact |goal| if it is <= cap, else None, by bidirectional BFS.
+
+    The independent cross-check of the library's shared-ball search: having
+    expanded radii rA around 1 and rB around goal with no meeting vertex
+    certifies |goal| > rA + rB.  Each step grows the smaller frontier.
+    """
+    start = (0, 0)
+    if start == goal:
+        return 0
+    side = ({start: 0}, {goal: 0})
+    frontier = ([start], [goal])
+    radii = [0, 0]
+    best = None
+    while radii[0] + radii[1] < cap:
+        if best is not None and best <= radii[0] + radii[1]:
+            return best
+        i = 0 if len(frontier[0]) <= len(frontier[1]) else 1
+        mine, other = side[i], side[1 - i]
+        radii[i] += 1
+        d = radii[i]
+        nxt = []
+        for key in frontier[i]:
+            for nb in _neighbors(L, key):
+                if nb not in mine:
+                    mine[nb] = d
+                    nxt.append(nb)
+                    od = other.get(nb)
+                    if od is not None and (best is None or d + od < best):
+                        best = d + od
+        frontier = (nxt, frontier[1]) if i == 0 else (frontier[0], nxt)
+    if best is not None and best <= cap:
+        return best
+    return None
 
 
 @pytest.fixture(scope="session")

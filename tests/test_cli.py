@@ -295,6 +295,16 @@ def test_huge_exponent(capsys):
     code, out, err = run_cli(capsys, "expr", "--L", "6", "--m", m)
     assert code == 0 and err == ""
     assert out.startswith("digits [") and out.endswith(f"] length {dist}")
+    # spelling out a word that long is refused before it is built
+    for argv in (
+        ("word", "--L", "6", "--a-power", m),
+        ("word", "--L", "6", "--h", m, "1"),
+        ("enfilade", "--L", "6", "--word", "a^10000000000", "--R", "4"),
+        ("verify-loop", "--L", "6", "--word", "a^5000000 a^-5000001"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
 
 
 @pytest.mark.parametrize(

@@ -20,7 +20,7 @@ from snowflake_groups import (
 )
 from snowflake_groups.hnn_group import _ball_dist, _goal_distances
 
-from conftest import right_fold_key
+from conftest import bidirectional_dist, right_fold_key
 
 words = st.text(alphabet="aAsStT", max_size=30)
 
@@ -179,6 +179,11 @@ def test_pair_dist_matches_ball(p6, ball6_r6):
     for key in rng.sample(keys, 40):
         g = GroupElement(p6, key)
         assert pair_dist(p6, one, g, 6) == ball6_r6.distances[key]
+    # off the identity: d(g1, g1 h) = |h|, None beyond radius 6
+    for key in rng.sample(keys, 40):
+        g1 = GroupElement(p6, key)
+        h = reduce_word(p6, "".join(rng.choice("aAsStT") for _ in range(rng.randrange(9))))
+        assert pair_dist(p6, g1, g1 * h, 6) == ball6_r6.distances.get(h.key), (key, str(h))
 
 
 def test_pair_dist_cap(p6):
@@ -190,7 +195,7 @@ def test_pair_dist_cap(p6):
 
 def test_pair_dist_budget(p6):
     one = GroupElement.identity(p6)
-    a36 = reduce_word(p6, "a^36")  # distance 16: both sides reach layer 5 (3574)
+    a36 = reduce_word(p6, "a^36")  # distance 16: the ball's layer 5 (3574) is too big
     with pytest.raises(BudgetExceeded) as info:
         pair_dist(p6, one, a36, 16, max_states=1000)
     assert 1000 < info.value.frontier <= 1000 + 6
@@ -200,7 +205,6 @@ def test_pair_dist_budget(p6):
 def test_ball_dist_matches_pair_dist(L):
     # one-sided search into B(1, R) against the bidirectional oracle
     params = GroupParams(L)
-    one = GroupElement.identity(params)
     balls = {R: bfs_ball(params, R) for R in range(8)}
     rng = random.Random(L)
     for _ in range(300):
@@ -208,7 +212,7 @@ def test_ball_dist_matches_pair_dist(L):
         g = reduce_word(params, word)
         cap = rng.randrange(8)
         R = rng.randint(cap // 2, cap)
-        assert _ball_dist(balls[R], g.key, cap) == pair_dist(params, one, g, cap), (word, cap, R)
+        assert _ball_dist(balls[R], g.key, cap) == bidirectional_dist(L, g.key, cap), (word, cap, R)
 
 
 def test_ball_dist_budget(p6):
@@ -226,13 +230,12 @@ def test_ball_dist_budget(p6):
 def test_goal_distances_match_pair_dist(L):
     # the growing ball against the bidirectional oracle, caps of both parities
     params = GroupParams(L)
-    one = GroupElement.identity(params)
     rng = random.Random(L)
     goals = []
     for _ in range(60):
         word = "".join(rng.choice("aAsStT") for _ in range(rng.randrange(13)))
         goals.append((reduce_word(params, word).key, rng.randrange(9)))
-    expected = {i: pair_dist(params, one, GroupElement(params, g), cap) for i, (g, cap) in enumerate(goals)}
+    expected = {i: bidirectional_dist(L, g, cap) for i, (g, cap) in enumerate(goals)}
     assert _goal_distances(params, goals) == expected
     # first_only settles every goal up to the lowest one within its cap
     first = min(i for i, d in expected.items() if d is not None)

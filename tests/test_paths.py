@@ -14,13 +14,14 @@ from snowflake_groups import (
     decompose_escapes,
     enfilade_decompose,
     loop_bilip_constant,
-    pair_dist,
     snowflake_loop,
     snowflake_path,
     trace,
     verify_geodesic_loop,
 )
 from snowflake_groups.words import invert_chars
+
+from conftest import bidirectional_dist
 
 
 def test_snowflake_path_examples(p6):
@@ -258,7 +259,8 @@ def test_loop_bilip_incomplete_under_cap(p6):
 
 
 def _reference_bilip(params, loop, cap):
-    """loop_bilip_constant's scan of an embedded loop, one pair_dist per pair."""
+    """loop_bilip_constant's scan of an embedded loop, one bidirectional search
+    of g_i^-1 g_j per pair."""
     keys = loop.vertex_keys()[:-1]
     n = len(keys)
     best, witness, complete = Fraction(0), None, True
@@ -267,10 +269,8 @@ def _reference_bilip(params, loop, cap):
             d_loop = min(j - i, n - (j - i))
             if d_loop <= 1:
                 continue
-            d = pair_dist(
-                params, GroupElement(params, keys[i]), GroupElement(params, keys[j]),
-                min(cap, d_loop),
-            )
+            goal = GroupElement(params, keys[i]).inverse() * GroupElement(params, keys[j])
+            d = bidirectional_dist(params.L, goal.key, min(cap, d_loop))
             if d is None:
                 complete = False
             elif Fraction(d_loop, d) > best:
