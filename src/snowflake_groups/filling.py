@@ -15,7 +15,8 @@ boundary) follow from it as the docstrings state.
 Diagrams here are combinatorial: a diagram is its list of cells, each a
 closed boundary word with the point it is read from.  Every produced
 boundary word reduces to the identity; planarity is by construction and
-is not re-verified.
+is not re-verified.  A cell whose word freely reduces to the empty word
+encloses nothing, so it is left out and does not count toward the area.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 from .hnn_group import InvariantViolation
 from .params import GroupParams
-from .paths import snowflake_loop, snowflake_path
+from .paths import _check_depth, snowflake_loop, snowflake_path
 from .vertex_group import (
     HPoint,
     _min_residue,
@@ -37,7 +38,7 @@ from .vertex_group import (
     geodesic_word_h,
     xy_line_intersection,
 )
-from .words import PathWord, invert_chars, parse_word
+from .words import PathWord, free_reduce, invert_chars, parse_word
 
 _FLAVOR_ORDER = {"bigon": None, "triangle": ("x", "y", "a"), "diamond": ("x", "y", "x", "y")}
 
@@ -145,6 +146,13 @@ class Diagram:
     @property
     def area(self) -> int:
         return len(self.cells)
+
+    def add(self, word: str, basepoint: HPoint) -> None:
+        """Append the cell with boundary word `word` read from `basepoint`,
+        unless the word freely reduces to the empty word: such a cell
+        encloses nothing."""
+        if free_reduce(word):
+            self.cells.append(Cell(PathWord(self.params, word), basepoint))
 
     @property
     def mesh(self) -> int:
@@ -293,8 +301,9 @@ def _bigon_cells(
     """Fill the bigon side0 = (G0, flavor, sum exps) against side1 = (G1, flavor, M1).
 
     cp_end joins G0 f^(sum exps) to G1; cp_start joins G1 f^M1 to G0.
-    Appends one cell per segment to `diagram` and returns the induced
-    subdivision of side1 (from G1), which has <= len(exps) parts.
+    Appends one cell per segment to `diagram`, leaving out those whose word
+    is freely trivial, and returns the induced subdivision of side1 (from
+    G1), which has <= len(exps) parts.
 
     p is the last segment (at most n - 1) whose start G0 f^prefix[p] has
     prefix[p] between 0 and -M1.  Cell i runs along segment i, up V[i+1],
@@ -322,7 +331,7 @@ def _bigon_cells(
             _geo_chars(params, flavor, e) + verticals[i + 1]
             + _geo_chars(params, flavor, top) + invert_chars(verticals[i])
         )
-        diagram.cells.append(Cell(PathWord(params, word), starts[i]))
+        diagram.add(word, starts[i])
     return [M1 + prefix[p]] + _backward(exps[:p])
 
 
@@ -365,7 +374,8 @@ def _fill_polygon(
     side is carried across a bigon strip onto the true polygon `snap`
     returns; `interior(diagram, true, inbound)` fills the true polygon
     and returns subdivisions of its remaining sides, which are carried
-    back across bigon strips onto `poly`; one cell closes each corner.
+    back across bigon strips onto `poly`; one cell closes each corner
+    whose word is not freely trivial.
     Returns the diagram and the subdivisions of the remaining sides.
     """
     for i, exps in given.items():
@@ -395,8 +405,7 @@ def _fill_polygon(
         subs.append(Subdivision(poly.corners[i], poly.flavors[i], tuple(_backward(out))))
     for i in range(n):
         word = cps[i].chars + alphas[(i + 1) % n] + invert_chars(gammas[i])
-        if word:
-            diagram.cells.append(Cell(PathWord(params, word), poly.side_end(params, i)))
+        diagram.add(word, poly.side_end(params, i))
     return diagram, subs[0], subs[1]
 
 
@@ -444,7 +453,7 @@ def _triangle_interior(diagram: Diagram, true: ApproxPolygon, inbound: Sides) ->
             ("a", rounded[j - 1] - rounded[j]),
             ("a", prefix[j - 1] - rounded[j - 1]),
         )
-        diagram.cells.append(Cell(PathWord(params, word), g2p * HPoint(prefix[j - 1], 0)))
+        diagram.add(word, g2p * HPoint(prefix[j - 1], 0))
 
     heights = [-r // L for r in rounded]  # n_j, from 0 up to m0'
     if heights[-1] != true.exponents[0]:
@@ -454,13 +463,12 @@ def _triangle_interior(diagram: Diagram, true: ApproxPolygon, inbound: Sides) ->
         if dj == 0:
             continue
         word = _cell_word(params, ("a", -L * dj), ("x", dj), ("y", dj))
-        diagram.cells.append(Cell(PathWord(params, word), g2p * HPoint(rounded[j], 0)))
+        diagram.add(word, g2p * HPoint(rounded[j], 0))
         for i in range(j):
             if d[i] == 0:
                 continue
             word = _cell_word(params, ("x", d[i]), ("y", -dj), ("x", -d[i]), ("y", dj))
-            base_pt = g2p * HPoint(rounded[j], heights[j] - heights[i])
-            diagram.cells.append(Cell(PathWord(params, word), base_pt))
+            diagram.add(word, g2p * HPoint(rounded[j], heights[j] - heights[i]))
     grid = d[::-1]
     return {0: grid, 1: grid}
 
@@ -492,8 +500,7 @@ def _diamond_interior(diagram: Diagram, true: ApproxPolygon, inbound: Sides) -> 
                 continue
             word = _cell_word(params, ("x", w), ("y", z), ("x", -w), ("y", -z))
             x_wp, y_zp = HPoint.generator(params, "x", wp), HPoint.generator(params, "y", zp)
-            base_pt = true.corners[0] * x_wp * y_zp
-            diagram.cells.append(Cell(PathWord(params, word), base_pt))
+            diagram.add(word, true.corners[0] * x_wp * y_zp)
     return {2: _backward(dw), 3: _backward(dz)}
 
 
@@ -550,12 +557,12 @@ def subdivide_snowflake(
     loop length; the cell count depends only on L and Lam once p exceeds
     the cap depth.  (For p = 1 the loop has the girth length, so no filling
     with cells shorter than the loop exists; the single-cell diagram is
-    returned.)
+    returned.)  A depth whose loop is longer than MAX_LETTERS raises
+    ValueError.
     """
     L = params.L
     lam = subdivision_constant if subdivision_constant is not None else L
-    if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
+    _check_depth(depth, "loop")
     if depth == 1:
         return Diagram(params, [Cell(snowflake_loop(params, 1), HPoint.identity())])
     if L ** (depth - 1) % lam:
@@ -687,10 +694,10 @@ def snowflake_hnn_tree(params: GroupParams, depth: int) -> HnnDualTree:
 
     A central diamond node, binary-branching triangle nodes, and leaf nodes
     for the innermost a-edges (one boundary arc of length 1 each); every
-    corridor has length 1.  Total arc length is the loop length 2(5 2^p - 4).
+    corridor has length 1.  Total arc length is the loop length 2(5 2^p - 4);
+    a depth whose loop is longer than MAX_LETTERS raises ValueError.
     """
-    if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
+    _check_depth(depth, "loop")
     arcs: dict[str, tuple[int, ...]] = {"center": ()}
     kinds = {"center": "central-diamond"}
     edges: list[tuple[str, str, int]] = []

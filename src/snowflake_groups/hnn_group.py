@@ -32,7 +32,10 @@ across threads.
 Distances in the {a, s, t} Cayley graph come from one search: a ball
 B(1, r) grown a layer at a time (_ball_layers) and one-sided searches from
 each goal into it (_ball_dist), the goal of d(g1, g2) being g1^-1 g2.
-bfs_ball, pair_dist and the loop checks of paths all run on it.
+bfs_ball, pair_dist and the loop checks of paths all run on it.  Both
+steps take their neighbours from the one-pass _neighbors, and goals that
+one of inversion, s <-> t and a -> a^-1 maps onto each other are searched
+once (_canonical), as these isometries fix the identity and the generators.
 """
 from __future__ import annotations
 
@@ -168,6 +171,39 @@ def _key_mul(L: int, left: Key, right: Key) -> Key:
     return out
 
 
+_SWAP_ST = {1: 3, 3: 1, -1: -3, -3: -1}
+
+
+def _key_swap_st(L: int, key: Key) -> Key:
+    """Image under the automorphism s <-> t (so x <-> y), fixing a.
+
+    a^u x^v maps to a^u y^v = a^(u + L v) x^-v; a representative before
+    s^-1 (a pure x-power) maps to a y-power before t^-1, which the feed
+    brings back to normal form.
+    """
+    out = (key[0] + L * key[1], -key[1])
+    for code, u, v in _key_parts(key):
+        out = _feed_stable(L, out, _SWAP_ST[code])
+        out = _feed_h(out, u + L * v, -v)
+    return out
+
+
+def _key_negate_a(key: Key) -> Key:
+    """Image under the automorphism a -> a^-1 (so x -> x^-1, y -> y^-1)."""
+    return tuple(c if i % 3 == 2 else -c for i, c in enumerate(key))
+
+
+def _canonical(L: int, key: Key) -> Key:
+    """The least key among the images of key under inversion, s <-> t and
+    a -> a^-1.  These fix {a, s, t}^(+-1) and the identity, so the 8 images
+    have one length |g|, and each maps B(1, R) onto itself."""
+    images = []
+    for k in (key, _key_swap_st(L, key)):
+        for k2 in (k, _key_invert(L, k)):
+            images += (k2, _key_negate_a(k2))
+    return min(images)
+
+
 @dataclass(frozen=True)
 class GroupElement:
     """An element of G_L in Britton normal form."""
@@ -238,13 +274,27 @@ def reduce_word(params: GroupParams, letters: str) -> GroupElement:
 
 
 def _neighbors(L: int, key: Key) -> tuple[Key, ...]:
+    """key times a, a^-1, s, s^-1, t, t^-1, in that order, in one pass.
+
+    The BFS inner loop: this is _feed_h and _feed_stable for the six
+    letters with the tail (u, v) and the last stable code read once.  Only
+    the inverse of the last stable letter can pinch, so the crossing rules
+    of _feed_stable are written out a second time here: s pinches after
+    s^-1 iff u == 0, s^-1 after s iff v == 0, t after t^-1 iff u + L v == 0
+    and t^-1 after t iff v == 0.
+    """
+    head = key[:-2]
+    u, v = key[-2], key[-1]
+    last = key[-3] if len(key) > 2 else 0
+    w = u + L * v
     return (
-        _feed_h(key, 1, 0),
-        _feed_h(key, -1, 0),
-        _feed_stable(L, key, 1),
-        _feed_stable(L, key, -1),
-        _feed_stable(L, key, 3),
-        _feed_stable(L, key, -3),
+        head + (u + 1, v),
+        head + (u - 1, v),
+        key[:-5] + (key[-5] + v, key[-4]) if last == -1 and u == 0 else head + (u, 0, 1, v, 0),
+        key[:-5] + (key[-5], key[-4] + u) if last == 1 and v == 0 else head + (0, v, -1, 0, u),
+        key[:-5] + (key[-5] - v, key[-4]) if last == -3 and w == 0 else head + (w, 0, 3, -v, 0),
+        key[:-5] + (key[-5] + u * L, key[-4] - u) if last == 3 and v == 0
+        else head + (0, v, -3, u * L, -u),
     )
 
 
@@ -393,34 +443,38 @@ def _goal_distances(
 ) -> dict[int, Optional[int]]:
     """{index: |goal| if it is <= cap, else None} for the (goal, cap) pairs.
 
-    One ball B(1, r) grows a layer at a time.  After each layer, every goal
-    not yet settled is searched with _ball_dist to min(cap, 2r - p), p the
-    parity of the goal (= |goal| mod 2, so a cap of the other parity is
-    lowered by one); a goal is settled once its distance is found or the
-    search reached its cap.  A goal at distance d is settled at radius
+    Goals are grouped by isometry class (_canonical) and cap, and each
+    group is searched once; every member index gets its group's result.
+    One ball B(1, r) grows a layer at a time.  After each layer, every
+    group not yet settled is searched with _ball_dist to min(cap, 2r - p),
+    p the parity of the goal (= |goal| mod 2, so a cap of the other parity
+    is lowered by one); a group is settled once its distance is found or
+    the search reached its cap.  A goal at distance d is settled at radius
     ceil(d / 2) and the ball grows only as far as the farthest unsettled
     goal needs.  Searching again at each radius costs a geometric series,
     about a quarter more than one search at the last radius (spheres of
     G_6 grow about 4.9x per layer).
 
-    With first_only, only the lowest index within its cap matters: once a
-    goal is found, the goals above it are dropped (and left out of the
-    result), and the search stops once no goal below it is unsettled.
+    Groups are searched in the order of their lowest member index.  With
+    first_only, only the lowest index within its cap matters: once a group
+    is found, the groups after it are dropped (and left out of the
+    result), and the search stops once no group before it is unsettled.
     """
-    pending = [
-        (i, goal, cap - (cap - GroupElement(params, goal).parity()) % 2)
-        for i, (goal, cap) in enumerate(goals)
-    ]
+    groups: dict[tuple[Key, int], list[int]] = {}
+    for i, (goal, cap) in enumerate(goals):
+        cap -= (cap - GroupElement(params, goal).parity()) % 2
+        groups.setdefault((_canonical(params.L, goal), cap), []).append(i)
+    pending = [(members, goal, cap) for (goal, cap), members in groups.items()]
     out: dict[int, Optional[int]] = {}
     for ball in _ball_layers(params, max_states):
         rest = []
-        for i, goal, cap in pending:
+        for members, goal, cap in pending:
             c = min(cap, 2 * ball.radius - cap % 2)  # cap has the parity of |goal|
             d = _ball_dist(ball, goal, c, max_states)
             if d is None and c < cap:
-                rest.append((i, goal, cap))
+                rest.append((members, goal, cap))
                 continue
-            out[i] = d
+            out.update(dict.fromkeys(members, d))
             if first_only and d is not None:
                 break
         pending = rest

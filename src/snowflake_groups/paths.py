@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 from .hnn_group import DEFAULT_MAX_STATES, GroupElement, InvariantViolation, _goal_distances
 from .params import GroupParams
 from .vertex_group import HPoint
-from .words import PathWord, invert_chars
+from .words import MAX_LETTERS, PathWord, invert_chars
 
 _ESCAPE_KIND = {"s": "x-escape", "S": "a-escape", "t": "y-escape", "T": "a-escape"}
 _ESCAPE_FLAVOR = {"s": "x", "S": "a", "t": "y", "T": "a"}
@@ -32,10 +32,23 @@ _ESCAPE_FLAVOR = {"s": "x", "S": "a", "t": "y", "T": "a"}
 _INNER_FLAVOR = {"s": "a", "S": "x", "t": "a", "T": "y"}
 
 
-def snowflake_path(params: GroupParams, n: int, flavor: str = "s") -> PathWord:
-    """sigma_{n,flavor}: a geodesic from 1 to a^(L^n) of length 5 * 2^n - 4."""
+def _check_depth(n: int, kind: str) -> None:
+    """Refuse a depth below 1, or one whose snowflake `kind` ("path", of
+    5 * 2^n - 4 letters, or "loop", twice that) is longer than MAX_LETTERS.
+    n is clamped first, so 2^n stays small."""
     if n < 1:
         raise ValueError(f"depth must be >= 1, got {n}")
+    letters = (5 * 2 ** min(n, MAX_LETTERS.bit_length()) - 4) * (2 if kind == "loop" else 1)
+    if letters > MAX_LETTERS:
+        raise ValueError(f"the depth-{n} snowflake {kind} is longer than {MAX_LETTERS} letters")
+
+
+def snowflake_path(params: GroupParams, n: int, flavor: str = "s") -> PathWord:
+    """sigma_{n,flavor}: a geodesic from 1 to a^(L^n) of length 5 * 2^n - 4.
+
+    A depth whose path is longer than MAX_LETTERS raises ValueError.
+    """
+    _check_depth(n, "path")
     if flavor not in ("s", "t"):
         raise ValueError(f"flavor must be 's' or 't', got {flavor!r}")
     first, second = (("s", "S"), ("t", "T")) if flavor == "s" else (("t", "T"), ("s", "S"))
@@ -46,7 +59,11 @@ def snowflake_path(params: GroupParams, n: int, flavor: str = "s") -> PathWord:
 
 
 def snowflake_loop(params: GroupParams, n: int) -> PathWord:
-    """The closed loop sigma_{n,s} + reverse(sigma_{n,t}) of length 2(5 * 2^n - 4)."""
+    """The closed loop sigma_{n,s} + reverse(sigma_{n,t}) of length 2(5 * 2^n - 4).
+
+    A depth whose loop is longer than MAX_LETTERS raises ValueError.
+    """
+    _check_depth(n, "loop")
     return PathWord(
         params,
         snowflake_path(params, n, "s").chars + invert_chars(snowflake_path(params, n, "t").chars),
@@ -257,12 +274,13 @@ def loop_bilip_constant(
 
     Since d(g_i, g_j) = |g_i^-1 g_j|, one ball B(1, r) around the identity
     serves every pair, each searched to c = min(cap, d_loop) out of
-    g_i^-1 g_j.  The ball grows a layer at a time; a pair at distance d is
-    settled at radius ceil(d/2), one beyond its cap at radius about c/2, so
-    the ball reaches at most radius ceil(min(cap, n/2) / 2) on an n-vertex
-    loop.  At radius r a pair is searched to depth at most r, and repeating
-    the search at every radius costs about a quarter more than the last one
-    alone.  The budget caps every stored BFS layer, of the ball and of each
+    g_i^-1 g_j; pairs whose goals one of inversion, s <-> t and a -> a^-1
+    maps onto each other, with one c, share a search.  The ball grows a
+    layer at a time; a pair at distance d is settled at radius ceil(d/2),
+    one beyond its cap at radius about c/2, so the ball reaches at most
+    radius ceil(min(cap, n/2) / 2) on an n-vertex loop.  At radius r a pair
+    is searched to depth at most r, and repeating the search at every
+    radius costs about a quarter more than the last one alone.  The budget caps every stored BFS layer, of the ball and of each
     search, and exceeding it raises BudgetExceeded.
     """
     keys = _loop_vertices(params, loop)
@@ -330,12 +348,14 @@ def verify_geodesic_loop(
     g_i^-1 g_(i+h) to c = h - 2 (distances have the parity of h, so this
     rules out d <= h - 1) against one ball B(1, r) around the identity that
     grows a layer at a time.  A geodesic loop costs one ball B(1, ceil(c/2))
-    plus one search of radius floor(c/2) per pair, and repeating the
-    searches at the smaller radii adds about a quarter to that.  A loop that
-    is not geodesic stops at radius ceil(d/2), d the distance of its first
-    failing pair, once every pair before it is settled.  The budget caps
-    every stored BFS layer, of the ball and of each search, and exceeding it
-    raises BudgetExceeded.
+    plus one search of radius floor(c/2) per isometry class of goals (pairs
+    whose goals one of inversion, s <-> t and a -> a^-1 maps onto each
+    other share a search: 9 classes for the 16 pairs of the depth-2
+    snowflake loop), and repeating the searches at the smaller radii adds
+    about a quarter to that.  A loop that is not geodesic stops at radius
+    ceil(d/2), d the distance of its first failing pair, once every pair
+    before it is settled.  The budget caps every stored BFS layer, of the
+    ball and of each search, and exceeding it raises BudgetExceeded.
     """
     keys = _loop_vertices(params, loop)
     n = len(keys)

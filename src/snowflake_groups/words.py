@@ -10,6 +10,7 @@ a, s, t edges have length 1; x, y edges have length L.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from itertools import groupby
 from typing import TYPE_CHECKING
@@ -23,10 +24,23 @@ _VALID = set("aAsStTxXyY")
 
 MAX_LETTERS = 10**7  # longest word parse_word (and the CLI) will spell out
 
+_CANCELLING = re.compile("|".join(ch + ch.swapcase() for ch in "aAsStTxXyY"))
+
 
 def invert_chars(chars: str) -> str:
     """Inverse word: reverse and swap every letter with its inverse."""
     return chars.swapcase()[::-1]
+
+
+def free_reduce(chars: str) -> str:
+    """The freely reduced word (no relators): each pass cancels every letter
+    next to its inverse, until a pass finds none.  A pass runs at regex
+    speed, which for the short words of filling cells beats a letter-by-
+    letter stack, though k nested pairs take k passes."""
+    n = 1
+    while n:
+        chars, n = _CANCELLING.subn("", chars)
+    return chars
 
 
 def char_for(gen: str, sign: int) -> str:

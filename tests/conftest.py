@@ -1,7 +1,7 @@
 import pytest
 
 from snowflake_groups import GroupParams, bfs_ball
-from snowflake_groups.hnn_group import _key_mul, _neighbors, reduce_chars
+from snowflake_groups.hnn_group import _feed_h, _feed_stable, _key_mul, reduce_chars
 
 
 def right_fold_key(L, chars):
@@ -13,6 +13,31 @@ def right_fold_key(L, chars):
     for ch in reversed(chars):
         out = _key_mul(L, reduce_chars(L, ch), out)
     return out
+
+
+def reference_free_reduce(chars):
+    """The freely reduced word by a letter-by-letter stack: the reference for
+    words.free_reduce, which cancels pairs a pass at a time."""
+    out = []
+    for ch in chars:
+        if out and out[-1] == ch.swapcase():
+            out.pop()
+        else:
+            out.append(ch)
+    return "".join(out)
+
+
+def reference_neighbors(L, key):
+    """key times a, a^-1, s, s^-1, t, t^-1 by the letter-at-a-time feed:
+    the reference for the library's one-pass _neighbors."""
+    return (
+        _feed_h(key, 1, 0),
+        _feed_h(key, -1, 0),
+        _feed_stable(L, key, 1),
+        _feed_stable(L, key, -1),
+        _feed_stable(L, key, 3),
+        _feed_stable(L, key, -3),
+    )
 
 
 def bidirectional_dist(L, goal, cap):
@@ -38,7 +63,7 @@ def bidirectional_dist(L, goal, cap):
         d = radii[i]
         nxt = []
         for key in frontier[i]:
-            for nb in _neighbors(L, key):
+            for nb in reference_neighbors(L, key):
                 if nb not in mine:
                     mine[nb] = d
                     nxt.append(nb)

@@ -35,6 +35,8 @@ from snowflake_groups.filling import (
 )
 from snowflake_groups.words import PathWord
 
+from conftest import reference_free_reduce
+
 
 def fpoint(params, flavor, k):
     if k == 0:
@@ -275,9 +277,10 @@ def test_fill_triangle_grid_counts(p6):
     g2 = g1 * fpoint(p6, "y", L)
     tri = ApproxPolygon("triangle", (g0, g1, g2), ("x", "y", "a"), (L, L, -L * L), 0)
     diagram, sx, sy = fill_triangle(p6, tri, [-L] * L)
-    # L cells for the (degenerate) a-side bigon, the (L^2 - L)/2 + L grid
-    # cells, and L cells per outer-side bigon; no strip or corner cells
-    assert diagram.area == L + ((L * L - L) // 2 + L) + 2 * L
+    # L cells for the (degenerate) a-side bigon and the (L^2 - L)/2 + L grid
+    # cells; the outer-side bigon cells are freely trivial and left out, and
+    # there are no strip or corner cells
+    assert diagram.area == L + ((L * L - L) // 2 + L)
     words = [c.boundary.chars for c in diagram.cells]
     gw = lambda k: geodesic_word_h(p6, HPoint(k, 0)).chars
     tri_word = gw(-L) + "s" + gw(1) + "S" + "t" + gw(1) + "T"
@@ -353,6 +356,27 @@ def test_fill_bounds_randomized(p6, kind):
             start = poly.corners[i]
             end = start * fpoint(p6, poly.flavors[i], poly.exponents[i])
             subdivision_ok(p6, sub, start, end)
+
+
+@pytest.mark.parametrize("L", [6, 8])
+def test_no_cell_is_freely_trivial(L):
+    # such a cell encloses nothing (its 1-chain is zero) and must not count
+    # toward the area; the jittered corners make corner and strip cells
+    # that cancel letter by letter if they are kept
+    params = GroupParams(L)
+    rng = random.Random(f"free-{L}")
+    jitters = jitter_pool(params, 2) + [HPoint(0, 0)] * 6
+    diagrams = [subdivide_snowflake(params, p) for p in (2, 3, 4)]
+    for _ in range(20):
+        poly, split = random_bigon(params, rng, 12, 8, jitters)
+        diagrams.append(fill_bigon(params, poly, split)[0])
+        poly, split = random_triangle(params, rng, 12, 8, jitters)
+        diagrams.append(fill_triangle(params, poly, split)[0])
+        poly, sx, sy = random_diamond(params, rng, 12, 8, jitters)
+        diagrams.append(fill_diamond(params, poly, sx, sy)[0])
+    for diagram in diagrams:
+        for cell in diagram.cells:
+            assert reference_free_reduce(cell.boundary.chars), str(cell.boundary)
 
 
 def test_fill_with_explicit_corner_paths(p6):

@@ -18,9 +18,17 @@ from snowflake_groups import (
     pair_dist,
     reduce_word,
 )
-from snowflake_groups.hnn_group import _ball_dist, _goal_distances
+from snowflake_groups.hnn_group import (
+    _ball_dist,
+    _canonical,
+    _goal_distances,
+    _key_chars,
+    _neighbors,
+    reduce_chars,
+)
+from snowflake_groups.words import invert_chars
 
-from conftest import bidirectional_dist, right_fold_key
+from conftest import bidirectional_dist, reference_neighbors, right_fold_key
 
 words = st.text(alphabet="aAsStT", max_size=30)
 
@@ -242,3 +250,75 @@ def test_goal_distances_match_pair_dist(L):
     got = _goal_distances(params, goals, first_only=True)
     assert set(range(first + 1)) <= set(got)
     assert all(got[i] == expected[i] for i in got)
+
+
+@pytest.mark.parametrize("L", [6, 8])
+def test_neighbors_match_reference_on_ball(L):
+    for key in bfs_ball(GroupParams(L), 6).distances:
+        assert _neighbors(L, key) == reference_neighbors(L, key), key
+
+
+@pytest.mark.parametrize("L", [6, 8, 10, 12])
+def test_neighbors_match_reference_on_random_words(L):
+    # x and y letters leave tails off the ball's lattice; every pinch rule of
+    # the one-pass step is reached: s after s^-1 (u = 0), s^-1 after s
+    # (v = 0), t after t^-1 (u + L v = 0), t^-1 after t (v = 0)
+    rng = random.Random(L)
+    pinches = set()
+    for _ in range(2000):
+        word = "".join(rng.choice("aAsStTxXyY") for _ in range(rng.randrange(16)))
+        key = reduce_chars(L, word)
+        nbs = _neighbors(L, key)
+        assert nbs == reference_neighbors(L, key), word
+        pinches.update(i for i in (2, 3, 4, 5) if len(nbs[i]) < len(key))
+    assert pinches == {2, 3, 4, 5}
+
+
+# the isometries on words: a -> a^-1 (x -> x^-1, y -> y^-1) and s <-> t (x <-> y)
+_NEGATE_A = str.maketrans("aAxXyY", "AaXxYy")
+_SWAP_ST = str.maketrans("sStTxXyY", "tTsSyYxX")
+
+
+def _word_images(chars):
+    images = []
+    for w in (chars, chars.translate(_SWAP_ST)):
+        for w2 in (w, invert_chars(w)):
+            images += (w2, w2.translate(_NEGATE_A))
+    return images
+
+
+@pytest.mark.parametrize("L", [6, 8])
+def test_canonical_keeps_distance(L):
+    ball = bfs_ball(GroupParams(L), 6)
+    for key, d in ball.distances.items():
+        canon = _canonical(L, key)
+        assert ball.distances[canon] == d, key
+        assert canon == min(reduce_chars(L, w) for w in _word_images(_key_chars(key))), key
+
+
+@pytest.mark.parametrize("L", [6, 8])
+def test_goal_distances_over_isometry_classes(L):
+    # goals repeated and moved by the isometries, with mixed caps: every
+    # member of a class gets the oracle's answer for its own cap
+    params = GroupParams(L)
+    rng = random.Random(100 + L)
+    goals = []
+    for _ in range(25):
+        word = "".join(rng.choice("aAsStT") for _ in range(rng.randrange(12)))
+        for image in rng.sample(_word_images(word), 3) + [word]:
+            goals.append((reduce_chars(L, image), rng.randrange(9)))
+    rng.shuffle(goals)
+    expected = {i: bidirectional_dist(L, g, cap) for i, (g, cap) in enumerate(goals)}
+    assert len({(_canonical(L, g), cap) for g, cap in goals}) < len(goals)
+    assert _goal_distances(params, goals) == expected
+    first = min(i for i, d in expected.items() if d is not None)
+    got = _goal_distances(params, goals, first_only=True)
+    assert set(range(first + 1)) <= set(got)
+    assert all(got[i] == expected[i] for i in got)
+    assert min(i for i, d in got.items() if d is not None) == first
+
+
+def test_pair_dist_far_goal_is_never_spelled(p6):
+    # the classes are computed on keys: spelling a^(10^9) out would take 1 GB
+    one = GroupElement.identity(p6)
+    assert pair_dist(p6, one, GroupElement(p6, (10**9, 0)), 4) is None

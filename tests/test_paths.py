@@ -19,6 +19,7 @@ from snowflake_groups import (
     trace,
     verify_geodesic_loop,
 )
+from snowflake_groups.paths import _check_depth
 from snowflake_groups.words import invert_chars
 
 from conftest import bidirectional_dist
@@ -40,6 +41,14 @@ def test_snowflake_path_rejects_bad_depth(p6):
         snowflake_path(p6, 0)
     with pytest.raises(ValueError):
         snowflake_path(p6, 2, "u")
+    # a path has 5 * 2^n - 4 letters, a loop twice that: MAX_LETTERS = 10^7
+    # admits paths up to depth 20 and loops up to depth 19
+    _check_depth(20, "path")
+    _check_depth(19, "loop")
+    with pytest.raises(ValueError, match="depth-21 snowflake path is longer than"):
+        snowflake_path(p6, 21)
+    with pytest.raises(ValueError, match="depth-20 snowflake loop is longer than"):
+        snowflake_loop(p6, 20)
 
 
 @pytest.mark.parametrize("L", [6, 8, 10, 12])

@@ -1,9 +1,13 @@
 """The word encoding and token serialization."""
 
+import random
+
 import pytest
 
 from snowflake_groups import GroupParams, PathWord
-from snowflake_groups.words import format_word, invert_chars, parse_word
+from snowflake_groups.words import format_word, free_reduce, invert_chars, parse_word
+
+from conftest import reference_free_reduce
 
 
 def test_parse_format_roundtrip():
@@ -53,3 +57,13 @@ def test_pathword_concat_and_reverse(p6):
 def test_pathword_cross_params_guard(p6, p10):
     with pytest.raises(ValueError):
         PathWord(p6, "a") + PathWord(p10, "a")
+
+
+def test_free_reduce_matches_stack():
+    # nested pairs need several passes
+    assert free_reduce("saSsAS") == "" and free_reduce("sssSSS") == ""
+    assert free_reduce("saStaT") == "saStaT"
+    rng = random.Random(7)
+    for _ in range(3000):
+        word = "".join(rng.choice("aAsStTxXyY"[: rng.choice((4, 10))]) for _ in range(rng.randrange(40)))
+        assert free_reduce(word) == reference_free_reduce(word), word
