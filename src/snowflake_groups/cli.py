@@ -120,12 +120,12 @@ def _cmd_verify_loop(args) -> int:
     ok = report.geodesic
     _emit(args, {"geodesic": ok, "length": loop.length}, f"geodesic: {'true' if ok else 'false'}")
     if not ok:
-        i, j = report.witness
-        print(
-            f"counterexample: vertices {i} and {j} are at distance {report.distance}"
-            f" < {loop.length // 2}",
-            file=sys.stderr,
-        )
+        if report.witness is None:
+            reason = "the loop of length 2 retraces its only edge"
+        else:
+            i, j = report.witness
+            reason = f"vertices {i} and {j} are at distance {report.distance} < {loop.length // 2}"
+        print(f"counterexample: {reason}", file=sys.stderr)
         return 1
     return 0
 

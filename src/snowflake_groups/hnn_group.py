@@ -29,6 +29,11 @@ every dict the searches keep.)  All helpers taking such "keys" are pure;
 the module has no mutable state, so everything here is safe to share
 across threads.
 
+Reduction, multiplication, inversion and s <-> t all fold letters or
+syllables into a key held as a list stack (_fold), so each letter costs
+O(1).  The crossing rules above live in _fold and once more in the BFS
+step _neighbors, which applies all six letters to a key in one pass.
+
 Distances in the {a, s, t} Cayley graph come from one search: a ball
 B(1, r) grown a layer at a time (_ball_layers) and one-sided searches from
 each goal into it (_ball_dist), the goal of d(g1, g2) being g1^-1 g2.
@@ -40,8 +45,8 @@ once (_canonical), as these isometries fix the identity and the generators.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
-from typing import Iterator, Optional, TextIO
+from itertools import chain
+from typing import Iterable, Iterator, Optional, TextIO
 
 import json
 
@@ -75,30 +80,8 @@ def identity_key() -> Key:
     return (0, 0)
 
 
-def _feed_h(key: Key, du: int, dv: int) -> Key:
-    if du == 0 and dv == 0:
-        return key
-    return key[:-2] + (key[-2] + du, key[-1] + dv)
-
-
-def _feed_stable(L: int, key: Key, code: int) -> Key:
-    u, v = key[-2], key[-1]
-    if code == 1:  # s: <x> crosses, x^v -> a^v
-        ru, rv, cu, cv = u, 0, v, 0
-    elif code == -1:  # s^-1: <a> crosses, a^u -> x^u
-        ru, rv, cu, cv = 0, v, 0, u
-    elif code == 3:  # t: <y> crosses, y^-v -> a^-v
-        ru, rv, cu, cv = u + v * L, 0, -v, 0
-    else:  # t^-1: <a> crosses, a^u -> y^u
-        ru, rv, cu, cv = 0, v, u * L, -u
-    if len(key) > 2 and key[-3] == -code and ru == 0 and rv == 0:
-        # Britton pinch: drop the previous stable letter, merge the crossed part
-        return key[:-5] + (key[-5] + cu, key[-4] + cv)
-    return key[:-2] + (ru, rv, code, cu, cv)
-
-
 def _letters(L: int) -> dict[str, tuple[int, int, int]]:
-    """The letter dispatch: letter -> (code, du, dv).
+    """The letter dispatch: letter -> its step (code, du, dv) for _fold.
 
     A stable letter has its code and (0, 0); a letter of H has code 0 and the
     step (du, dv) by which it moves the tail, with y = a^L x^-1.
@@ -112,30 +95,57 @@ def _letters(L: int) -> dict[str, tuple[int, int, int]]:
     }
 
 
-def reduce_chars(L: int, chars: str, key: Key = (0, 0)) -> Key:
-    """Key of the element `key` times the word chars; a run of one H letter
-    moves the tail at once, stable letters are fed one at a time."""
-    letters = _letters(L)
-    for ch, grp in groupby(chars):
-        n = sum(1 for _ in grp)
-        code, du, dv = letters[ch]
-        if code:
-            for _ in range(n):
-                key = _feed_stable(L, key, code)
+def _fold(
+    L: int, key: Key, steps: Iterable[tuple[int, int, int]], prefixes: Optional[list] = None
+) -> Key:
+    """Key of the element `key` times the steps, folded in left to right.
+
+    A step (code, du, dv) is the stable letter `code` (none if 0) followed
+    by a^du x^dv: a letter of _letters, or a syllable of a key.  All of the
+    key but its tail is held in one flat list, a stack of the triples
+    (u_i, v_i, c_i): the representative before each stable letter and its
+    code.  The tail (u, v) lives in two locals.  A stable letter pushes its
+    triple or, in a pinch, deletes the top one, so a letter costs O(1)
+    instead of a copy of the key.  These are the crossing rules of the
+    normal form; the BFS step _neighbors writes them out once more for its
+    six letters.  With `prefixes`, the key after each step is appended to it.
+    """
+    stack = list(key[:-2])
+    u, v = key[-2], key[-1]
+    for code, du, dv in steps:
+        if not code:
+            u += du
+            v += dv
         else:
-            key = _feed_h(key, n * du, n * dv)
-    return key
+            if code == 1:  # s: <x> crosses, x^v -> a^v
+                ru, rv, cu, cv = u, 0, v, 0
+            elif code == -1:  # s^-1: <a> crosses, a^u -> x^u
+                ru, rv, cu, cv = 0, v, 0, u
+            elif code == 3:  # t: <y> crosses, y^-v -> a^-v
+                ru, rv, cu, cv = u + v * L, 0, -v, 0
+            else:  # t^-1: <a> crosses, a^u -> y^u
+                ru, rv, cu, cv = 0, v, u * L, -u
+            if ru == rv == 0 and stack and stack[-1] == -code:
+                # Britton pinch: drop the previous stable letter, merge the crossed part
+                u, v = stack[-3] + cu + du, stack[-2] + cv + dv
+                del stack[-3:]
+            else:
+                stack += (ru, rv, code)
+                u, v = cu + du, cv + dv
+        if prefixes is not None:
+            prefixes.append((*stack, u, v))
+    return (*stack, u, v)
+
+
+def reduce_chars(L: int, chars: str, key: Key = (0, 0)) -> Key:
+    """Key of the element `key` times the word chars."""
+    return _fold(L, key, map(_letters(L).__getitem__, chars))
 
 
 def prefix_keys(L: int, chars: str) -> list[Key]:
     """The keys of all prefixes of chars, shortest first (len(chars) + 1 keys)."""
-    letters = _letters(L)
-    key = identity_key()
-    keys = [key]
-    for ch in chars:
-        code, du, dv = letters[ch]
-        key = _feed_stable(L, key, code) if code else _feed_h(key, du, dv)
-        keys.append(key)
+    keys = [identity_key()]
+    _fold(L, identity_key(), map(_letters(L).__getitem__, chars), keys)
     return keys
 
 
@@ -155,20 +165,14 @@ def _key_chars(key: Key) -> str:
 
 
 def _key_invert(L: int, key: Key) -> Key:
-    out = identity_key()
-    out = _feed_h(out, -key[-2], -key[-1])
+    steps = [(0, -key[-2], -key[-1])]
     for i in range(len(key) - 3, 1, -3):  # code positions, last syllable first
-        out = _feed_stable(L, out, -key[i])
-        out = _feed_h(out, -key[i - 2], -key[i - 1])
-    return out
+        steps.append((-key[i], -key[i - 2], -key[i - 1]))
+    return _fold(L, identity_key(), steps)
 
 
 def _key_mul(L: int, left: Key, right: Key) -> Key:
-    out = _feed_h(left, right[0], right[1])
-    for code, u, v in _key_parts(right):
-        out = _feed_stable(L, out, code)
-        out = _feed_h(out, u, v)
-    return out
+    return _fold(L, left, chain(((0, right[0], right[1]),), _key_parts(right)))
 
 
 _SWAP_ST = {1: 3, 3: 1, -1: -3, -3: -1}
@@ -178,14 +182,12 @@ def _key_swap_st(L: int, key: Key) -> Key:
     """Image under the automorphism s <-> t (so x <-> y), fixing a.
 
     a^u x^v maps to a^u y^v = a^(u + L v) x^-v; a representative before
-    s^-1 (a pure x-power) maps to a y-power before t^-1, which the feed
+    s^-1 (a pure x-power) maps to a y-power before t^-1, which the fold
     brings back to normal form.
     """
-    out = (key[0] + L * key[1], -key[1])
-    for code, u, v in _key_parts(key):
-        out = _feed_stable(L, out, _SWAP_ST[code])
-        out = _feed_h(out, u + L * v, -v)
-    return out
+    steps = [(0, key[0] + L * key[1], -key[1])]
+    steps += ((_SWAP_ST[code], u + L * v, -v) for code, u, v in _key_parts(key))
+    return _fold(L, identity_key(), steps)
 
 
 def _key_negate_a(key: Key) -> Key:
@@ -262,11 +264,15 @@ def reduce_word(params: GroupParams, letters: str) -> GroupElement:
     """Britton-reduce a word over {a, s, t, x, y}^(+-1) to its normal form.
 
     `letters` is a token string ("s a^6 s^-1") or a character string in the
-    internal encoding.  The word is folded in left to right, one run of
-    equal letters at a time.
+    internal encoding.  The word is folded in left to right, one letter at
+    a time; a character outside {a, s, t, x, y}^(+-1) raises ValueError.
     """
     chars = parse_word(letters) if (" " in letters or "^" in letters or letters == "1") else letters
-    return GroupElement(params, reduce_chars(params.L, chars))
+    try:
+        return GroupElement(params, reduce_chars(params.L, chars))
+    except KeyError:
+        bad = sorted(set(chars) - set(_letters(params.L)))
+        raise ValueError(f"invalid letters {bad!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -276,12 +282,12 @@ def reduce_word(params: GroupParams, letters: str) -> GroupElement:
 def _neighbors(L: int, key: Key) -> tuple[Key, ...]:
     """key times a, a^-1, s, s^-1, t, t^-1, in that order, in one pass.
 
-    The BFS inner loop: this is _feed_h and _feed_stable for the six
-    letters with the tail (u, v) and the last stable code read once.  Only
-    the inverse of the last stable letter can pinch, so the crossing rules
-    of _feed_stable are written out a second time here: s pinches after
-    s^-1 iff u == 0, s^-1 after s iff v == 0, t after t^-1 iff u + L v == 0
-    and t^-1 after t iff v == 0.
+    The BFS inner loop: this is _fold for each of the six letters, with the
+    tail (u, v) and the last stable code read once.  Only the inverse of
+    the last stable letter can pinch, so the crossing rules of _fold are
+    written out a second time here, the only other place they live: s
+    pinches after s^-1 iff u == 0, s^-1 after s iff v == 0, t after t^-1
+    iff u + L v == 0 and t^-1 after t iff v == 0.
     """
     head = key[:-2]
     u, v = key[-2], key[-1]
@@ -366,8 +372,11 @@ def bfs_ball(params: GroupParams, radius: int, max_states: int = DEFAULT_MAX_STA
     The memory budget caps the size of a single BFS layer (the quantity that
     drives the growth of the search).  It is checked as the layer grows, after
     each expanded key, so BudgetExceeded is raised with a frontier of at most
-    max_states + 6 elements, before the rest of the layer is stored.
+    max_states + 6 elements, before the rest of the layer is stored.  A
+    negative radius raises ValueError.
     """
+    if radius < 0:
+        raise ValueError(f"radius must be nonnegative, got {radius}")
     for ball in _ball_layers(params, max_states):
         if ball.radius >= radius:
             break

@@ -328,7 +328,8 @@ class GeodesicLoopReport:
 
     For a loop that is not, `witness` is the first antipodal vertex pair
     (i, i + |loop|/2) found closer than half the loop and `distance` is
-    their distance in the Cayley graph.
+    their distance in the Cayley graph; both are None for a loop of length
+    2, which retraces its only edge.
     """
 
     geodesic: bool
@@ -354,13 +355,17 @@ def verify_geodesic_loop(
     snowflake loop), and repeating the searches at the smaller radii adds
     about a quarter to that.  A loop that is not geodesic stops at radius
     ceil(d/2), d the distance of its first failing pair, once every pair
-    before it is settled.  The budget caps every stored BFS layer, of the
-    ball and of each search, and exceeding it raises BudgetExceeded.
+    before it is settled.  A loop of length 2 retraces its only edge, so it
+    is not geodesic, though its two vertices are at distance 1; it has no
+    witness.  The budget caps every stored BFS layer, of the ball and of
+    each search, and exceeding it raises BudgetExceeded.
     """
     keys = _loop_vertices(params, loop)
     n = len(keys)
     if n % 2:
         raise ValueError("loops in G_L have even length")
+    if n == 2:
+        return GeodesicLoopReport(False)
     half = n // 2
     # the loop arc shows d <= half; distances have the parity of half, so
     # ruling out d <= half - 1 pins the antipodal distance to exactly half

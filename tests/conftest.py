@@ -1,7 +1,87 @@
 import pytest
 
 from snowflake_groups import GroupParams, bfs_ball
-from snowflake_groups.hnn_group import _feed_h, _feed_stable, _key_mul, reduce_chars
+
+# ---------------------------------------------------------------------------
+# the letter-at-a-time reference feed: a key is rebuilt as a tuple at every
+# letter, sharing no code with the library's list-stack fold (hnn_group._fold)
+
+
+def _feed_h(key, du, dv):
+    """key times a^du x^dv."""
+    if du == 0 and dv == 0:
+        return key
+    return key[:-2] + (key[-2] + du, key[-1] + dv)
+
+
+def _feed_stable(L, key, code):
+    """key times the stable letter with code s=1, s^-1=-1, t=3, t^-1=-3."""
+    u, v = key[-2], key[-1]
+    if code == 1:  # s: <x> crosses, x^v -> a^v
+        ru, rv, cu, cv = u, 0, v, 0
+    elif code == -1:  # s^-1: <a> crosses, a^u -> x^u
+        ru, rv, cu, cv = 0, v, 0, u
+    elif code == 3:  # t: <y> crosses, y^-v -> a^-v
+        ru, rv, cu, cv = u + v * L, 0, -v, 0
+    else:  # t^-1: <a> crosses, a^u -> y^u
+        ru, rv, cu, cv = 0, v, u * L, -u
+    if len(key) > 2 and key[-3] == -code and ru == 0 and rv == 0:
+        # Britton pinch: drop the previous stable letter, merge the crossed part
+        return key[:-5] + (key[-5] + cu, key[-4] + cv)
+    return key[:-2] + (ru, rv, code, cu, cv)
+
+
+_CODES = {"s": 1, "S": -1, "t": 3, "T": -3}
+
+
+def _feed_char(L, key, ch):
+    if ch in _CODES:
+        return _feed_stable(L, key, _CODES[ch])
+    du, dv = {"a": (1, 0), "A": (-1, 0), "x": (0, 1), "X": (0, -1), "y": (L, -1), "Y": (-L, 1)}[ch]
+    return _feed_h(key, du, dv)
+
+
+def reference_reduce(L, chars, key=(0, 0)):
+    """Key of `key` times chars, one letter at a time: the reference for
+    hnn_group.reduce_chars."""
+    for ch in chars:
+        key = _feed_char(L, key, ch)
+    return key
+
+
+def reference_prefix_keys(L, chars):
+    """The keys of all prefixes of chars: the reference for prefix_keys."""
+    keys = [(0, 0)]
+    for ch in chars:
+        keys.append(_feed_char(L, keys[-1], ch))
+    return keys
+
+
+def reference_mul(L, left, right):
+    """The key of left times right: the reference for _key_mul."""
+    out = _feed_h(left, right[0], right[1])
+    for i in range(2, len(right), 3):
+        out = _feed_stable(L, out, right[i])
+        out = _feed_h(out, right[i + 1], right[i + 2])
+    return out
+
+
+def reference_invert(L, key):
+    """The key of the inverse: the reference for _key_invert."""
+    out = _feed_h((0, 0), -key[-2], -key[-1])
+    for i in range(len(key) - 3, 1, -3):  # code positions, last syllable first
+        out = _feed_stable(L, out, -key[i])
+        out = _feed_h(out, -key[i - 2], -key[i - 1])
+    return out
+
+
+def reference_swap_st(L, key):
+    """The key of the image under s <-> t: the reference for _key_swap_st."""
+    out = (key[0] + L * key[1], -key[1])
+    for i in range(2, len(key), 3):
+        out = _feed_stable(L, out, {1: 3, 3: 1, -1: -3, -3: -1}[key[i]])
+        out = _feed_h(out, key[i + 1] + L * key[i + 2], -key[i + 2])
+    return out
 
 
 def right_fold_key(L, chars):
@@ -11,7 +91,7 @@ def right_fold_key(L, chars):
     """
     out = (0, 0)
     for ch in reversed(chars):
-        out = _key_mul(L, reduce_chars(L, ch), out)
+        out = reference_mul(L, _feed_char(L, (0, 0), ch), out)
     return out
 
 

@@ -53,6 +53,14 @@ def test_verify_loop_failure_exit_code(capsys):
     assert err == "counterexample: vertices 0 and 12 are at distance 8 < 12\n"
 
 
+def test_verify_loop_length_two(capsys):
+    code, out, err = run_cli(capsys, "verify-loop", "--L", "6", "--word", "s s^-1")
+    assert code == 1 and out == "geodesic: false\n"
+    assert err == "counterexample: the loop of length 2 retraces its only edge\n"
+    code, out, err = run_cli(capsys, "verify-loop", "--L", "6", "--word", "1")
+    assert (code, out, err) == (0, "geodesic: true\n", "")
+
+
 def test_table_csv(capsys):
     code, out, _ = run_cli(capsys, "table", "--L", "10", "--m-max", "10")
     assert code == 0
@@ -266,6 +274,12 @@ def test_budget_only_on_searches():
     with pytest.raises(SystemExit) as info:
         main(["dist", "--L", "6", "--a-power", "36", "--budget", "5"])
     assert info.value.code == 2
+
+
+def test_ball_negative_radius_exit_2(capsys):
+    code, out, err = run_cli(capsys, "ball", "--L", "6", "--radius", "-1")
+    assert (code, out) == (2, "")
+    assert err == "error: radius must be nonnegative, got -1\n"
 
 
 def test_value_error_becomes_exit_2(capsys):

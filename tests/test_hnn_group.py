@@ -23,12 +23,25 @@ from snowflake_groups.hnn_group import (
     _canonical,
     _goal_distances,
     _key_chars,
+    _key_invert,
+    _key_mul,
+    _key_swap_st,
     _neighbors,
+    prefix_keys,
     reduce_chars,
 )
 from snowflake_groups.words import invert_chars
 
-from conftest import bidirectional_dist, reference_neighbors, right_fold_key
+from conftest import (
+    bidirectional_dist,
+    reference_invert,
+    reference_mul,
+    reference_neighbors,
+    reference_prefix_keys,
+    reference_reduce,
+    reference_swap_st,
+    right_fold_key,
+)
 
 words = st.text(alphabet="aAsStT", max_size=30)
 
@@ -124,6 +137,52 @@ def test_normal_form_string_roundtrip(p6):
         g = reduce_word(p6, w)
         assert reduce_word(p6, g.word_chars()).key == g.key
         assert reduce_word(p6, str(g)).key == g.key
+
+
+def test_reduce_word_rejects_bad_letters(p6):
+    with pytest.raises(ValueError, match=r"invalid letters \['b', 'c'\]"):
+        reduce_word(p6, "abc")
+
+
+def _random_word(rng, max_len):
+    return "".join(rng.choice("aAsStTxXyY") for _ in range(rng.randrange(max_len)))
+
+
+def _big_key(rng, L):
+    """A normal form with coordinates near 10^30: every coordinate of a
+    random key scaled (zeros stay zero, so it stays reduced), tail moved."""
+    key = reference_reduce(L, _random_word(rng, 12))
+    big = 10**30 + rng.randrange(1000)
+    key = tuple(c if i % 3 == 2 else c * big for i, c in enumerate(key))
+    return key[:-2] + (key[-2] + rng.randrange(-5, 6), key[-1] + rng.randrange(-5, 6))
+
+
+@pytest.mark.parametrize("L", [6, 8, 10, 12])
+def test_fold_matches_reference_feed(L):
+    # the list-stack fold against the letter-at-a-time feed, from start keys
+    # near 10^30, on random words over all ten letters that contain one of
+    # the pinches s a^k s^-1, s^-1 x^k s, t a^k t^-1, t^-1 y^k t
+    rng = random.Random(L)
+    for _ in range(300):
+        start = _big_key(rng, L)
+        pinches = []
+        for stable, crossing in (("s", "a"), ("S", "x"), ("t", "a"), ("T", "y")):
+            run = rng.choice((crossing, crossing.upper())) * rng.randrange(5)
+            pinch = stable + run + stable.swapcase()
+            key = reduce_chars(L, pinch, start)
+            # the pinch is an element of H: it moves the tail and nothing else
+            assert key == reference_reduce(L, pinch, start) and len(key) == len(start), pinch
+            pinches.append(pinch)
+        w = _random_word(rng, 30)
+        cut = rng.randrange(len(w) + 1)
+        w = w[:cut] + rng.choice(pinches) + w[cut:]
+        key = reduce_chars(L, w, start)
+        assert key == reference_reduce(L, w, start), (start, w)
+        assert prefix_keys(L, w) == reference_prefix_keys(L, w), w
+        other = _big_key(rng, L)
+        assert _key_mul(L, key, other) == reference_mul(L, key, other), (key, other)
+        assert _key_invert(L, key) == reference_invert(L, key), key
+        assert _key_swap_st(L, key) == reference_swap_st(L, key), key
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +309,12 @@ def test_goal_distances_match_pair_dist(L):
     got = _goal_distances(params, goals, first_only=True)
     assert set(range(first + 1)) <= set(got)
     assert all(got[i] == expected[i] for i in got)
+
+
+def test_bfs_ball_rejects_negative_radius(p6):
+    with pytest.raises(ValueError, match="radius"):
+        bfs_ball(p6, -1)
+    assert bfs_ball(p6, 0).sphere_sizes() == [1]
 
 
 @pytest.mark.parametrize("L", [6, 8])

@@ -214,6 +214,14 @@ def test_backtrack_loop_is_not_geodesic(p6):
     assert verify_geodesic_loop(p6, snowflake_loop(p6, 1)).witness is None
 
 
+def test_length_two_loop_is_not_geodesic(p6):
+    # the loop retraces its only edge; its two vertices are at distance 1
+    for word in ("sS", "aA", "Tt"):
+        report = verify_geodesic_loop(p6, PathWord(p6, word))
+        assert not report and report.witness is None and report.distance is None, word
+    assert verify_geodesic_loop(p6, PathWord(p6, ""))
+
+
 def test_non_geodesic_loop_stops_early(p6):
     # |a^20| = 12: the ball only grows to radius 6 (3574 elements in its
     # last layer), not to ceil(18/2) = 9 (about 2 M), which the budget forbids
