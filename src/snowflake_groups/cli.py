@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -25,6 +26,8 @@ from .vertex_group import (
     geodesic_word_h,
 )
 from .words import MAX_LETTERS, PathWord, parse_word
+
+_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*$")
 
 
 def _params(args) -> GroupParams:
@@ -137,10 +140,23 @@ def _cmd_ball(args) -> int:
     return 0
 
 
+def _rational(text: str) -> Fraction:
+    """--R as a Fraction.  Fraction builds 10^k for a decimal exponent k, so
+    a k with more digits than int() accepts is refused before that; a zero
+    denominator is a ValueError too."""
+    exponent = _EXPONENT.search(text)
+    if exponent and abs(int(exponent.group(1))) > sys.int_info.default_max_str_digits:
+        raise ValueError(f"the exponent of R = {text} is over {sys.int_info.default_max_str_digits}")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"R = {text} has a zero denominator") from None
+
+
 def _cmd_enfilade(args) -> int:
     params = _params(args)
     word = PathWord(params, parse_word(args.word))
-    dec = paths.enfilade_decompose(params, word, Fraction(args.R))
+    dec = paths.enfilade_decompose(params, word, _rational(args.R))
     payload = {
         "depth": dec.depth,
         "epsilons": [str(PathWord(params, e)) for e in dec.epsilons],

@@ -15,12 +15,14 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, TextIO
 
 from .params import GroupParams
 from .vertex_group import HPoint, dist_a_power, dist_h, dist_power, dist_table
+from .words import MAX_LETTERS
 
 
 @dataclass(frozen=True)
@@ -31,9 +33,11 @@ class DistortionRow:
 
 
 def distortion_table(params: GroupParams, m_max: int) -> list[DistortionRow]:
-    """Rows (m, |a^m|, ratio) for m = 1..m_max."""
+    """Rows (m, |a^m|, ratio) for m = 1..m_max; m_max over MAX_LETTERS raises ValueError."""
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
+    if m_max > MAX_LETTERS:
+        raise ValueError(f"m_max must be at most {MAX_LETTERS}, got {m_max}")
     table = dist_table(params, m_max)
     log_l = math.log(params.L)
     return [
@@ -58,17 +62,28 @@ class MnRow:
     ratio: float
 
 
+def _mn_length(M: int, n: int) -> int:
+    """(2^(n+1) - 1) M + 2^(n+2) - 4, the closed form of |a^(m_n)|."""
+    return (2 ** (n + 1) - 1) * M + 2 ** (n + 2) - 4
+
+
 def mn_sequence(params: GroupParams, n_max: int) -> list[MnRow]:
-    """The slow witness sequence m_n with its exact closed-form lengths."""
+    """The slow witness sequence m_n with its exact closed-form lengths.
+
+    Each row's ratio is a float, so an n_max whose |a^(m_n)| is beyond the
+    float range (n_max about 1020 for L = 6) raises ValueError.
+    """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     L = params.L
     M = (L - 2) // 2
+    if n_max >= sys.float_info.max_exp or _mn_length(M, n_max) > sys.float_info.max:
+        raise ValueError(f"|a^(m_n)| at n_max = {n_max} is beyond the float range of its ratio")
     rows = []
     geom = 0  # L^(n-1) + ... + 1
     for n in range(n_max + 1):
         m = M * L**n - M * geom
-        predicted = (2 ** (n + 1) - 1) * M + 2 ** (n + 2) - 4
+        predicted = _mn_length(M, n)
         dist = dist_a_power(params, m)
         rows.append(MnRow(n, m, dist, predicted, dist / params.root(m)))
         geom = geom * L + 1

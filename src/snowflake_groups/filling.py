@@ -31,14 +31,14 @@ from .params import GroupParams
 from .paths import _check_depth, snowflake_loop, snowflake_path
 from .vertex_group import (
     HPoint,
+    _geodesic_chars,
     _min_residue,
     dist_a_power,
     dist_h,
-    geodesic_word_a_power,
     geodesic_word_h,
     xy_line_intersection,
 )
-from .words import PathWord, free_reduce, invert_chars, parse_word
+from .words import MAX_LETTERS, PathWord, free_reduce, invert_chars, parse_word
 
 _FLAVOR_ORDER = {"bigon": None, "triangle": ("x", "y", "a"), "diamond": ("x", "y", "x", "y")}
 
@@ -54,23 +54,9 @@ def _json_fields(what: str) -> Iterator[None]:
         raise ValueError(f"{what}: malformed field: {exc}") from None
 
 
-def _geo_chars(params: GroupParams, flavor: str, k: int) -> str:
-    """A deterministic geodesic word for flavor^k over {a, s, t}."""
-    if k == 0:
-        return ""
-    inner = geodesic_word_a_power(params, k).chars
-    if flavor == "a":
-        return inner
-    if flavor == "x":
-        return "s" + inner + "S"
-    if flavor == "y":
-        return "t" + inner + "T"
-    raise ValueError(f"bad flavor {flavor!r}")
-
-
 def _cell_word(params: GroupParams, *pieces: tuple[str, int]) -> str:
     """The geodesic words of the (flavor, exponent) pieces, one after another."""
-    return "".join(_geo_chars(params, flavor, k) for flavor, k in pieces)
+    return "".join(_geodesic_chars(params, flavor, k) for flavor, k in pieces)
 
 
 def _backward(exps: Sequence[int]) -> list[int]:
@@ -147,10 +133,10 @@ class Diagram:
     def area(self) -> int:
         return len(self.cells)
 
-    def add(self, word: str, basepoint: HPoint) -> None:
+    def add(self, word: str, basepoint: Optional[HPoint] = None) -> None:
         """Append the cell with boundary word `word` read from `basepoint`,
         unless the word freely reduces to the empty word: such a cell
-        encloses nothing."""
+        encloses nothing.  This is the only place a Cell is made."""
         if free_reduce(word):
             self.cells.append(Cell(PathWord(self.params, word), basepoint))
 
@@ -328,8 +314,8 @@ def _bigon_cells(
     tops = [-e for e in exps[:p]] + [M1 + prefix[p]] + [0] * (n - 1 - p)
     for i, (e, top) in enumerate(zip(exps, tops)):
         word = (
-            _geo_chars(params, flavor, e) + verticals[i + 1]
-            + _geo_chars(params, flavor, top) + invert_chars(verticals[i])
+            _geodesic_chars(params, flavor, e) + verticals[i + 1]
+            + _geodesic_chars(params, flavor, top) + invert_chars(verticals[i])
         )
         diagram.add(word, starts[i])
     return [M1 + prefix[p]] + _backward(exps[:p])
@@ -488,20 +474,28 @@ def fill_triangle(
     return _fill_polygon(params, poly, snap_triangle, {2: a_subdivision}, _triangle_interior)
 
 
-def _diamond_interior(diagram: Diagram, true: ApproxPolygon, inbound: Sides) -> Sides:
-    """Grid of small diamonds on a true diamond whose sides 0 and 1 are subdivided."""
+def _diamond_grid(diagram: Diagram, corner: HPoint, dw: Sequence[int], dz: Sequence[int]) -> None:
+    """One small diamond x^w y^z x^-w y^-z per nonzero segment w of dw and
+    z of dz, read from corner x^(dw before w) y^(dz before z); w outer.
+    Cells of one shape share their word."""
     params = diagram.params
-    dw, dz = inbound[0], inbound[1]
+    words: dict[tuple[int, int], str] = {}
     for wp, w in zip(accumulate(dw, initial=0), dw):
         if w == 0:
             continue
         for zp, z in zip(accumulate(dz, initial=0), dz):
             if z == 0:
                 continue
-            word = _cell_word(params, ("x", w), ("y", z), ("x", -w), ("y", -z))
+            if (w, z) not in words:
+                words[w, z] = _cell_word(params, ("x", w), ("y", z), ("x", -w), ("y", -z))
             x_wp, y_zp = HPoint.generator(params, "x", wp), HPoint.generator(params, "y", zp)
-            diagram.add(word, true.corners[0] * x_wp * y_zp)
-    return {2: _backward(dw), 3: _backward(dz)}
+            diagram.add(words[w, z], corner * x_wp * y_zp)
+
+
+def _diamond_interior(diagram: Diagram, true: ApproxPolygon, inbound: Sides) -> Sides:
+    """Grid of small diamonds on a true diamond whose sides 0 and 1 are subdivided."""
+    _diamond_grid(diagram, true.corners[0], inbound[0], inbound[1])
+    return {2: _backward(inbound[0]), 3: _backward(inbound[1])}
 
 
 def fill_diamond(
@@ -532,7 +526,8 @@ def cap_depth(params: GroupParams, depth: int, subdivision_constant: int) -> int
     """Smallest branch depth at which a branch caps off with one short cell.
 
     A depth-m branch caps once |a^(L^(p-m))| + Lam * |a^(L^(p-m)/Lam)| is at
-    most half the loop length; the result is clamped to depth - 1.
+    most half the loop length; the result is clamped to depth - 1, whose
+    cap may then be too long (subdivide_snowflake checks it).
     """
     L, lam = params.L, subdivision_constant
     half = 5 * 2**depth - 4
@@ -550,34 +545,39 @@ def subdivide_snowflake(
 ) -> Diagram:
     """Subdivide the depth-p snowflake loop into boundedly many short cells.
 
-    The central diamond becomes Lam^2 small diamonds; the subdivision is
-    propagated into the branches, and every branch is capped by a single
-    cell at the depth where the capping inequality first holds.  For p at
-    least 2 every cell boundary is trivial and has length at most half the
-    loop length; the cell count depends only on L and Lam once p exceeds
-    the cap depth.  (For p = 1 the loop has the girth length, so no filling
-    with cells shorter than the loop exists; the single-cell diagram is
-    returned.)  A depth whose loop is longer than MAX_LETTERS raises
-    ValueError.
+    The central diamond becomes Lam^2 small diamonds (Lam defaults to L);
+    the subdivision is propagated into the branches, and every branch is
+    capped by a single cell at the depth where the capping inequality first
+    holds.  For p at least 2 every cell boundary is trivial and has length
+    at most half the loop length; the cell count depends only on L and Lam
+    once p exceeds the cap depth.  (For p = 1 the loop has the girth
+    length, so no filling with cells shorter than the loop exists; the
+    single-cell diagram is returned.)
+
+    The half-length bound is checked: for p >= 2 a cell longer than half
+    the loop raises InvariantViolation.  That happens where no branch depth
+    meets the capping inequality (L = 12 at p = 2, whose cap is then one
+    cell of length 18 > 16) and where Lam is too small to cut the central
+    diamond short enough (Lam = 1, 2 or 3 at L = 6).  Lam < 1, a Lam that
+    does not divide L^(p-1), and a depth whose loop is longer than
+    MAX_LETTERS raise ValueError.
     """
     L = params.L
     lam = subdivision_constant if subdivision_constant is not None else L
     _check_depth(depth, "loop")
+    if lam < 1:
+        raise ValueError(f"subdivision constant must be >= 1, got {lam}")
+    diagram = Diagram(params, [])
     if depth == 1:
-        return Diagram(params, [Cell(snowflake_loop(params, 1), HPoint.identity())])
+        diagram.add(snowflake_loop(params, 1).chars, HPoint.identity())
+        return diagram
     if L ** (depth - 1) % lam:
         raise ValueError(f"subdivision constant {lam} must divide L^(p-1)")
-
-    diagram = Diagram(params, [])
     m_star = cap_depth(params, depth, lam)
 
     # central diamond -> lam^2 small diamonds
     k1 = L ** (depth - 1) // lam
-    word = _cell_word(params, ("x", k1), ("y", k1), ("x", -k1), ("y", -k1))
-    for i in range(lam):
-        for j in range(lam):
-            base_pt = HPoint.generator(params, "x", i * k1) * HPoint.generator(params, "y", j * k1)
-            diagram.cells.append(Cell(PathWord(params, word), base_pt))
+    _diamond_grid(diagram, HPoint.identity(), [k1] * lam, [k1] * lam)
 
     # branch levels
     for m in range(1, m_star):
@@ -590,22 +590,20 @@ def subdivide_snowflake(
         d = piece // L
         tri_word = _cell_word(params, ("a", -L * d), ("x", d), ("y", d))
         dia_word = _cell_word(params, ("x", d), ("y", -d), ("x", -d), ("y", d))
-        for _ in range(4 * 2 ** (m - 1)):
-            diagram.cells.extend(Cell(PathWord(params, tri_word)) for _ in range(lam))
-            diagram.cells.extend(
-                Cell(PathWord(params, dia_word)) for _ in range((lam * lam - lam) // 2)
-            )
+        for word in ([tri_word] * lam + [dia_word] * ((lam * lam - lam) // 2)) * 2 ** (m + 1):
+            diagram.add(word)
 
     # caps
     incoming = L ** (depth - m_star)
     piece = incoming // lam
-    piece_geo = invert_chars(_geo_chars(params, "a", piece))
-    count = 4 * 2 ** (m_star - 1)
-    for flavor, reps in (("s", count // 2), ("t", count // 2)):
-        arc = snowflake_path(params, depth - m_star, flavor).chars
-        cap_word = arc + piece_geo * lam
-        for _ in range(reps):
-            diagram.cells.append(Cell(PathWord(params, cap_word)))
+    piece_geo = invert_chars(_geodesic_chars(params, "a", piece))
+    for flavor in ("s", "t"):
+        cap_word = snowflake_path(params, depth - m_star, flavor).chars + piece_geo * lam
+        for _ in range(2 ** m_star):
+            diagram.add(cap_word)
+    half = 5 * 2**depth - 4
+    if diagram.mesh > half:
+        raise InvariantViolation(f"a cell of length {diagram.mesh} is longer than half the loop, {half}")
     return diagram
 
 
@@ -638,16 +636,7 @@ class HnnDualTree:
                 raise ValueError("edge lengths must be nonnegative")
         if len(self.edges) != len(nodes) - 1:
             raise ValueError("not a tree: wrong edge count")
-        seen = {next(iter(nodes))} if nodes else set()
-        frontier = list(seen)
-        adj = self.adjacency()
-        while frontier:
-            v = frontier.pop()
-            for w, _ in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-        if seen != nodes:
+        if sum(1 for _ in self._walk()) != len(self.edges):
             raise ValueError("not a tree: disconnected")
 
     def adjacency(self) -> dict[str, list[tuple[str, int]]]:
@@ -656,6 +645,21 @@ class HnnDualTree:
             adj[a].append((b, length))
             adj[b].append((a, length))
         return adj
+
+    def _walk(self) -> Iterator[tuple[str, str, int]]:
+        """The corridors (v, w, length) reached by a depth-first walk from the
+        first node, each in the order and direction it is first crossed."""
+        adj = self.adjacency()
+        root = next(iter(self.arcs))
+        stack = [root]
+        seen = {root}
+        while stack:
+            v = stack.pop()
+            for w, length in adj[v]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+                    yield v, w, length
 
     @property
     def boundary_length(self) -> int:
@@ -702,27 +706,17 @@ def snowflake_hnn_tree(params: GroupParams, depth: int) -> HnnDualTree:
     kinds = {"center": "central-diamond"}
     edges: list[tuple[str, str, int]] = []
 
-    def grow(node: str, level: int) -> None:
-        for child_tag in ("0", "1"):
-            child = f"{node}.{child_tag}"
-            edges.append((node, child, 1))
-            if level >= depth:
-                arcs[child] = (1,)
-                kinds[child] = "leaf"
-            else:
-                arcs[child] = ()
-                kinds[child] = "triangle"
-                grow(child, level + 1)
+    def grow(parent: str, node: str, level: int) -> None:
+        edges.append((parent, node, 1))
+        if level >= depth:
+            arcs[node], kinds[node] = (1,), "leaf"
+            return
+        arcs[node], kinds[node] = (), "triangle"
+        for tag in ("0", "1"):
+            grow(node, f"{node}.{tag}", level + 1)
 
     for branch in ("b0", "b1", "b2", "b3"):
-        edges.append(("center", branch, 1))
-        if depth == 1:
-            arcs[branch] = (1,)
-            kinds[branch] = "leaf"
-        else:
-            arcs[branch] = ()
-            kinds[branch] = "triangle"
-            grow(branch, 2)
+        grow("center", branch, 1)
     return HnnDualTree(arcs, edges, kinds)
 
 
@@ -739,19 +733,8 @@ class CentralLocation:
 
 def _directed_masses(tree: HnnDualTree) -> dict[str, dict[str, int]]:
     """masses[v][w] = S(v -> w): boundary mass in the component of T - v containing w."""
-    adj = tree.adjacency()
     masses: dict[str, dict[str, int]] = {v: {} for v in tree.arcs}
-    root = next(iter(tree.arcs))
-    order: list[tuple[str, str, int]] = []
-    stack = [root]
-    seen = {root}
-    while stack:
-        v = stack.pop()
-        for w, length in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                order.append((v, w, length))
-                stack.append(w)
+    order = list(tree._walk())
     for v, w, length in reversed(order):  # children first; masses[w] holds only them so far
         masses[v][w] = 2 * length + sum(tree.arcs[w]) + sum(masses[w].values())
     total = tree.boundary_length
@@ -810,9 +793,14 @@ def find_central_region(tree: HnnDualTree) -> CentralLocation:
 
 
 def area_budget(central: int, enfilade: int, branching: int, shells: int) -> int:
-    """Worst-case area C + 4(E + B)(2^n - 1) + 2^(n+2) of the shell assembly."""
+    """Worst-case area C + 4(E + B)(2^n - 1) + 2^(n+2) of the shell assembly.
+
+    More than MAX_LETTERS shells raise ValueError before 2^(n+2) is built.
+    """
     if shells < 0:
         raise ValueError("shell count must be nonnegative")
+    if shells > MAX_LETTERS:
+        raise ValueError(f"shell count must be at most {MAX_LETTERS}, got {shells}")
     return central + 4 * (enfilade + branching) * (2**shells - 1) + 2 ** (shells + 2)
 
 

@@ -6,7 +6,9 @@ The snowflake paths are the recursively defined geodesics from 1 to a^(L^n):
     sigma_{n+1,s} = s sigma_{n,s} s^-1 t sigma_{n,s} t^-1
     sigma_{n+1,t} = t sigma_{n,t} t^-1 s sigma_{n,t} s^-1
 
-of length 5 * 2^n - 4; sigma_{n,s} followed by the reverse of sigma_{n,t}
+of length 5 * 2^n - 4.  The recursion is that of the geodesic digit
+expansion (vertex_group), so sigma_{n,s} is the expansion of the digits
+(0, ..., 0, 1) of L^n.  sigma_{n,s} followed by the reverse of sigma_{n,t}
 is a snowflake loop, and these loops are geodesic (every antipodal pair of
 vertices is at distance exactly half the loop length).
 
@@ -23,13 +25,14 @@ from typing import Optional, Sequence
 
 from .hnn_group import DEFAULT_MAX_STATES, GroupElement, InvariantViolation, _goal_distances
 from .params import GroupParams
-from .vertex_group import HPoint
+from .vertex_group import HPoint, _expand_digits
 from .words import MAX_LETTERS, PathWord, invert_chars
 
 _ESCAPE_KIND = {"s": "x-escape", "S": "a-escape", "t": "y-escape", "T": "a-escape"}
 _ESCAPE_FLAVOR = {"s": "x", "S": "a", "t": "y", "T": "a"}
 # flavor of the conjugated (inner) power across each opening letter
 _INNER_FLAVOR = {"s": "a", "S": "x", "t": "a", "T": "y"}
+_SWAP_ST = str.maketrans("sStT", "tTsS")
 
 
 def _check_depth(n: int, kind: str) -> None:
@@ -46,16 +49,15 @@ def _check_depth(n: int, kind: str) -> None:
 def snowflake_path(params: GroupParams, n: int, flavor: str = "s") -> PathWord:
     """sigma_{n,flavor}: a geodesic from 1 to a^(L^n) of length 5 * 2^n - 4.
 
-    A depth whose path is longer than MAX_LETTERS raises ValueError.
+    sigma_{n,s} is the expansion of the digits (0, ..., 0, 1) of L^n, the
+    geodesic word of a^(L^n); sigma_{n,t} is its image under s <-> t.  A
+    depth whose path is longer than MAX_LETTERS raises ValueError.
     """
     _check_depth(n, "path")
     if flavor not in ("s", "t"):
         raise ValueError(f"flavor must be 's' or 't', got {flavor!r}")
-    first, second = (("s", "S"), ("t", "T")) if flavor == "s" else (("t", "T"), ("s", "S"))
-    chars = first[0] + "a" + first[1] + second[0] + "a" + second[1]
-    for _ in range(n - 1):
-        chars = first[0] + chars + first[1] + second[0] + chars + second[1]
-    return PathWord(params, chars)
+    chars = _expand_digits((0,) * n + (1,))
+    return PathWord(params, chars if flavor == "s" else chars.translate(_SWAP_ST))
 
 
 def snowflake_loop(params: GroupParams, n: int) -> PathWord:

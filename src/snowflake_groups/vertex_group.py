@@ -249,24 +249,26 @@ def _expand_digits(digits: tuple[int, ...]) -> str:
     return chars
 
 
+def _geodesic_chars(params: GroupParams, gen: str, k: int) -> str:
+    """A geodesic word over {a, s, t} for gen^k, gen in {a, x, y}: the
+    expansion of a^k, conjugated by s for x^k and by t for y^k."""
+    c = {"a": "", "x": "s", "y": "t"}[gen]  # x = s a s^-1, y = t a t^-1
+    if k == 0:
+        return ""
+    return c + _expand_digits(geodesic_expression(params, k).digits) + c.upper()
+
+
 def geodesic_word_a_power(params: GroupParams, m: int) -> PathWord:
     """A geodesic word over {a, s, t} from 1 to a^m."""
-    if m == 0:
-        return PathWord(params, "")
-    return PathWord(params, _expand_digits(geodesic_expression(params, m).digits))
+    return PathWord(params, _geodesic_chars(params, "a", m))
 
 
 def geodesic_word_h(params: GroupParams, h: HPoint) -> PathWord:
     """A geodesic word from 1 to h of the shape (x-escape)(y-escape)(a-path)."""
     u, v = h
     _, q, p = _h_route(params.L, u, v)
-    chars = ""
-    if v + q:
-        chars += "s" + geodesic_word_a_power(params, v + q).chars + "S"
-    if q:
-        chars += "t" + geodesic_word_a_power(params, q).chars + "T"
-    chars += power_chars("a", p)
-    return PathWord(params, chars)
+    chars = _geodesic_chars(params, "x", v + q) + _geodesic_chars(params, "y", q)
+    return PathWord(params, chars + power_chars("a", p))
 
 
 # ---------------------------------------------------------------------------

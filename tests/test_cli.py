@@ -1,6 +1,9 @@
 """The command-line surface: outputs, determinism, exit codes."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -100,6 +103,74 @@ def test_fill_snowflake(capsys):
     data = json.loads(out)
     assert data["area"] == 40
     assert data["mesh"] <= 16
+
+
+@pytest.mark.parametrize(
+    "argv, code, err",
+    [
+        # no branch depth meets the capping inequality: a cap of length 18
+        (("--L", "12", "--p", "2"), 1, "invariant violated: a cell of length 18 is longer than half the loop, 16\n"),
+        (("--L", "6", "--p", "2", "--subdivision-constant", "2"), 1,
+         "invariant violated: a cell of length 20 is longer than half the loop, 16\n"),
+        (("--L", "6", "--p", "2", "--subdivision-constant", "0"), 2,
+         "error: subdivision constant must be >= 1, got 0\n"),
+        (("--L", "6", "--p", "2", "--subdivision-constant", "-6"), 2,
+         "error: subdivision constant must be >= 1, got -6\n"),
+    ],
+    ids=["L12-p2", "lam2", "lam0", "lam-6"],
+)
+def test_fill_snowflake_guarantee(capsys, argv, code, err):
+    assert run_cli(capsys, "fill", "snowflake", *argv) == (code, "", err)
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (("enfilade", "--L", "6", "--word", "s a^5 s^-1", "--R", "1/0"), "error: R = 1/0 has a zero denominator\n"),
+        # Fraction would build 10^99999999
+        (("enfilade", "--L", "6", "--word", "s a^5 s^-1", "--R", "1e99999999"),
+         "error: the exponent of R = 1e99999999 is over 4300\n"),
+        # the ratio |a^(m_n)| / m_n^(1/alpha) is a float
+        (("mn", "--L", "6", "--n-max", "1023"),
+         "error: |a^(m_n)| at n_max = 1023 is beyond the float range of its ratio\n"),
+        (("area-budget", "--central", "1", "--enfilade", "1", "--branching", "1", "--shells", "10000000000"),
+         "error: shell count must be at most 10000000, got 10000000000\n"),
+        (("table", "--L", "6", "--m-max", "100000000000"), "error: m_max must be at most 10000000, got 100000000000\n"),
+    ],
+    ids=["R-zero-denominator", "R-huge-exponent", "mn-float-range", "shells", "m-max"],
+)
+def test_short_argument_refused(capsys, argv, err):
+    assert run_cli(capsys, *argv) == (2, "", err)
+
+
+def test_short_arguments_at_their_bounds(capsys):
+    code, out, _ = run_cli(capsys, "mn", "--L", "6", "--n-max", "500")
+    assert code == 0 and len(out.splitlines()) == 501
+    code, out, _ = run_cli(capsys, "enfilade", "--L", "6", "--word", "s a^5 s^-1", "--R", "7/2")
+    assert code == 0 and json.loads(out)["end"] == "a^5"
+
+
+def _readme_commands():
+    """The README's `snowflake-groups` example lines that read no input file,
+    as (argv, expected stdout or None), with `> file` dropped; a comment is
+    the literal output of its line."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    for block in re.findall(r"```sh\n(.*?)```", readme, re.S):
+        for line in block.splitlines():
+            command, _, comment = line.partition("#")
+            argv = shlex.split(command.partition(">")[0])
+            if argv[:1] == ["snowflake-groups"] and "--input" not in argv:
+                yield argv[1:], comment.strip() or None
+
+
+def test_readme_examples(capsys):
+    commands = list(_readme_commands())
+    assert len(commands) == 13
+    for argv, expected in commands:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        if expected is not None:
+            assert out == expected + "\n", argv
 
 
 def test_fill_polygon_file(tmp_path, capsys):

@@ -452,6 +452,24 @@ def test_subdivide_rejects_bad_inputs(p6):
         subdivide_snowflake(p6, 0)
     with pytest.raises(ValueError):
         subdivide_snowflake(p6, 3, 5)  # 5 does not divide 36
+    for lam in (0, -6):
+        with pytest.raises(ValueError, match="subdivision constant must be >= 1"):
+            subdivide_snowflake(p6, 2, lam)
+
+
+@pytest.mark.parametrize(
+    "L, p, lam, mesh",
+    [
+        (12, 2, None, 18),  # no depth meets the capping inequality: cap s a s^-1 t a t^-1 a^-12
+        (6, 2, 2, 20),  # Lam = 2 leaves central diamonds of length 20
+        (6, 3, 3, 40),
+        (8, 4, 1, 152),  # Lam = 1 keeps the central diamond whole
+    ],
+)
+def test_subdivide_checks_half_length(L, p, lam, mesh):
+    half = 5 * 2**p - 4
+    with pytest.raises(InvariantViolation, match=f"length {mesh} is longer than half the loop, {half}"):
+        subdivide_snowflake(GroupParams(L), p, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -525,8 +543,10 @@ def test_central_region_two_points_is_a_violation(monkeypatch):
 
 
 def test_tree_validation():
-    with pytest.raises(ValueError):
-        HnnDualTree({"a": (), "b": ()}, [])  # disconnected
+    with pytest.raises(ValueError, match="wrong edge count"):
+        HnnDualTree({"a": (), "b": ()}, [])
+    with pytest.raises(ValueError, match="disconnected"):
+        HnnDualTree({"a": (), "b": (), "c": ()}, [("a", "b", 1), ("b", "a", 2)])
     with pytest.raises(ValueError):
         HnnDualTree({"a": ()}, [("a", "z", 1)])  # unknown node
     with pytest.raises(ValueError):

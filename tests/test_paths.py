@@ -13,6 +13,7 @@ from snowflake_groups import (
     PathWord,
     decompose_escapes,
     enfilade_decompose,
+    geodesic_word_a_power,
     loop_bilip_constant,
     snowflake_loop,
     snowflake_path,
@@ -57,6 +58,18 @@ def test_snowflake_length_law(L):
     for n in range(1, 21):
         for flavor in ("s", "t"):
             assert snowflake_path(params, n, flavor).length == 5 * 2**n - 4
+
+
+@pytest.mark.parametrize("L", [6, 8, 10, 12])
+def test_snowflake_path_is_geodesic_word_of_L_power(L):
+    # sigma_{n,s} is the digit expansion of L^n = (0, ..., 0, 1) in base L,
+    # and sigma_{n,t} its s <-> t image
+    params = GroupParams(L)
+    swap = str.maketrans("sStT", "tTsS")
+    for n in range(1, 12):
+        sigma = snowflake_path(params, n, "s").chars
+        assert sigma == geodesic_word_a_power(params, L**n).chars
+        assert snowflake_path(params, n, "t").chars == sigma.translate(swap)
 
 
 @pytest.mark.parametrize("L", [6, 10])
