@@ -3,8 +3,9 @@
 Every subcommand prints deterministic output.  Exit codes: 0 on success,
 1 when a verification fails or a stated invariant does not hold (the
 counterexample is printed), 2 on usage errors, malformed inputs, words of
-more than 10^7 letters and exhausted search budgets.  `verify-loop` and
-`ball` take --budget, the most states a BFS layer may hold (default 10^7).
+more than 10^7 letters, integers too long to print and exhausted search
+budgets.  `verify-loop` and `ball` take --budget, the most states a BFS
+layer may hold (default 10^7).
 """
 from __future__ import annotations
 
@@ -77,16 +78,24 @@ def _cmd_word(args) -> int:
     return 0
 
 
+def _refuse_unprintable(value: int, option: str) -> None:
+    """ValueError naming `option` if str(value) would pass the interpreter's
+    digit limit for int-to-str conversion (0 means no limit)."""
+    limit = sys.get_int_max_str_digits()
+    if limit and abs(value) >= 10**limit:
+        raise ValueError(f"{option} gives an integer of more than {limit} digits, too long to print")
+
+
 def _cmd_table(args) -> int:
     params = _params(args)
-    rows = distortion.distortion_table(params, args.m_max)
-    distortion.write_distortion_csv(rows, sys.stdout)
+    distortion.write_distortion_csv(distortion.distortion_rows(params, args.m_max), sys.stdout)
     return 0
 
 
 def _cmd_mn(args) -> int:
     params = _params(args)
     rows = distortion.mn_sequence(params, args.n_max)
+    _refuse_unprintable(rows[-1].m, f"--n-max {args.n_max}")  # m_n grows with n
     if args.format == "json":
         print(
             json.dumps(
@@ -228,6 +237,7 @@ def _cmd_central(args) -> int:
 
 def _cmd_area_budget(args) -> int:
     value = filling.area_budget(args.central, args.enfilade, args.branching, args.shells)
+    _refuse_unprintable(value, f"--shells {args.shells}")
     _emit(args, {"area": value}, str(value))
     return 0
 

@@ -14,36 +14,67 @@ Hoelder inequality directly.
 from __future__ import annotations
 
 import csv
+import gc
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, TextIO
+from itertools import islice, repeat
+from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 from .params import GroupParams
 from .vertex_group import HPoint, dist_a_power, dist_h, dist_power, dist_table
 from .words import MAX_LETTERS
 
 
-@dataclass(frozen=True)
-class DistortionRow:
+class DistortionRow(NamedTuple):
+    """One row (m, |a^m|, ratio) of a distortion table.
+
+    A tuple: it unpacks as `m, dist, ratio = row` and compares equal to the
+    plain tuple of its fields.
+    """
+
     m: int
     dist: int
     ratio: float  # dist / m^(1/alpha), in [1, C), strict > 1 unless m = 1
 
 
-def distortion_table(params: GroupParams, m_max: int) -> list[DistortionRow]:
-    """Rows (m, |a^m|, ratio) for m = 1..m_max; m_max over MAX_LETTERS raises ValueError."""
+def distortion_rows(params: GroupParams, m_max: int) -> Iterator[DistortionRow]:
+    """Lazy rows (m, |a^m|, ratio) for m = 1..m_max over an eager dist_table.
+
+    m_max below 1 or over MAX_LETTERS raises ValueError here, not on the
+    first row.  The ratio is dist / 2.0 ** (log(m) / log(L)), the float
+    operations of params.root in the same order, run by C-level maps.
+    """
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
     if m_max > MAX_LETTERS:
         raise ValueError(f"m_max must be at most {MAX_LETTERS}, got {m_max}")
     table = dist_table(params, m_max)
-    log_l = math.log(params.L)
-    return [
-        DistortionRow(m, table[m], table[m] / 2.0 ** (math.log(m) / log_l))
-        for m in range(1, m_max + 1)
-    ]
+    ms = range(1, m_max + 1)
+    exponents = map(operator.truediv, map(math.log, ms), repeat(math.log(params.L)))
+    roots = map(pow, repeat(2.0), exponents)
+    ratios = map(operator.truediv, islice(table, 1, None), roots)
+    return map(DistortionRow, ms, islice(table, 1, None), ratios)
+
+
+def distortion_table(params: GroupParams, m_max: int) -> list[DistortionRow]:
+    """The rows of distortion_rows as a list.
+
+    The cyclic GC is paused while the list is built: the rows hold only
+    ints and floats and can form no cycle, but as tuple subclasses they stay
+    tracked, and at m_max = 10^6 the collector made 8 full sweeps over them
+    for nothing.  A caller that had the GC disabled keeps it disabled.
+    """
+    rows = distortion_rows(params, m_max)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return list(rows)
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def write_distortion_csv(rows: Iterable[DistortionRow], fp: TextIO) -> None:

@@ -189,7 +189,10 @@ class GeodesicExpression:
     base: int
 
     def value(self) -> int:
-        return sum(d * self.base**i for i, d in enumerate(self.digits))
+        v = 0
+        for d in reversed(self.digits):
+            v = v * self.base + d
+        return v
 
     def path_length(self) -> int:
         """sum |digits[i]| 2^i + 4(2^j - 1), the length of the induced path."""

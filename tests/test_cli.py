@@ -1,14 +1,17 @@
 """The command-line surface: outputs, determinism, exit codes."""
 
+import io
 import json
 import re
 import shlex
+import sys
 from pathlib import Path
 
 import pytest
 
-from snowflake_groups import InvariantViolation, filling
+from snowflake_groups import GroupParams, InvariantViolation, distortion_table, filling
 from snowflake_groups.cli import main
+from snowflake_groups.distortion import write_distortion_csv
 
 
 def run_cli(capsys, *argv):
@@ -71,6 +74,45 @@ def test_table_csv(capsys):
     assert lines[0] == "m,dist,ratio"
     assert lines[1].startswith("1,1,1")
     assert lines[10].startswith("10,6,")
+
+
+def test_table_streams_the_library_rows(capsys):
+    code, out, err = run_cli(capsys, "table", "--L", "10", "--m-max", "3000")
+    buf = io.StringIO()
+    write_distortion_csv(distortion_table(GroupParams(10), 3000), buf)
+    assert (code, out, err) == (0, buf.getvalue(), "")
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (("area-budget", "--central", "1", "--enfilade", "1", "--branching", "1", "--shells", "20000"),
+         "--shells 20000"),
+        (("--format", "json", "area-budget", "--central", "1", "--enfilade", "1", "--branching", "1",
+          "--shells", "20000"), "--shells 20000"),
+        (("mn", "--L", "1000000000", "--n-max", "600"), "--n-max 600"),
+        (("--format", "json", "mn", "--L", "1000000000", "--n-max", "600"), "--n-max 600"),
+    ],
+    ids=["area-budget", "area-budget-json", "mn", "mn-json"],
+)
+def test_unprintable_integer_refused(capsys, argv, option):
+    limit = sys.get_int_max_str_digits()
+    err = f"error: {option} gives an integer of more than {limit} digits, too long to print\n"
+    assert run_cli(capsys, *argv) == (2, "", err)
+
+
+def test_area_budget_at_digit_limit(capsys):
+    # the area 12 * 2^n - 7 of --central 1 --enfilade 1 --branching 1
+    # --shells n: its last n that prints still prints
+    limit = sys.get_int_max_str_digits()
+    n = 0
+    while 12 * 2 ** (n + 1) - 7 < 10**limit:
+        n += 1
+    argv = ["area-budget", "--central", "1", "--enfilade", "1", "--branching", "1", "--shells"]
+    code, out, _ = run_cli(capsys, *argv, str(n))
+    assert code == 0 and len(out.strip()) == limit
+    code, out, _ = run_cli(capsys, *argv, str(n + 1))
+    assert code == 2 and out == ""
 
 
 def test_mn(capsys):
@@ -437,7 +479,6 @@ def test_determinism(capsys):
 
 def test_console_script_entry_point():
     import subprocess
-    import sys
 
     proc = subprocess.run(
         [sys.executable, "-m", "snowflake_groups.cli", "dist", "--L", "6", "--a-power", "11"],

@@ -1,5 +1,6 @@
 """Distortion tables, the slow witness sequence, and the limit checks."""
 
+import gc
 import io
 import math
 import random
@@ -11,13 +12,15 @@ from snowflake_groups import (
     ag_ratio_scan,
     dist_a_power,
     dist_power,
+    dist_table,
+    distortion,
     distortion_table,
     eq42_limit,
     gap_checks,
     mn_sequence,
     reverse_holder_check,
 )
-from snowflake_groups.distortion import write_distortion_csv
+from snowflake_groups.distortion import distortion_rows, write_distortion_csv
 
 
 def test_table_non_monotone_witness(p10):
@@ -35,6 +38,55 @@ def test_table_non_monotone_witness(p10):
 def test_table_rejects_bad_bound(p10):
     with pytest.raises(ValueError):
         distortion_table(p10, 0)
+
+
+@pytest.mark.parametrize("L", [6, 8, 10, 12])
+def test_table_rows_match_reference(L):
+    # params.root is the reference formula; the ratio must equal it bit for bit
+    params = GroupParams(L)
+    m_max = 2 * 10**5
+    table = dist_table(params, m_max)
+    rows = distortion_table(params, m_max)
+    assert len(rows) == m_max
+    for m, row in enumerate(rows, 1):
+        assert row.m == m
+        assert row.dist == table[m]
+        assert row.ratio == row.dist / params.root(m)
+
+
+def test_rows_are_immutable_tuples(p6):
+    row = distortion_table(p6, 3)[2]
+    with pytest.raises(AttributeError):
+        row.ratio = 1.0
+    m, dist, ratio = row
+    assert row == (3, dist, ratio) and (m, dist) == (3, 3)
+
+
+def test_distortion_rows_validate_eagerly(p6):
+    with pytest.raises(ValueError):
+        distortion_rows(p6, 0)
+    assert list(distortion_rows(p6, 50)) == distortion_table(p6, 50)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_table_restores_gc_state(p6, monkeypatch, enabled):
+    was = gc.isenabled()
+    try:
+        if not enabled:
+            gc.disable()
+        distortion_table(p6, 1000)
+        assert gc.isenabled() is enabled
+
+        def broken_row(*fields):
+            raise RuntimeError("row")
+
+        monkeypatch.setattr(distortion, "DistortionRow", broken_row)
+        with pytest.raises(RuntimeError):
+            distortion_table(p6, 1000)
+        assert gc.isenabled() is enabled
+    finally:
+        if was:
+            gc.enable()
 
 
 def test_csv_export(p6):
@@ -108,8 +160,6 @@ def test_reverse_holder_rejects_negative(p6):
 
 def test_xy_distortion_and_steps():
     # x/y distortion stays in [1, C) and steps by exactly 1, scanned to 10^6
-    from snowflake_groups import dist_table
-
     for L in (6, 10):
         params = GroupParams(L)
         table = dist_table(params, 10**6)
