@@ -4,8 +4,9 @@ Every subcommand prints deterministic output.  Exit codes: 0 on success,
 1 when a verification fails or a stated invariant does not hold (the
 counterexample is printed), 2 on usage errors, malformed inputs, words of
 more than 10^7 letters, integers too long to print and exhausted search
-budgets.  `verify-loop` and `ball` take --budget, the most states a BFS
-layer may hold (default 10^7).
+budgets.  `verify-loop` and `ball` take --budget (default 10^7): the most
+points the distance program stores in its table or one layer, and the
+most states one BFS layer of the ball may hold.
 """
 from __future__ import annotations
 
@@ -253,10 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--L", type=int, required=True, help="even defining parameter, >= 6")
 
-    def budget(p):
-        p.add_argument(
-            "--budget", type=int, default=DEFAULT_MAX_STATES, help="BFS layer budget (states)"
-        )
+    def budget(p, text):
+        p.add_argument("--budget", type=int, default=DEFAULT_MAX_STATES, help=text)
 
     p = sub.add_parser("dist", help="distance of a^m or of an H element a^u x^v")
     common(p)
@@ -296,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-loop", help="check that a loop is geodesic")
     common(p)
-    budget(p)
+    budget(p, "most points the distance program stores in its table or one layer")
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--n", type=int, help="use the depth-n snowflake loop")
     g.add_argument("--word", type=str, help="explicit loop word, e.g. 's a s^-1 ...'")
@@ -304,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ball", help="dump the BFS ball as JSON lines")
     common(p)
-    budget(p)
+    budget(p, "most states one BFS layer may hold")
     p.add_argument("--radius", type=int, required=True)
     p.set_defaults(func=_cmd_ball)
 

@@ -34,13 +34,25 @@ syllables into a key held as a list stack (_fold), so each letter costs
 O(1).  The crossing rules above live in _fold and once more in the BFS
 step _neighbors, which applies all six letters to a key in one pass.
 
-Distances in the {a, s, t} Cayley graph come from one search: a ball
-B(1, r) grown a layer at a time (_ball_layers) and one-sided searches from
-each goal into it (_ball_dist), the goal of d(g1, g2) being g1^-1 g2.
-bfs_ball, pair_dist and the loop checks of paths all run on it.  Both
-steps take their neighbours from the one-pass _neighbors, and goals that
-one of inversion, s <-> t and a -> a^-1 maps onto each other are searched
-once (_canonical), as these isometries fix the identity and the generators.
+Distances in the {a, s, t} Cayley graph come from a min-plus program along
+the Bass-Serre tree (_tree_dist).  The key h_0 e_1 h_1 ... e_n h_n of g
+names a path of n edges from H to gH in the Bass-Serre tree (Serre,
+*Trees*, I.5), which every path from 1 to g in the Cayley graph crosses.
+By Britton's lemma (Lyndon and Schupp, *Combinatorial Group Theory*, IV.2)
+it crosses edge j by the letter e_j, leaving its coset at exit_j(k) and
+landing at entry_j(k) (_CROSSING: s leaves at x^k, t at y^k, s^-1 and t^-1
+at a^k; s and t land at a^k, s^-1 at x^k, t^-1 at y^k).  The last
+crossings of the edges come in order, and between two of them the path
+joins two points of one coset, so it is at least dist_h of their
+difference (the metric is left-invariant): the lower bound.  H-geodesics
+and crossing letters, concatenated, make a path of that length: the
+upper bound.  So, with entry_0 = exit_(n+1) = 0,
+
+    |g| = n + min over k_1..k_n of sum_j dist_h(h_j - entry_j(k_j) + exit_(j+1)(k_(j+1))).
+
+It trusts dist_h on all of H, which acceptance 2 checks against BFS only
+to radius 10.  pair_dist and the loop checks of paths run on it; bfs_ball
+grows B(1, r) by BFS, and the tests keep the BFS searches as oracles.
 """
 from __future__ import annotations
 
@@ -51,7 +63,7 @@ from typing import Iterable, Iterator, Optional, TextIO
 import json
 
 from .params import GroupParams
-from .vertex_group import HPoint
+from .vertex_group import BudgetExceeded, HPoint, _a_ball, _splits
 from .words import format_word, parse_word, power_chars
 
 _LETTER = {1: "s", -1: "S", 3: "t", -3: "T"}
@@ -63,17 +75,6 @@ Key = tuple  # flat normal-form tuple
 
 class InvariantViolation(RuntimeError):
     """A guarantee the code states (a snap distance, a rounding order) failed."""
-
-
-class BudgetExceeded(RuntimeError):
-    """Raised when a search would exceed its state budget."""
-
-    def __init__(self, frontier: int, visited: int):
-        super().__init__(
-            f"state budget exceeded: {visited} states visited, frontier size {frontier}"
-        )
-        self.frontier = frontier
-        self.visited = visited
 
 
 def identity_key() -> Key:
@@ -173,37 +174,6 @@ def _key_invert(L: int, key: Key) -> Key:
 
 def _key_mul(L: int, left: Key, right: Key) -> Key:
     return _fold(L, left, chain(((0, right[0], right[1]),), _key_parts(right)))
-
-
-_SWAP_ST = {1: 3, 3: 1, -1: -3, -3: -1}
-
-
-def _key_swap_st(L: int, key: Key) -> Key:
-    """Image under the automorphism s <-> t (so x <-> y), fixing a.
-
-    a^u x^v maps to a^u y^v = a^(u + L v) x^-v; a representative before
-    s^-1 (a pure x-power) maps to a y-power before t^-1, which the fold
-    brings back to normal form.
-    """
-    steps = [(0, key[0] + L * key[1], -key[1])]
-    steps += ((_SWAP_ST[code], u + L * v, -v) for code, u, v in _key_parts(key))
-    return _fold(L, identity_key(), steps)
-
-
-def _key_negate_a(key: Key) -> Key:
-    """Image under the automorphism a -> a^-1 (so x -> x^-1, y -> y^-1)."""
-    return tuple(c if i % 3 == 2 else -c for i, c in enumerate(key))
-
-
-def _canonical(L: int, key: Key) -> Key:
-    """The least key among the images of key under inversion, s <-> t and
-    a -> a^-1.  These fix {a, s, t}^(+-1) and the identity, so the 8 images
-    have one length |g|, and each maps B(1, R) onto itself."""
-    images = []
-    for k in (key, _key_swap_st(L, key)):
-        for k2 in (k, _key_invert(L, k)):
-            images += (k2, _key_negate_a(k2))
-    return min(images)
 
 
 @dataclass(frozen=True)
@@ -383,6 +353,100 @@ def bfs_ball(params: GroupParams, radius: int, max_states: int = DEFAULT_MAX_STA
     return Ball(params, radius, ball.distances)
 
 
+# ---------------------------------------------------------------------------
+# exact distances along the Bass-Serre tree
+
+# the generator whose powers cross each stable letter: (leaving, landing)
+_CROSSING = {1: ("x", "a"), -1: ("a", "x"), 3: ("y", "a"), -3: ("a", "y")}
+
+
+def _line_table(L: int, c: int, max_states: int = DEFAULT_MAX_STATES) -> tuple[dict, list]:
+    """The table g: k -> |x^k| = |y^k| over Z0(c) = {0} u +-S(c - 2), and
+    its items (g, k) cheapest first: every power that a route of length
+    <= c in H can use.  It holds 2|S(c - 2)| - 1 points, refused with
+    BudgetExceeded above max_states before they are stored."""
+    s = _a_ball(L, c - 2, max_states)
+    if 2 * len(s) - 1 > max_states:
+        raise BudgetExceeded(frontier=2 * len(s) - 1, visited=len(s))
+    g = {k: 2 + d for m, d in s.items() if m for k in (m, -m)}
+    g[0] = 0
+    return g, sorted((d, k) for k, d in g.items())
+
+
+def _line(L: int, table: tuple[dict, list], u: int, v: int, gen: str, b: int) -> dict[int, int]:
+    """{k: |a^u x^v gen^k|} for every k where it is <= b, gen in a, x, y.
+
+    b must not pass the c of the table.  |a^u x^v| is the shortest route
+    x^(v+q) y^q a^p with u = qL + p, |p| < L, of length |p| + g(v+q) + g(q)
+    (vertex_group._h_route), so within b both powers are in the table.
+    Along the a-line q runs over the table, cheapest first; along the
+    x-line y^q is fixed and x^(v+k+q) runs over it, and along the y-line,
+    a^(u+kL) x^(v-k), x^(v+q) is fixed and y^(q+k) runs over it.
+    """
+    g, order = table
+    out: dict[int, int] = {}
+    if gen == "a":
+        for gq, q in order:
+            if gq > b:
+                break
+            gw = g.get(v + q)
+            if gw is None or gq + gw > b:
+                continue
+            w, k = min(b - gq - gw, L - 1), q * L - u  # k + p reaches a^(qL + p) x^v
+            for p in range(-w, w + 1):
+                if gq + gw + abs(p) < out.get(k + p, b + 1):
+                    out[k + p] = gq + gw + abs(p)
+        return out
+    for q, p in _splits(L, u):
+        fixed, shift = (g.get(q), v + q) if gen == "x" else (g.get(v + q), q)
+        if fixed is None:
+            continue
+        for gw, w in order:
+            d = abs(p) + fixed + gw
+            if d > b:
+                break
+            if d < out.get(w - shift, b + 1):
+                out[w - shift] = d
+    return out
+
+
+def _tree_dist(
+    L: int, table: tuple[dict, list], key: Key, cap: int, max_states: int = DEFAULT_MAX_STATES
+) -> Optional[int]:
+    """Exact |key| if it is <= cap, else None, by the program of the module
+    docstring.  A state is the landing exponent k_j of a crossing, with the
+    least cost of reaching it.  A transition reads the exit line of the next
+    crossing (_line) within the cap less that cost and the crossings still
+    to come, so a state that cannot finish within the cap is dropped.  The
+    table must cover c >= cap - n.  The budget caps each layer of states,
+    checked after each state's line.
+    """
+    n = (len(key) - 2) // 3
+    steps = {"a": (1, 0), "x": (0, 1), "y": (L, -1)}
+    layer = {0: 0}
+    eu = ev = 0  # the landing step of the last crossing
+    for j in range(0, 3 * n, 3):
+        hu, hv = key[j], key[j + 1]
+        leave, land = _CROSSING[key[j + 2]]
+        nxt: dict[int, int] = {}
+        left = n - j // 3  # crossings still to come, this one included
+        for k, cost in layer.items():
+            for k2, d in _line(L, table, hu - k * eu, hv - k * ev, leave, cap - cost - left).items():
+                if cost + d + 1 < nxt.get(k2, cap + 1):
+                    nxt[k2] = cost + d + 1
+            if len(nxt) > max_states:
+                raise BudgetExceeded(frontier=len(nxt), visited=len(table[0]) + len(nxt))
+        layer = nxt
+        eu, ev = steps[land]
+    g, best = table[0], cap + 1
+    for k, cost in layer.items():  # the last segment, its routes read from the table
+        u, v = key[-2] - k * eu, key[-1] - k * ev
+        for q, p in _splits(L, u):
+            if q in g and v + q in g:
+                best = min(best, cost + abs(p) + g[q] + g[v + q])
+    return best if best <= cap else None
+
+
 def pair_dist(
     params: GroupParams,
     g1: GroupElement,
@@ -392,100 +456,10 @@ def pair_dist(
 ) -> Optional[int]:
     """Exact d(g1, g2) if it is <= cap, else None.
 
-    d(g1, g2) = |g1^-1 g2| is the one-goal case of _goal_distances: a
-    distance d is settled once the ball B(1, r) reaches r = ceil(d / 2), one
-    beyond the cap at about r = cap / 2, and the budget caps every stored
-    layer, of the ball and of the search.
+    d(g1, g2) = |g1^-1 g2|, by _tree_dist.  The budget caps the points
+    stored: the line table and each layer of the program.
     """
     L = params.L
     goal = _key_mul(L, _key_invert(L, g1.key), g2.key)
-    return _goal_distances(params, [(goal, cap)], max_states)[0]
-
-
-def _ball_dist(
-    ball: Ball, goal: Key, cap: int, max_states: int = DEFAULT_MAX_STATES
-) -> Optional[int]:
-    """Exact |goal| if it is <= cap, else None, by BFS out of goal into `ball`.
-
-    `ball` must be an exact ball B(1, R), of bfs_ball or _ball_layers.
-    Layer k of the search holds the elements at distance k from goal.  A
-    geodesic from goal to 1 of length d <= k + R meets the ball within k
-    steps, so once layer k has no ball element, d > k + R; then the first
-    hit in layer k + 1 lies on the sphere of radius R and d = k + 1 + R
-    exactly.  The search stops with None once k + R >= cap, so it expands
-    at most max(cap - R, 0) layers.  The budget caps each stored layer as
-    in bfs_ball; the last layer is only probed against the ball, never
-    stored, as it is the largest.
-    """
-    dist, R = ball.distances, ball.radius
-    d = dist.get(goal)
-    if d is not None:
-        return d if d <= cap else None
-    L = ball.params.L
-    seen = {goal}
-    frontier = [goal]
-    for k in range(1, cap - R):
-        nxt: list[Key] = []
-        for key in frontier:
-            for nb in _neighbors(L, key):
-                if nb not in seen:
-                    if nb in dist:
-                        return k + R
-                    seen.add(nb)
-                    nxt.append(nb)
-            if len(nxt) > max_states:
-                raise BudgetExceeded(frontier=len(nxt), visited=len(seen))
-        frontier = nxt
-    if cap > R:  # layer cap - R: only probed, no layer comes after it
-        for key in frontier:
-            for nb in _neighbors(L, key):
-                if nb in dist:
-                    return cap
-    return None
-
-
-def _goal_distances(
-    params: GroupParams,
-    goals: list[tuple[Key, int]],
-    max_states: int = DEFAULT_MAX_STATES,
-    first_only: bool = False,
-) -> dict[int, Optional[int]]:
-    """{index: |goal| if it is <= cap, else None} for the (goal, cap) pairs.
-
-    Goals are grouped by isometry class (_canonical) and cap, and each
-    group is searched once; every member index gets its group's result.
-    One ball B(1, r) grows a layer at a time.  After each layer, every
-    group not yet settled is searched with _ball_dist to min(cap, 2r - p),
-    p the parity of the goal (= |goal| mod 2, so a cap of the other parity
-    is lowered by one); a group is settled once its distance is found or
-    the search reached its cap.  A goal at distance d is settled at radius
-    ceil(d / 2) and the ball grows only as far as the farthest unsettled
-    goal needs.  Searching again at each radius costs a geometric series,
-    about a quarter more than one search at the last radius (spheres of
-    G_6 grow about 4.9x per layer).
-
-    Groups are searched in the order of their lowest member index.  With
-    first_only, only the lowest index within its cap matters: once a group
-    is found, the groups after it are dropped (and left out of the
-    result), and the search stops once no group before it is unsettled.
-    """
-    groups: dict[tuple[Key, int], list[int]] = {}
-    for i, (goal, cap) in enumerate(goals):
-        cap -= (cap - GroupElement(params, goal).parity()) % 2
-        groups.setdefault((_canonical(params.L, goal), cap), []).append(i)
-    pending = [(members, goal, cap) for (goal, cap), members in groups.items()]
-    out: dict[int, Optional[int]] = {}
-    for ball in _ball_layers(params, max_states):
-        rest = []
-        for members, goal, cap in pending:
-            c = min(cap, 2 * ball.radius - cap % 2)  # cap has the parity of |goal|
-            d = _ball_dist(ball, goal, c, max_states)
-            if d is None and c < cap:
-                rest.append((members, goal, cap))
-                continue
-            out.update(dict.fromkeys(members, d))
-            if first_only and d is not None:
-                break
-        pending = rest
-        if not pending:
-            return out
+    table = _line_table(L, cap - (len(goal) - 2) // 3, max_states)
+    return _tree_dist(L, table, goal, cap, max_states)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .hnn_group import DEFAULT_MAX_STATES, GroupElement, InvariantViolation, _goal_distances
+from .hnn_group import DEFAULT_MAX_STATES, GroupElement, InvariantViolation, _line_table, _tree_dist
 from .params import GroupParams
 from .vertex_group import HPoint, _expand_digits
 from .words import MAX_LETTERS, PathWord, invert_chars
@@ -274,16 +274,11 @@ def loop_bilip_constant(
 ) -> BilipReport:
     """Max distortion ratio d_loop / d_X over vertex pairs of an embedded loop.
 
-    Since d(g_i, g_j) = |g_i^-1 g_j|, one ball B(1, r) around the identity
-    serves every pair, each searched to c = min(cap, d_loop) out of
-    g_i^-1 g_j; pairs whose goals one of inversion, s <-> t and a -> a^-1
-    maps onto each other, with one c, share a search.  The ball grows a
-    layer at a time; a pair at distance d is settled at radius ceil(d/2),
-    one beyond its cap at radius about c/2, so the ball reaches at most
-    radius ceil(min(cap, n/2) / 2) on an n-vertex loop.  At radius r a pair
-    is searched to depth at most r, and repeating the search at every
-    radius costs about a quarter more than the last one alone.  The budget caps every stored BFS layer, of the ball and of each
-    search, and exceeding it raises BudgetExceeded.
+    d(g_i, g_j) = |g_i^-1 g_j| is found to c = min(cap, d_loop) by the
+    program along the Bass-Serre tree (hnn_group._tree_dist), with one line
+    table built for the largest c.  The budget caps the points stored, the
+    table and each layer of the program, and exceeding it raises
+    BudgetExceeded.
     """
     keys = _loop_vertices(params, loop)
     n = len(keys)
@@ -298,27 +293,22 @@ def loop_bilip_constant(
         if e in edges:
             return BilipReport(False, True, None, None, repeated_at=(i, (i + 1) % n))
         edges.add(e)
-    pairs: list[tuple[int, int, int]] = []
-    goals: list[tuple[tuple, int]] = []
+    table = _line_table(params.L, min(cap, n // 2), max_states)
+    best = Fraction(0)
+    witness: Optional[tuple[int, int]] = None
+    complete = True
     for i in range(n):
         gi_inv = GroupElement(params, keys[i]).inverse()
         for j in range(i + 1, n):
             d_loop = min(j - i, n - (j - i))
-            if d_loop > 1:
-                pairs.append((i, j, d_loop))
-                goals.append(((gi_inv * GroupElement(params, keys[j])).key, min(cap, d_loop)))
-    dists = _goal_distances(params, goals, max_states)
-    best = Fraction(0)
-    witness: Optional[tuple[int, int]] = None
-    complete = True
-    for k, (i, j, d_loop) in enumerate(pairs):
-        d = dists[k]
-        if d is None:
-            complete = False
-            continue
-        r = Fraction(d_loop, d)
-        if r > best:
-            best, witness = r, (i, j)
+            if d_loop <= 1:
+                continue
+            goal = (gi_inv * GroupElement(params, keys[j])).key
+            d = _tree_dist(params.L, table, goal, min(cap, d_loop), max_states)
+            if d is None:
+                complete = False
+            elif Fraction(d_loop, d) > best:
+                best, witness = Fraction(d_loop, d), (i, j)
     if witness is None:
         best = Fraction(1)
     return BilipReport(True, complete, best, witness)
@@ -347,36 +337,27 @@ def verify_geodesic_loop(
 ) -> GeodesicLoopReport:
     """Whether every antipodal vertex pair of the loop is at distance |loop|/2.
 
-    Each antipodal pair (g_i, g_(i+h)), h = |loop|/2, is searched out of
-    g_i^-1 g_(i+h) to c = h - 2 (distances have the parity of h, so this
-    rules out d <= h - 1) against one ball B(1, r) around the identity that
-    grows a layer at a time.  A geodesic loop costs one ball B(1, ceil(c/2))
-    plus one search of radius floor(c/2) per isometry class of goals (pairs
-    whose goals one of inversion, s <-> t and a -> a^-1 maps onto each
-    other share a search: 9 classes for the 16 pairs of the depth-2
-    snowflake loop), and repeating the searches at the smaller radii adds
-    about a quarter to that.  A loop that is not geodesic stops at radius
-    ceil(d/2), d the distance of its first failing pair, once every pair
-    before it is settled.  A loop of length 2 retraces its only edge, so it
-    is not geodesic, though its two vertices are at distance 1; it has no
-    witness.  The budget caps every stored BFS layer, of the ball and of
-    each search, and exceeding it raises BudgetExceeded.
+    Each antipodal pair (g_i, g_(i+h)), h = |loop|/2, is measured by the
+    program along the Bass-Serre tree (hnn_group._tree_dist), to the cap
+    h - 1, in the order of i; the first pair found within it is the
+    witness.  The one line table, for that cap, is built before any vertex
+    of the loop is stored.  A loop of length 2 retraces its only edge, so
+    it is not geodesic, though its two vertices are at distance 1; it has no
+    witness.  The budget caps the points stored, the table and each layer
+    of the program, and exceeding it raises BudgetExceeded.
     """
+    half = len(loop.chars) // 2
+    table = _line_table(params.L, half - 1, max_states)
     keys = _loop_vertices(params, loop)
     n = len(keys)
     if n % 2:
         raise ValueError("loops in G_L have even length")
     if n == 2:
         return GeodesicLoopReport(False)
-    half = n // 2
-    # the loop arc shows d <= half; distances have the parity of half, so
-    # ruling out d <= half - 1 pins the antipodal distance to exactly half
-    goals = []
+    # the loop arc shows d <= half, so d <= half - 1 is all there is to rule out
     for i in range(half):
         goal = GroupElement(params, keys[i]).inverse() * GroupElement(params, keys[i + half])
-        goals.append((goal.key, half - 1))
-    dists = _goal_distances(params, goals, max_states, first_only=True)
-    for i, d in sorted(dists.items()):
+        d = _tree_dist(params.L, table, goal.key, half - 1, max_states)
         if d is not None:
             return GeodesicLoopReport(False, (i, i + half), d)
     return GeodesicLoopReport(True)

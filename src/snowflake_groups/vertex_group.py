@@ -139,6 +139,48 @@ def dist_table(params: GroupParams, m_max: int) -> list[int]:
     return table
 
 
+class BudgetExceeded(RuntimeError):
+    """Raised when a search or a table would store more points than its budget."""
+
+    def __init__(self, frontier: int, visited: int):
+        super().__init__(
+            f"state budget exceeded: {visited} states visited, frontier size {frontier}"
+        )
+        self.frontier = frontier
+        self.visited = visited
+
+
+def _a_ball(L: int, r: int, max_points: int) -> dict[int, int]:
+    """{m: |a^m|} for every m >= 0 with |a^m| <= r: the set S(r), exactly.
+
+    |a^m| is the shorter guard route |a^(QL)| + |m - QL| through a multiple
+    QL with |m - QL| < L, and a route within r has Q = 0 or 4 + 2|a^Q| <= r,
+    that is Q in S((r - 4) // 2).  So S(r) is S((r - 4) // 2) one base-L
+    digit deeper, with integers only.  A level past max_points raises
+    BudgetExceeded, checked after each Q.
+    """
+    radii = []  # r, (r - 4) // 2, ..., built from the bottom up
+    while r >= 0:
+        radii.append(r)
+        r = (r - 4) // 2
+    level: dict[int, int] = {}
+    for r in reversed(radii):
+        out = {p: p for p in range(min(r, L - 1) + 1)}  # Q = 0: p letters a
+        for q, dq in level.items():
+            if not q:
+                continue
+            base = 4 + 2 * dq
+            w = min(r - base, L - 1)
+            for m in range(q * L - w, q * L + w + 1):
+                d = base + abs(m - q * L)
+                if d < out.get(m, d + 1):
+                    out[m] = d
+            if len(out) > max_points:
+                raise BudgetExceeded(frontier=len(out), visited=len(level) + len(out))
+        level = out
+    return level
+
+
 def _gpow(L: int, k: int) -> int:
     """|x^k| = |y^k| = 2 + |a^k| for k != 0, else 0."""
     return 0 if k == 0 else 2 + _dist_a(L, abs(k))
@@ -153,19 +195,17 @@ def dist_power(params: GroupParams, gen: str, m: int) -> int:
     raise ValueError(f"not an H generator: {gen!r}")
 
 
-def _h_route(L: int, u: int, v: int) -> tuple[int, int, int]:
-    """(|a^u x^v|, q, p) for the shortest route x^(v+q) y^q a^p to a^u x^v.
-
-    Minimizes over both decompositions u = qL + p with |p| < L, that is
-    0 <= p < L and p - L; ties go to the first.
-    """
+def _splits(L: int, u: int) -> tuple[tuple[int, int], ...]:
+    """The decompositions u = qL + p with |p| < L: (q, p) with 0 <= p < L,
+    and (q + 1, p - L) when p != 0."""
     q, p = divmod(u, L)
-    route = (p + _gpow(L, v + q) + _gpow(L, q), q, p)
-    if p:
-        other = (L - p + _gpow(L, v + q + 1) + _gpow(L, q + 1), q + 1, p - L)
-        if other[0] < route[0]:
-            route = other
-    return route
+    return ((q, p), (q + 1, p - L)) if p else ((q, p),)
+
+
+def _h_route(L: int, u: int, v: int) -> tuple[int, int, int]:
+    """(|a^u x^v|, q, p) for the shortest route x^(v+q) y^q a^p to a^u x^v,
+    over both decompositions of _splits; ties go to the first."""
+    return min((abs(p) + _gpow(L, v + q) + _gpow(L, q), q, p) for q, p in _splits(L, u))
 
 
 def dist_h(params: GroupParams, h: HPoint) -> int:

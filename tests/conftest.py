@@ -1,6 +1,20 @@
+from typing import Optional
+
 import pytest
 
 from snowflake_groups import GroupParams, bfs_ball
+from snowflake_groups.hnn_group import (
+    DEFAULT_MAX_STATES,
+    Ball,
+    BudgetExceeded,
+    GroupElement,
+    _ball_layers,
+    _fold,
+    _key_invert,
+    _key_parts,
+    _neighbors,
+    identity_key,
+)
 
 # ---------------------------------------------------------------------------
 # the letter-at-a-time reference feed: a key is rebuilt as a tuple at every
@@ -76,7 +90,7 @@ def reference_invert(L, key):
 
 
 def reference_swap_st(L, key):
-    """The key of the image under s <-> t: the reference for _key_swap_st."""
+    """The key of the image under s <-> t: the reference for key_swap_st."""
     out = (key[0] + L * key[1], -key[1])
     for i in range(2, len(key), 3):
         out = _feed_stable(L, out, {1: 3, 3: 1, -1: -3, -3: -1}[key[i]])
@@ -123,9 +137,10 @@ def reference_neighbors(L, key):
 def bidirectional_dist(L, goal, cap):
     """Exact |goal| if it is <= cap, else None, by bidirectional BFS.
 
-    The independent cross-check of the library's shared-ball search: having
-    expanded radii rA around 1 and rB around goal with no meeting vertex
-    certifies |goal| > rA + rB.  Each step grows the smaller frontier.
+    The independent cross-check of the shared-ball search below and of the
+    library's distance program (hnn_group._tree_dist): having expanded
+    radii rA around 1 and rB around goal with no meeting vertex certifies
+    |goal| > rA + rB.  Each step grows the smaller frontier.
     """
     start = (0, 0)
     if start == goal:
@@ -154,6 +169,133 @@ def bidirectional_dist(L, goal, cap):
     if best is not None and best <= cap:
         return best
     return None
+
+
+# ---------------------------------------------------------------------------
+# the BFS search oracles: one ball B(1, r) around the identity, grown a layer
+# at a time, and one-sided searches from each goal into it, with goals that
+# an isometry fixing the identity maps onto each other searched once
+
+
+SWAP_CODES = {1: 3, 3: 1, -1: -3, -3: -1}
+
+
+def key_swap_st(L, key):
+    """Image under the automorphism s <-> t (so x <-> y), fixing a.
+
+    a^u x^v maps to a^u y^v = a^(u + L v) x^-v; a representative before
+    s^-1 (a pure x-power) maps to a y-power before t^-1, which the fold
+    brings back to normal form.
+    """
+    steps = [(0, key[0] + L * key[1], -key[1])]
+    steps += ((SWAP_CODES[code], u + L * v, -v) for code, u, v in _key_parts(key))
+    return _fold(L, identity_key(), steps)
+
+
+def key_negate_a(key):
+    """Image under the automorphism a -> a^-1 (so x -> x^-1, y -> y^-1)."""
+    return tuple(c if i % 3 == 2 else -c for i, c in enumerate(key))
+
+
+def canonical_key(L, key):
+    """The least key among the images of key under inversion, s <-> t and
+    a -> a^-1.  These fix {a, s, t}^(+-1) and the identity, so the 8 images
+    have one length |g|, and each maps B(1, R) onto itself."""
+    images = []
+    for k in (key, key_swap_st(L, key)):
+        for k2 in (k, _key_invert(L, k)):
+            images += (k2, key_negate_a(k2))
+    return min(images)
+
+
+
+def ball_dist(
+    ball: Ball, goal, cap: int, max_states: int = DEFAULT_MAX_STATES
+) -> Optional[int]:
+    """Exact |goal| if it is <= cap, else None, by BFS out of goal into `ball`.
+
+    `ball` must be an exact ball B(1, R), of bfs_ball or _ball_layers.
+    Layer k of the search holds the elements at distance k from goal.  A
+    geodesic from goal to 1 of length d <= k + R meets the ball within k
+    steps, so once layer k has no ball element, d > k + R; then the first
+    hit in layer k + 1 lies on the sphere of radius R and d = k + 1 + R
+    exactly.  The search stops with None once k + R >= cap, so it expands
+    at most max(cap - R, 0) layers.  The budget caps each stored layer as
+    in bfs_ball; the last layer is only probed against the ball, never
+    stored, as it is the largest.
+    """
+    dist, R = ball.distances, ball.radius
+    d = dist.get(goal)
+    if d is not None:
+        return d if d <= cap else None
+    L = ball.params.L
+    seen = {goal}
+    frontier = [goal]
+    for k in range(1, cap - R):
+        nxt: list = []
+        for key in frontier:
+            for nb in _neighbors(L, key):
+                if nb not in seen:
+                    if nb in dist:
+                        return k + R
+                    seen.add(nb)
+                    nxt.append(nb)
+            if len(nxt) > max_states:
+                raise BudgetExceeded(frontier=len(nxt), visited=len(seen))
+        frontier = nxt
+    if cap > R:  # layer cap - R: only probed, no layer comes after it
+        for key in frontier:
+            for nb in _neighbors(L, key):
+                if nb in dist:
+                    return cap
+    return None
+
+
+def goal_distances(
+    params: GroupParams,
+    goals: list[tuple[tuple, int]],
+    max_states: int = DEFAULT_MAX_STATES,
+    first_only: bool = False,
+) -> dict[int, Optional[int]]:
+    """{index: |goal| if it is <= cap, else None} for the (goal, cap) pairs.
+
+    Goals are grouped by isometry class (canonical_key) and cap, and each
+    group is searched once; every member index gets its group's result.
+    One ball B(1, r) grows a layer at a time.  After each layer, every
+    group not yet settled is searched with ball_dist to min(cap, 2r - p),
+    p the parity of the goal (= |goal| mod 2, so a cap of the other parity
+    is lowered by one); a group is settled once its distance is found or
+    the search reached its cap.  A goal at distance d is settled at radius
+    ceil(d / 2) and the ball grows only as far as the farthest unsettled
+    goal needs.  Searching again at each radius costs a geometric series,
+    about a quarter more than one search at the last radius (spheres of
+    G_6 grow about 4.9x per layer).
+
+    Groups are searched in the order of their lowest member index.  With
+    first_only, only the lowest index within its cap matters: once a group
+    is found, the groups after it are dropped (and left out of the
+    result), and the search stops once no group before it is unsettled.
+    """
+    groups: dict[tuple[tuple, int], list[int]] = {}
+    for i, (goal, cap) in enumerate(goals):
+        cap -= (cap - GroupElement(params, goal).parity()) % 2
+        groups.setdefault((canonical_key(params.L, goal), cap), []).append(i)
+    pending = [(members, goal, cap) for (goal, cap), members in groups.items()]
+    out: dict[int, Optional[int]] = {}
+    for ball in _ball_layers(params, max_states):
+        rest = []
+        for members, goal, cap in pending:
+            c = min(cap, 2 * ball.radius - cap % 2)  # cap has the parity of |goal|
+            d = ball_dist(ball, goal, c, max_states)
+            if d is None and c < cap:
+                rest.append((members, goal, cap))
+                continue
+            out.update(dict.fromkeys(members, d))
+            if first_only and d is not None:
+                break
+        pending = rest
+        if not pending:
+            return out
 
 
 @pytest.fixture(scope="session")

@@ -82,12 +82,16 @@ def test_acceptance_3_geodesic_loops():
     params = GroupParams(6)
     loop1 = snowflake_loop(params, 1)
     loop2 = snowflake_loop(params, 2)
-    assert loop1.length == 12 and loop2.length == 32
+    loop3 = snowflake_loop(params, 3)
+    assert loop1.length == 12 and loop2.length == 32 and loop3.length == 72
     assert verify_geodesic_loop(params, loop1)
     assert verify_geodesic_loop(params, loop2)
+    assert verify_geodesic_loop(params, loop3)
     elapsed = time.time() - t0
     assert elapsed < 300
-    _report(3, f"snowflake loops 1 (12/6) and 2 (32/16) are geodesic ({elapsed:.0f}s)")
+    _report(
+        3, f"snowflake loops 1 (12/6), 2 (32/16) and 3 (72/36) are geodesic ({elapsed:.1f}s)"
+    )
 
 
 def test_acceptance_4_distortion_bounds():

@@ -321,10 +321,11 @@ def test_invariant_violation_exit_1(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("verify-loop", "--L", "6", "--n", "2", "--budget", "100"),
+        ("verify-loop", "--L", "6", "--n", "2", "--budget", "40"),
         ("ball", "--L", "6", "--radius", "5", "--budget", "100"),
+        ("verify-loop", "--L", "6", "--n", "18", "--budget", "100000"),
     ],
-    ids=["verify-loop", "ball"],
+    ids=["verify-loop", "ball", "verify-loop-depth-18"],
 )
 def test_budget_exceeded_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

@@ -1,4 +1,4 @@
-"""Britton normal forms, group laws, and the BFS oracles."""
+"""Britton normal forms, group laws, the BFS oracles and the distance program."""
 
 import io
 import json
@@ -19,21 +19,24 @@ from snowflake_groups import (
     reduce_word,
 )
 from snowflake_groups.hnn_group import (
-    _ball_dist,
-    _canonical,
-    _goal_distances,
     _key_chars,
     _key_invert,
     _key_mul,
-    _key_swap_st,
+    _line,
+    _line_table,
     _neighbors,
+    _tree_dist,
     prefix_keys,
     reduce_chars,
 )
 from snowflake_groups.words import invert_chars
 
 from conftest import (
+    ball_dist,
     bidirectional_dist,
+    canonical_key,
+    goal_distances,
+    key_swap_st,
     reference_invert,
     reference_mul,
     reference_neighbors,
@@ -182,7 +185,7 @@ def test_fold_matches_reference_feed(L):
         other = _big_key(rng, L)
         assert _key_mul(L, key, other) == reference_mul(L, key, other), (key, other)
         assert _key_invert(L, key) == reference_invert(L, key), key
-        assert _key_swap_st(L, key) == reference_swap_st(L, key), key
+        assert key_swap_st(L, key) == reference_swap_st(L, key), key
 
 
 # ---------------------------------------------------------------------------
@@ -262,10 +265,56 @@ def test_pair_dist_cap(p6):
 
 def test_pair_dist_budget(p6):
     one = GroupElement.identity(p6)
-    a36 = reduce_word(p6, "a^36")  # distance 16: the ball's layer 5 (3574) is too big
+    a36 = reduce_word(p6, "a^36")  # distance 16: the line table for cap 16 holds 55 points
+    assert pair_dist(p6, one, a36, 16, max_states=55) == 16
     with pytest.raises(BudgetExceeded) as info:
-        pair_dist(p6, one, a36, 16, max_states=1000)
-    assert 1000 < info.value.frontier <= 1000 + 6
+        pair_dist(p6, one, a36, 16, max_states=50)
+    assert info.value.frontier == 55  # refused before it is stored
+    # a level of S(14) past the budget: checked after each multiple of L
+    with pytest.raises(BudgetExceeded) as info:
+        pair_dist(p6, one, a36, 16, max_states=20)
+    assert 20 < info.value.frontier <= 20 + 2 * 6 - 1
+
+
+def test_tree_dist_layer_budget(p6):
+    # each layer of the program is checked after each state's line: the
+    # first layer of t a t a ... is one y-line of 49 points
+    table = _line_table(6, 20)
+    key = reduce_chars(6, "ta" * 5)
+    assert _tree_dist(6, table, key, 20, max_states=49) == 10
+    with pytest.raises(BudgetExceeded) as info:
+        _tree_dist(6, table, key, 20, max_states=30)
+    assert info.value.frontier == len(_line(6, table, 0, 0, "y", 20 - 5)) == 49
+
+
+@pytest.mark.parametrize("L, R", [(6, 7), (8, 6)])
+def test_tree_dist_matches_ball(L, R):
+    # the program along the Bass-Serre tree against BFS on a whole ball:
+    # exact within the cap, None just below the distance
+    params = GroupParams(L)
+    table = _line_table(L, R)
+    for key, d in bfs_ball(params, R).distances.items():
+        assert _tree_dist(L, table, key, R) == d, key
+        assert d == 0 or _tree_dist(L, table, key, d - 1) is None, key
+
+
+@pytest.mark.parametrize("L", [6, 8, 12])
+def test_line_reads_match_dist_h(L):
+    # every point of a line within b, and no other, with its dist_h
+    params = GroupParams(L)
+    rng = random.Random(L)
+    for _ in range(40):
+        b = rng.randrange(14)
+        table = _line_table(L, b)
+        u, v = rng.randrange(-80, 81), rng.randrange(-12, 13)
+        reach = (max(table[0]) + abs(u) + abs(v) + 2) * L
+        for gen, (du, dv) in (("a", (1, 0)), ("x", (0, 1)), ("y", (L, -1))):
+            want = {}
+            for k in range(-reach, reach + 1):
+                d = dist_h(params, HPoint(u + k * du, v + k * dv))
+                if d <= b:
+                    want[k] = d
+            assert _line(L, table, u, v, gen, b) == want, (u, v, gen, b)
 
 
 @pytest.mark.parametrize("L", [6, 8])
@@ -279,7 +328,7 @@ def test_ball_dist_matches_pair_dist(L):
         g = reduce_word(params, word)
         cap = rng.randrange(8)
         R = rng.randint(cap // 2, cap)
-        assert _ball_dist(balls[R], g.key, cap) == bidirectional_dist(L, g.key, cap), (word, cap, R)
+        assert ball_dist(balls[R], g.key, cap) == bidirectional_dist(L, g.key, cap), (word, cap, R)
 
 
 def test_ball_dist_budget(p6):
@@ -287,9 +336,9 @@ def test_ball_dist_budget(p6):
     # last one (734) is only probed
     a36 = reduce_word(p6, "a^36")  # distance 16
     ball = bfs_ball(p6, 2)
-    assert _ball_dist(ball, a36.key, 6, max_states=150) is None
+    assert ball_dist(ball, a36.key, 6, max_states=150) is None
     with pytest.raises(BudgetExceeded) as info:
-        _ball_dist(ball, a36.key, 6, max_states=149)
+        ball_dist(ball, a36.key, 6, max_states=149)
     assert 149 < info.value.frontier <= 149 + 6
 
 
@@ -303,10 +352,10 @@ def test_goal_distances_match_pair_dist(L):
         word = "".join(rng.choice("aAsStT") for _ in range(rng.randrange(13)))
         goals.append((reduce_word(params, word).key, rng.randrange(9)))
     expected = {i: bidirectional_dist(L, g, cap) for i, (g, cap) in enumerate(goals)}
-    assert _goal_distances(params, goals) == expected
+    assert goal_distances(params, goals) == expected
     # first_only settles every goal up to the lowest one within its cap
     first = min(i for i, d in expected.items() if d is not None)
-    got = _goal_distances(params, goals, first_only=True)
+    got = goal_distances(params, goals, first_only=True)
     assert set(range(first + 1)) <= set(got)
     assert all(got[i] == expected[i] for i in got)
 
@@ -356,7 +405,7 @@ def _word_images(chars):
 def test_canonical_keeps_distance(L):
     ball = bfs_ball(GroupParams(L), 6)
     for key, d in ball.distances.items():
-        canon = _canonical(L, key)
+        canon = canonical_key(L, key)
         assert ball.distances[canon] == d, key
         assert canon == min(reduce_chars(L, w) for w in _word_images(_key_chars(key))), key
 
@@ -374,10 +423,10 @@ def test_goal_distances_over_isometry_classes(L):
             goals.append((reduce_chars(L, image), rng.randrange(9)))
     rng.shuffle(goals)
     expected = {i: bidirectional_dist(L, g, cap) for i, (g, cap) in enumerate(goals)}
-    assert len({(_canonical(L, g), cap) for g, cap in goals}) < len(goals)
-    assert _goal_distances(params, goals) == expected
+    assert len({(canonical_key(L, g), cap) for g, cap in goals}) < len(goals)
+    assert goal_distances(params, goals) == expected
     first = min(i for i, d in expected.items() if d is not None)
-    got = _goal_distances(params, goals, first_only=True)
+    got = goal_distances(params, goals, first_only=True)
     assert set(range(first + 1)) <= set(got)
     assert all(got[i] == expected[i] for i in got)
     assert min(i for i, d in got.items() if d is not None) == first

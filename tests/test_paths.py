@@ -236,8 +236,7 @@ def test_length_two_loop_is_not_geodesic(p6):
 
 
 def test_non_geodesic_loop_stops_early(p6):
-    # |a^20| = 12: the ball only grows to radius 6 (3574 elements in its
-    # last layer), not to ceil(18/2) = 9 (about 2 M), which the budget forbids
+    # |a^20| = 12: found at the first antipodal pair, within the budget
     loop = PathWord.from_str(p6, "a^20 a^-20")
     report = verify_geodesic_loop(p6, loop, max_states=20_000)
     assert not report
@@ -245,9 +244,15 @@ def test_non_geodesic_loop_stops_early(p6):
 
 
 def test_verify_loop_budget(p6):
+    # the line table for cap 15 holds 49 points, as does the largest layer
+    loop = snowflake_loop(p6, 2)
+    assert verify_geodesic_loop(p6, loop, max_states=49)
     with pytest.raises(BudgetExceeded) as info:
-        verify_geodesic_loop(p6, snowflake_loop(p6, 2), max_states=1000)
-    assert 1000 < info.value.frontier <= 1000 + 6
+        verify_geodesic_loop(p6, loop, max_states=40)
+    assert info.value.frontier == 49  # refused before it is stored
+    with pytest.raises(BudgetExceeded) as info:
+        verify_geodesic_loop(p6, loop, max_states=20)
+    assert 20 < info.value.frontier <= 20 + 2 * 6 - 1
 
 
 def test_loop_bilip_snowflake(p6):

@@ -22,6 +22,7 @@ from snowflake_groups import (
     reduce_word,
     xy_line_intersection,
 )
+from snowflake_groups.vertex_group import BudgetExceeded, _a_ball
 
 
 def test_params_examples():
@@ -147,6 +148,19 @@ def test_dist_table_short(p6, p10):
     assert dist_table(p6, 0) == [0]
     assert dist_table(p6, 1) == [0, 1]
     assert dist_table(p10, 11) == [0, 1, 2, 3, 4, 5, 6, 7, 8, 7, 6, 7]
+
+
+@pytest.mark.parametrize("L", [6, 8, 12])
+def test_a_ball_matches_dist_table(L):
+    # S(r) = {m >= 0 : |a^m| <= r} against a scan; |a^m| >= m^(1/alpha),
+    # so S(39) lies below 39^alpha
+    params = GroupParams(L)
+    table = dist_table(params, int(39**params.alpha) + 1)
+    for r in range(-1, 40):
+        assert _a_ball(L, r, 10**6) == {m: d for m, d in enumerate(table) if d <= r}, r
+    with pytest.raises(BudgetExceeded) as info:
+        _a_ball(L, 39, 100)
+    assert 100 < info.value.frontier <= 100 + 2 * L - 1
 
 
 def test_oracle_equivalence_small_ball(p6, ball6_r6):
