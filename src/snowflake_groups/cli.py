@@ -3,10 +3,11 @@
 Every subcommand prints deterministic output.  Exit codes: 0 on success,
 1 when a verification fails or a stated invariant does not hold (the
 counterexample is printed), 2 on usage errors, malformed inputs, words of
-more than 10^7 letters, integers too long to print and exhausted search
-budgets.  `verify-loop` and `ball` take --budget (default 10^7): the most
-points the distance program stores in its table or one layer, and the
-most states one BFS layer of the ball may hold.
+more than 10^7 letters, integers too long to print, exhausted search
+budgets and exhausted memory.  `ball` takes --budget (default 10^7), the
+most states one BFS layer may hold.  `verify-loop` has a fixed limit
+instead: its distance program stores at most hnn_group.MAX_POINTS = 10^6
+points in its table or one layer.
 """
 from __future__ import annotations
 
@@ -129,7 +130,7 @@ def _cmd_verify_loop(args) -> int:
         loop = paths.snowflake_loop(params, args.n)
     else:
         loop = PathWord(params, parse_word(args.word))
-    report = paths.verify_geodesic_loop(params, loop, max_states=args.budget)
+    report = paths.verify_geodesic_loop(params, loop)
     ok = report.geodesic
     _emit(args, {"geodesic": ok, "length": loop.length}, f"geodesic: {'true' if ok else 'false'}")
     if not ok:
@@ -254,9 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--L", type=int, required=True, help="even defining parameter, >= 6")
 
-    def budget(p, text):
-        p.add_argument("--budget", type=int, default=DEFAULT_MAX_STATES, help=text)
-
     p = sub.add_parser("dist", help="distance of a^m or of an H element a^u x^v")
     common(p)
     g = p.add_mutually_exclusive_group(required=True)
@@ -295,7 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-loop", help="check that a loop is geodesic")
     common(p)
-    budget(p, "most points the distance program stores in its table or one layer")
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--n", type=int, help="use the depth-n snowflake loop")
     g.add_argument("--word", type=str, help="explicit loop word, e.g. 's a s^-1 ...'")
@@ -303,7 +300,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ball", help="dump the BFS ball as JSON lines")
     common(p)
-    budget(p, "most states one BFS layer may hold")
+    p.add_argument(
+        "--budget", type=int, default=DEFAULT_MAX_STATES, help="most states one BFS layer may hold"
+    )
     p.add_argument("--radius", type=int, required=True)
     p.set_defaults(func=_cmd_ball)
 
@@ -350,6 +349,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
     except InvariantViolation as exc:
         print(f"invariant violated: {exc}", file=sys.stderr)

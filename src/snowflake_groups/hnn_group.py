@@ -51,8 +51,10 @@ upper bound.  So, with entry_0 = exit_(n+1) = 0,
     |g| = n + min over k_1..k_n of sum_j dist_h(h_j - entry_j(k_j) + exit_(j+1)(k_(j+1))).
 
 It trusts dist_h on all of H, which acceptance 2 checks against BFS only
-to radius 10.  pair_dist and the loop checks of paths run on it; bfs_ball
-grows B(1, r) by BFS, and the tests keep the BFS searches as oracles.
+to radius 10.  Its line table and each layer hold at most MAX_POINTS
+points, or it raises BudgetExceeded.  pair_dist and the loop checks of
+paths run on it; bfs_ball grows B(1, r) by BFS, and the tests keep the BFS
+searches as oracles.
 """
 from __future__ import annotations
 
@@ -68,7 +70,9 @@ from .words import format_word, parse_word, power_chars
 
 _LETTER = {1: "s", -1: "S", 3: "t", -3: "T"}
 
-DEFAULT_MAX_STATES = 10_000_000
+DEFAULT_MAX_STATES = 10_000_000  # bfs_ball: the most states one layer may hold
+# the distance program: the most points its line table or one layer may hold
+MAX_POINTS = 10**6
 
 Key = tuple  # flat normal-form tuple
 
@@ -311,31 +315,6 @@ class Ball:
             fp.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
-def _ball_layers(params: GroupParams, max_states: int = DEFAULT_MAX_STATES) -> Iterator[Ball]:
-    """B(1, 0), B(1, 1), B(1, 2), ... by layered BFS with normal-form dedup.
-
-    All yielded balls share one distances dict, which each further step
-    extends by one layer, so a caller may stop at the first radius it needs.
-    The budget caps the size of a single layer as in bfs_ball.
-    """
-    L = params.L
-    dist: dict[Key, int] = {identity_key(): 0}
-    frontier: list[Key] = [identity_key()]
-    d = 0
-    while True:
-        yield Ball(params, d, dist)
-        d += 1
-        nxt: list[Key] = []
-        for key in frontier:
-            for nb in _neighbors(L, key):
-                if nb not in dist:
-                    dist[nb] = d
-                    nxt.append(nb)
-            if len(nxt) > max_states:
-                raise BudgetExceeded(frontier=len(nxt), visited=len(dist))
-        frontier = nxt
-
-
 def bfs_ball(params: GroupParams, radius: int, max_states: int = DEFAULT_MAX_STATES) -> Ball:
     """All elements with |g| <= radius, by layered BFS with normal-form dedup.
 
@@ -347,26 +326,36 @@ def bfs_ball(params: GroupParams, radius: int, max_states: int = DEFAULT_MAX_STA
     """
     if radius < 0:
         raise ValueError(f"radius must be nonnegative, got {radius}")
-    for ball in _ball_layers(params, max_states):
-        if ball.radius >= radius:
-            break
-    return Ball(params, radius, ball.distances)
+    L = params.L
+    dist: dict[Key, int] = {identity_key(): 0}
+    frontier: list[Key] = [identity_key()]
+    for d in range(1, radius + 1):
+        nxt: list[Key] = []
+        for key in frontier:
+            for nb in _neighbors(L, key):
+                if nb not in dist:
+                    dist[nb] = d
+                    nxt.append(nb)
+            if len(nxt) > max_states:
+                raise BudgetExceeded(frontier=len(nxt), visited=len(dist))
+        frontier = nxt
+    return Ball(params, radius, dist)
 
 
 # ---------------------------------------------------------------------------
 # exact distances along the Bass-Serre tree
 
 # the generator whose powers cross each stable letter: (leaving, landing)
-_CROSSING = {1: ("x", "a"), -1: ("a", "x"), 3: ("y", "a"), -3: ("a", "y")}
+_CROSSING = {"s": ("x", "a"), "S": ("a", "x"), "t": ("y", "a"), "T": ("a", "y")}
 
 
-def _line_table(L: int, c: int, max_states: int = DEFAULT_MAX_STATES) -> tuple[dict, list]:
+def _line_table(L: int, c: int) -> tuple[dict, list]:
     """The table g: k -> |x^k| = |y^k| over Z0(c) = {0} u +-S(c - 2), and
     its items (g, k) cheapest first: every power that a route of length
     <= c in H can use.  It holds 2|S(c - 2)| - 1 points, refused with
-    BudgetExceeded above max_states before they are stored."""
-    s = _a_ball(L, c - 2, max_states)
-    if 2 * len(s) - 1 > max_states:
+    BudgetExceeded above MAX_POINTS before they are stored."""
+    s = _a_ball(L, c - 2, MAX_POINTS)
+    if 2 * len(s) - 1 > MAX_POINTS:
         raise BudgetExceeded(frontier=2 * len(s) - 1, visited=len(s))
     g = {k: 2 + d for m, d in s.items() if m for k in (m, -m)}
     g[0] = 0
@@ -410,34 +399,32 @@ def _line(L: int, table: tuple[dict, list], u: int, v: int, gen: str, b: int) ->
     return out
 
 
-def _tree_dist(
-    L: int, table: tuple[dict, list], key: Key, cap: int, max_states: int = DEFAULT_MAX_STATES
-) -> Optional[int]:
+def _tree_dist(L: int, table: tuple[dict, list], key: Key, cap: int) -> Optional[int]:
     """Exact |key| if it is <= cap, else None, by the program of the module
     docstring.  A state is the landing exponent k_j of a crossing, with the
     least cost of reaching it.  A transition reads the exit line of the next
     crossing (_line) within the cap less that cost and the crossings still
     to come, so a state that cannot finish within the cap is dropped.  The
-    table must cover c >= cap - n.  The budget caps each layer of states,
-    checked after each state's line.
+    table must cover c >= cap - n.  A layer of more than MAX_POINTS states
+    raises BudgetExceeded, checked after each state's line.
     """
     n = (len(key) - 2) // 3
-    steps = {"a": (1, 0), "x": (0, 1), "y": (L, -1)}
+    letters = _letters(L)
     layer = {0: 0}
     eu = ev = 0  # the landing step of the last crossing
     for j in range(0, 3 * n, 3):
         hu, hv = key[j], key[j + 1]
-        leave, land = _CROSSING[key[j + 2]]
+        leave, land = _CROSSING[_LETTER[key[j + 2]]]
         nxt: dict[int, int] = {}
         left = n - j // 3  # crossings still to come, this one included
         for k, cost in layer.items():
             for k2, d in _line(L, table, hu - k * eu, hv - k * ev, leave, cap - cost - left).items():
                 if cost + d + 1 < nxt.get(k2, cap + 1):
                     nxt[k2] = cost + d + 1
-            if len(nxt) > max_states:
+            if len(nxt) > MAX_POINTS:
                 raise BudgetExceeded(frontier=len(nxt), visited=len(table[0]) + len(nxt))
         layer = nxt
-        eu, ev = steps[land]
+        _, eu, ev = letters[land]
     g, best = table[0], cap + 1
     for k, cost in layer.items():  # the last segment, its routes read from the table
         u, v = key[-2] - k * eu, key[-1] - k * ev
@@ -447,19 +434,14 @@ def _tree_dist(
     return best if best <= cap else None
 
 
-def pair_dist(
-    params: GroupParams,
-    g1: GroupElement,
-    g2: GroupElement,
-    cap: int,
-    max_states: int = DEFAULT_MAX_STATES,
-) -> Optional[int]:
+def pair_dist(params: GroupParams, g1: GroupElement, g2: GroupElement, cap: int) -> Optional[int]:
     """Exact d(g1, g2) if it is <= cap, else None.
 
-    d(g1, g2) = |g1^-1 g2|, by _tree_dist.  The budget caps the points
-    stored: the line table and each layer of the program.
+    d(g1, g2) = |g1^-1 g2|, by _tree_dist.  The line table and each layer
+    of the program hold at most MAX_POINTS points; past that the call
+    raises BudgetExceeded.
     """
     L = params.L
     goal = _key_mul(L, _key_invert(L, g1.key), g2.key)
-    table = _line_table(L, cap - (len(goal) - 2) // 3, max_states)
-    return _tree_dist(L, table, goal, cap, max_states)
+    table = _line_table(L, cap - (len(goal) - 2) // 3)
+    return _tree_dist(L, table, goal, cap)

@@ -29,10 +29,6 @@ class GroupParams:
         object.__setattr__(self, "alpha", math.log2(self.L))
         object.__setattr__(self, "C", 2.0 + max(2.0 * (self.L + 6), (self.L / 2.0) ** 1.5))
 
-    @property
-    def half(self) -> int:
-        return self.L // 2
-
     def root(self, m: int | float) -> float:
         """m^(1/alpha) = 2^(log_L m) for m > 0; 0 for m = 0."""
         if m == 0:

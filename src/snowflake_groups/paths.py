@@ -23,15 +23,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .hnn_group import DEFAULT_MAX_STATES, GroupElement, InvariantViolation, _line_table, _tree_dist
+from .hnn_group import _CROSSING, InvariantViolation, _key_invert, _key_mul, _line_table, _tree_dist
 from .params import GroupParams
 from .vertex_group import HPoint, _expand_digits
 from .words import MAX_LETTERS, PathWord, invert_chars
 
-_ESCAPE_KIND = {"s": "x-escape", "S": "a-escape", "t": "y-escape", "T": "a-escape"}
-_ESCAPE_FLAVOR = {"s": "x", "S": "a", "t": "y", "T": "a"}
-# flavor of the conjugated (inner) power across each opening letter
-_INNER_FLAVOR = {"s": "a", "S": "x", "t": "a", "T": "y"}
 _SWAP_ST = str.maketrans("sStT", "tTsS")
 
 
@@ -126,10 +122,10 @@ def decompose_escapes(params: GroupParams, path: PathWord) -> list[PathSegment]:
         first = word.chars[0]
         delta = HPoint(keys[b][0] - keys[a][0], keys[b][1] - keys[a][1])
         power = delta.as_power(params)
-        flavor = _ESCAPE_FLAVOR[first]
+        flavor = _CROSSING[first][0]  # the power that leaves across the opening letter
         if power is None or (power[0] != flavor and power[1] != 0):
             raise ValueError(f"escape at offset {a} does not trace a {flavor}-power")
-        segments.append(PathSegment(_ESCAPE_KIND[first], word, flavor, power[1], a, b))
+        segments.append(PathSegment(f"{flavor}-escape", word, flavor, power[1], a, b))
     flush_toral(visits[-1])
     return segments
 
@@ -221,7 +217,7 @@ def enfilade_decompose(params: GroupParams, path: PathWord, R) -> EnfiladeDecomp
                 tuple(alphas),
                 tuple(betas),
                 inner,
-                tuple(flavors) + (_INNER_FLAVOR[eps],),
+                tuple(flavors) + (_CROSSING[eps][1],),  # the power it lands as
                 tuple(exponents),
             )
         if len(candidates) > 1:
@@ -269,16 +265,13 @@ def _loop_vertices(params: GroupParams, loop: PathWord) -> list[tuple]:
     return keys[:-1]
 
 
-def loop_bilip_constant(
-    params: GroupParams, loop: PathWord, cap: int, max_states: int = DEFAULT_MAX_STATES
-) -> BilipReport:
+def loop_bilip_constant(params: GroupParams, loop: PathWord, cap: int) -> BilipReport:
     """Max distortion ratio d_loop / d_X over vertex pairs of an embedded loop.
 
     d(g_i, g_j) = |g_i^-1 g_j| is found to c = min(cap, d_loop) by the
     program along the Bass-Serre tree (hnn_group._tree_dist), with one line
-    table built for the largest c.  The budget caps the points stored, the
-    table and each layer of the program, and exceeding it raises
-    BudgetExceeded.
+    table built for the largest c.  A table or layer of more than
+    hnn_group.MAX_POINTS points raises BudgetExceeded.
     """
     keys = _loop_vertices(params, loop)
     n = len(keys)
@@ -287,24 +280,22 @@ def loop_bilip_constant(
         if k in seen:
             return BilipReport(False, True, None, None, repeated_at=(seen[k], i))
         seen[k] = i
-    edges = set()
-    for i in range(n):
-        e = frozenset((keys[i], keys[(i + 1) % n]))
-        if e in edges:
-            return BilipReport(False, True, None, None, repeated_at=(i, (i + 1) % n))
-        edges.add(e)
-    table = _line_table(params.L, min(cap, n // 2), max_states)
+    # with distinct vertices, edges i != j coincide only if g_i = g_(j+1) and
+    # g_(i+1) = g_j, so i = j + 1 and j = i + 1 mod n: the loop of length 2
+    if n == 2:
+        return BilipReport(False, True, None, None, repeated_at=(1, 0))
+    L = params.L
+    table = _line_table(L, min(cap, n // 2))
     best = Fraction(0)
     witness: Optional[tuple[int, int]] = None
     complete = True
     for i in range(n):
-        gi_inv = GroupElement(params, keys[i]).inverse()
+        gi_inv = _key_invert(L, keys[i])
         for j in range(i + 1, n):
             d_loop = min(j - i, n - (j - i))
             if d_loop <= 1:
                 continue
-            goal = (gi_inv * GroupElement(params, keys[j])).key
-            d = _tree_dist(params.L, table, goal, min(cap, d_loop), max_states)
+            d = _tree_dist(L, table, _key_mul(L, gi_inv, keys[j]), min(cap, d_loop))
             if d is None:
                 complete = False
             elif Fraction(d_loop, d) > best:
@@ -332,9 +323,7 @@ class GeodesicLoopReport:
         return self.geodesic
 
 
-def verify_geodesic_loop(
-    params: GroupParams, loop: PathWord, max_states: int = DEFAULT_MAX_STATES
-) -> GeodesicLoopReport:
+def verify_geodesic_loop(params: GroupParams, loop: PathWord) -> GeodesicLoopReport:
     """Whether every antipodal vertex pair of the loop is at distance |loop|/2.
 
     Each antipodal pair (g_i, g_(i+h)), h = |loop|/2, is measured by the
@@ -343,11 +332,12 @@ def verify_geodesic_loop(
     witness.  The one line table, for that cap, is built before any vertex
     of the loop is stored.  A loop of length 2 retraces its only edge, so
     it is not geodesic, though its two vertices are at distance 1; it has no
-    witness.  The budget caps the points stored, the table and each layer
-    of the program, and exceeding it raises BudgetExceeded.
+    witness.  A table or layer of more than hnn_group.MAX_POINTS points
+    raises BudgetExceeded.
     """
+    L = params.L
     half = len(loop.chars) // 2
-    table = _line_table(params.L, half - 1, max_states)
+    table = _line_table(L, half - 1)
     keys = _loop_vertices(params, loop)
     n = len(keys)
     if n % 2:
@@ -356,8 +346,8 @@ def verify_geodesic_loop(
         return GeodesicLoopReport(False)
     # the loop arc shows d <= half, so d <= half - 1 is all there is to rule out
     for i in range(half):
-        goal = GroupElement(params, keys[i]).inverse() * GroupElement(params, keys[i + half])
-        d = _tree_dist(params.L, table, goal.key, half - 1, max_states)
+        goal = _key_mul(L, _key_invert(L, keys[i]), keys[i + half])
+        d = _tree_dist(L, table, goal, half - 1)
         if d is not None:
             return GeodesicLoopReport(False, (i, i + half), d)
     return GeodesicLoopReport(True)

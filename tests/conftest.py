@@ -1,3 +1,4 @@
+from itertools import count
 from typing import Optional
 
 import pytest
@@ -8,7 +9,6 @@ from snowflake_groups.hnn_group import (
     Ball,
     BudgetExceeded,
     GroupElement,
-    _ball_layers,
     _fold,
     _key_invert,
     _key_parts,
@@ -214,7 +214,7 @@ def ball_dist(
 ) -> Optional[int]:
     """Exact |goal| if it is <= cap, else None, by BFS out of goal into `ball`.
 
-    `ball` must be an exact ball B(1, R), of bfs_ball or _ball_layers.
+    `ball` must be an exact ball B(1, R), as bfs_ball builds it.
     Layer k of the search holds the elements at distance k from goal.  A
     geodesic from goal to 1 of length d <= k + R meets the ball within k
     steps, so once layer k has no ball element, d > k + R; then the first
@@ -261,15 +261,15 @@ def goal_distances(
 
     Goals are grouped by isometry class (canonical_key) and cap, and each
     group is searched once; every member index gets its group's result.
-    One ball B(1, r) grows a layer at a time.  After each layer, every
+    A ball B(1, r) is built by bfs_ball for r = 0, 1, 2, ...  At each r, every
     group not yet settled is searched with ball_dist to min(cap, 2r - p),
     p the parity of the goal (= |goal| mod 2, so a cap of the other parity
     is lowered by one); a group is settled once its distance is found or
     the search reached its cap.  A goal at distance d is settled at radius
-    ceil(d / 2) and the ball grows only as far as the farthest unsettled
-    goal needs.  Searching again at each radius costs a geometric series,
-    about a quarter more than one search at the last radius (spheres of
-    G_6 grow about 4.9x per layer).
+    ceil(d / 2) and the balls go only as far as the farthest unsettled
+    goal needs.  Building and searching again at each radius costs a
+    geometric series, about a quarter more than at the last radius alone
+    (spheres of G_6 grow about 4.9x per layer).
 
     Groups are searched in the order of their lowest member index.  With
     first_only, only the lowest index within its cap matters: once a group
@@ -282,7 +282,8 @@ def goal_distances(
         groups.setdefault((canonical_key(params.L, goal), cap), []).append(i)
     pending = [(members, goal, cap) for (goal, cap), members in groups.items()]
     out: dict[int, Optional[int]] = {}
-    for ball in _ball_layers(params, max_states):
+    for r in count():
+        ball = bfs_ball(params, r, max_states)
         rest = []
         for members, goal, cap in pending:
             c = min(cap, 2 * ball.radius - cap % 2)  # cap has the parity of |goal|

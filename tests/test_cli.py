@@ -321,16 +321,47 @@ def test_invariant_violation_exit_1(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("verify-loop", "--L", "6", "--n", "2", "--budget", "40"),
         ("ball", "--L", "6", "--radius", "5", "--budget", "100"),
-        ("verify-loop", "--L", "6", "--n", "18", "--budget", "100000"),
+        ("verify-loop", "--L", "6", "--n", "18"),  # past hnn_group.MAX_POINTS
     ],
-    ids=["verify-loop", "ball", "verify-loop-depth-18"],
+    ids=["ball", "verify-loop-depth-18"],
 )
 def test_budget_exceeded_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: state budget exceeded: ") and err.count("\n") == 1
+
+
+def _run_under_memory_limit(argv, megabytes):
+    """The CLI in a subprocess whose address space is capped by RLIMIT_AS."""
+    resource = pytest.importorskip("resource")
+    import subprocess
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (megabytes << 20, megabytes << 20))
+
+    return subprocess.run(
+        [sys.executable, "-m", "snowflake_groups.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"), "PATH": "/usr/bin:/bin"},
+        preexec_fn=limit,
+        timeout=120,
+    )
+
+
+def test_out_of_memory_exit_2():
+    # the radius-9 ball of G_6 does not fit in 300 MB
+    proc = _run_under_memory_limit(["ball", "--L", "6", "--radius", "9"], 300)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: out of memory\n"
+
+
+def test_verify_loop_depth_18_bounded_memory():
+    # the fixed limit on the distance program trips well within 400 MB
+    proc = _run_under_memory_limit(["verify-loop", "--L", "6", "--n", "18"], 400)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: state budget exceeded: ") and proc.stderr.count("\n") == 1
 
 
 def test_central_from_file(tmp_path, capsys):
@@ -384,10 +415,11 @@ def test_usage_error_exit_code():
 
 
 def test_budget_only_on_searches():
-    # --budget belongs to verify-loop and ball; other subcommands reject it
-    with pytest.raises(SystemExit) as info:
-        main(["dist", "--L", "6", "--a-power", "36", "--budget", "5"])
-    assert info.value.code == 2
+    # --budget belongs to ball; other subcommands, verify-loop too, reject it
+    for argv in (["dist", "--L", "6", "--a-power", "36"], ["verify-loop", "--L", "6", "--n", "2"]):
+        with pytest.raises(SystemExit) as info:
+            main(argv + ["--budget", "5"])
+        assert info.value.code == 2, argv
 
 
 def test_ball_negative_radius_exit_2(capsys):

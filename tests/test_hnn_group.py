@@ -18,6 +18,7 @@ from snowflake_groups import (
     pair_dist,
     reduce_word,
 )
+from snowflake_groups import hnn_group
 from snowflake_groups.hnn_group import (
     _key_chars,
     _key_invert,
@@ -263,27 +264,32 @@ def test_pair_dist_cap(p6):
     assert pair_dist(p6, one, a36, 16) == 16
 
 
-def test_pair_dist_budget(p6):
+def test_pair_dist_budget(p6, monkeypatch):
     one = GroupElement.identity(p6)
     a36 = reduce_word(p6, "a^36")  # distance 16: the line table for cap 16 holds 55 points
-    assert pair_dist(p6, one, a36, 16, max_states=55) == 16
+    monkeypatch.setattr(hnn_group, "MAX_POINTS", 55)
+    assert pair_dist(p6, one, a36, 16) == 16
+    monkeypatch.setattr(hnn_group, "MAX_POINTS", 50)
     with pytest.raises(BudgetExceeded) as info:
-        pair_dist(p6, one, a36, 16, max_states=50)
+        pair_dist(p6, one, a36, 16)
     assert info.value.frontier == 55  # refused before it is stored
-    # a level of S(14) past the budget: checked after each multiple of L
+    # a level of S(14) past the limit: checked after each multiple of L
+    monkeypatch.setattr(hnn_group, "MAX_POINTS", 20)
     with pytest.raises(BudgetExceeded) as info:
-        pair_dist(p6, one, a36, 16, max_states=20)
+        pair_dist(p6, one, a36, 16)
     assert 20 < info.value.frontier <= 20 + 2 * 6 - 1
 
 
-def test_tree_dist_layer_budget(p6):
+def test_tree_dist_layer_budget(p6, monkeypatch):
     # each layer of the program is checked after each state's line: the
     # first layer of t a t a ... is one y-line of 49 points
     table = _line_table(6, 20)
     key = reduce_chars(6, "ta" * 5)
-    assert _tree_dist(6, table, key, 20, max_states=49) == 10
+    monkeypatch.setattr(hnn_group, "MAX_POINTS", 49)
+    assert _tree_dist(6, table, key, 20) == 10
+    monkeypatch.setattr(hnn_group, "MAX_POINTS", 30)
     with pytest.raises(BudgetExceeded) as info:
-        _tree_dist(6, table, key, 20, max_states=30)
+        _tree_dist(6, table, key, 20)
     assert info.value.frontier == len(_line(6, table, 0, 0, "y", 20 - 5)) == 49
 
 

@@ -20,6 +20,7 @@ from snowflake_groups import (
     trace,
     verify_geodesic_loop,
 )
+from snowflake_groups import hnn_group
 from snowflake_groups.paths import _check_depth
 from snowflake_groups.words import invert_chars
 
@@ -236,22 +237,25 @@ def test_length_two_loop_is_not_geodesic(p6):
 
 
 def test_non_geodesic_loop_stops_early(p6):
-    # |a^20| = 12: found at the first antipodal pair, within the budget
+    # |a^20| = 12: found at the first antipodal pair
     loop = PathWord.from_str(p6, "a^20 a^-20")
-    report = verify_geodesic_loop(p6, loop, max_states=20_000)
+    report = verify_geodesic_loop(p6, loop)
     assert not report
     assert report.witness == (0, 20) and report.distance == 12
 
 
-def test_verify_loop_budget(p6):
+def test_verify_loop_budget(p6, monkeypatch):
     # the line table for cap 15 holds 49 points, as does the largest layer
     loop = snowflake_loop(p6, 2)
-    assert verify_geodesic_loop(p6, loop, max_states=49)
+    monkeypatch.setattr(hnn_group, "MAX_POINTS", 49)
+    assert verify_geodesic_loop(p6, loop)
+    monkeypatch.setattr(hnn_group, "MAX_POINTS", 40)
     with pytest.raises(BudgetExceeded) as info:
-        verify_geodesic_loop(p6, loop, max_states=40)
+        verify_geodesic_loop(p6, loop)
     assert info.value.frontier == 49  # refused before it is stored
+    monkeypatch.setattr(hnn_group, "MAX_POINTS", 20)
     with pytest.raises(BudgetExceeded) as info:
-        verify_geodesic_loop(p6, loop, max_states=20)
+        verify_geodesic_loop(p6, loop)
     assert 20 < info.value.frontier <= 20 + 2 * 6 - 1
 
 
@@ -271,7 +275,7 @@ def test_loop_bilip_mixed_geodesic_loop(p6):
 def test_loop_bilip_degenerate(p6):
     report = loop_bilip_constant(p6, PathWord(p6, "sS"), 2)
     assert not report.embedded
-    assert report.repeated_at is not None
+    assert report.repeated_at == (1, 0)  # edge 1 retraces edge 0
 
 
 def test_loop_bilip_nontrivial_constant(p6):
