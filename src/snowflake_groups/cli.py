@@ -28,7 +28,7 @@ from .vertex_group import (
     geodesic_word_a_power,
     geodesic_word_h,
 )
-from .words import MAX_LETTERS, PathWord, parse_word
+from .words import PathWord, parse_word
 
 _EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*$")
 
@@ -72,9 +72,6 @@ def _cmd_expr(args) -> int:
 def _cmd_word(args) -> int:
     params = _params(args)
     h = HPoint(*args.h) if args.h is not None else None
-    length = dist_a_power(params, args.a_power) if h is None else dist_h(params, h)
-    if length > MAX_LETTERS:
-        raise ValueError(f"geodesic word longer than {MAX_LETTERS} letters")
     w = geodesic_word_a_power(params, args.a_power) if h is None else geodesic_word_h(params, h)
     _emit(args, {"L": params.L, "word": str(w), "length": w.length}, str(w))
     return 0
@@ -184,7 +181,7 @@ def _cmd_enfilade(args) -> int:
 def _subdivision(data, name: str) -> list[int]:
     """The exponent list `name` of a polygon file."""
     try:
-        return [int(k) for k in data[name]]
+        return [filling._json_int(k) for k in data[name]]
     except (KeyError, TypeError, ValueError):
         raise ValueError(f"polygon JSON: {name!r} must be a list of integers") from None
 

@@ -18,7 +18,7 @@ import gc
 import math
 import operator
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import islice, repeat
 from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
@@ -145,16 +145,7 @@ class GapReport:
     holder_below_one: bool | None
 
     def as_dict(self) -> dict:
-        return {
-            "L": self.L,
-            "limsup_proxy": self.limsup_proxy,
-            "liminf_proxy": self.liminf_proxy,
-            "gap_ratio": self.gap_ratio,
-            "gap_bound": self.gap_bound,
-            "gap_ok": self.gap_ok,
-            "holder_product": self.holder_product,
-            "holder_below_one": self.holder_below_one,
-        }
+        return asdict(self)
 
 
 def gap_checks(params: GroupParams) -> GapReport:
@@ -170,10 +161,11 @@ def gap_checks(params: GroupParams) -> GapReport:
     return GapReport(params.L, hi, lo, hi / lo, bound, hi / lo > bound, holder, below)
 
 
-def reverse_holder_check(
-    params: GroupParams, samples: Sequence[Sequence[float]], tol: float = 1e-12
-) -> bool:
-    """Both reverse Hoelder inequalities on each tuple of nonnegative reals:
+_HOLDER_TOL = 1e-12  # float slack, relative to max(1, sum r_i^(1/a))
+
+
+def reverse_holder_check(params: GroupParams, samples: Sequence[Sequence[float]]) -> bool:
+    """Both reverse Hoelder inequalities, to _HOLDER_TOL, on each tuple of reals >= 0:
 
     (1/n)^(1-1/a) * sum r_i^(1/a)  <=  (sum r_i)^(1/a)  <=  sum r_i^(1/a)
     """
@@ -186,10 +178,10 @@ def reverse_holder_check(
             continue
         roots = sum(r ** (1.0 / a) for r in sample)
         total = sum(sample) ** (1.0 / a)
-        scale = max(1.0, roots)
-        if not ((1.0 / n) ** (1.0 - 1.0 / a) * roots <= total + tol * scale):
+        slack = _HOLDER_TOL * max(1.0, roots)
+        if not ((1.0 / n) ** (1.0 - 1.0 / a) * roots <= total + slack):
             return False
-        if not (total <= roots + tol * scale):
+        if not (total <= roots + slack):
             return False
     return True
 

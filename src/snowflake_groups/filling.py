@@ -54,6 +54,13 @@ def _json_fields(what: str) -> Iterator[None]:
         raise ValueError(f"{what}: malformed field: {exc}") from None
 
 
+def _json_int(value) -> int:
+    """value if it is a JSON integer, else TypeError (int() reads 6.9, "12" and true)."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {type(value).__name__}")
+    return value
+
+
 def _cell_word(params: GroupParams, *pieces: tuple[str, int]) -> str:
     """The geodesic words of the (flavor, exponent) pieces, one after another."""
     return "".join(_geodesic_chars(params, flavor, k) for flavor, k in pieces)
@@ -188,11 +195,12 @@ def _corner_paths(params: GroupParams, poly: ApproxPolygon) -> list[PathWord]:
             end = cp.endpoint()
             if not end.in_vertex_group() or end.h_point() != diff:
                 raise ValueError(f"corner path {i} does not join side {i} to corner {i + 1}")
+            length = cp.length
         else:
-            cp = geodesic_word_h(params, diff)
-        if cp.length > poly.D:
-            raise ValueError(f"corner path {i} has length {cp.length} > D = {poly.D}")
-        out.append(cp)
+            cp, length = None, dist_h(params, diff)  # measured before it is spelled
+        if length > poly.D:
+            raise ValueError(f"corner path {i} has length {length} > D = {poly.D}")
+        out.append(geodesic_word_h(params, diff) if cp is None else cp)
     return out
 
 
@@ -677,9 +685,9 @@ class HnnDualTree:
     @classmethod
     def from_json(cls, data: dict) -> "HnnDualTree":
         with _json_fields("dual tree JSON"):
-            arcs = {n["id"]: tuple(int(a) for a in n.get("arcs", ())) for n in data["nodes"]}
+            arcs = {n["id"]: tuple(map(_json_int, n.get("arcs", ()))) for n in data["nodes"]}
             kinds = {n["id"]: n["kind"] for n in data["nodes"] if n.get("kind")}
-            edges = [(a, b, int(l)) for a, b, l in data["edges"]]
+            edges = [(a, b, _json_int(l)) for a, b, l in data["edges"]]
             return cls(arcs, edges, kinds)
 
     def to_dot(self) -> str:
@@ -830,9 +838,9 @@ def polygon_from_json(params: GroupParams, data: dict) -> ApproxPolygon:
             )
         return ApproxPolygon(
             data["kind"],
-            tuple(HPoint(int(u), int(v)) for u, v in data["corners"]),
+            tuple(HPoint(_json_int(u), _json_int(v)) for u, v in data["corners"]),
             tuple(data["flavors"]),
-            tuple(int(e) for e in data["exponents"]),
-            int(data["D"]),
+            tuple(map(_json_int, data["exponents"])),
+            _json_int(data["D"]),
             corner_paths,
         )

@@ -50,11 +50,12 @@ upper bound.  So, with entry_0 = exit_(n+1) = 0,
 
     |g| = n + min over k_1..k_n of sum_j dist_h(h_j - entry_j(k_j) + exit_(j+1)(k_(j+1))).
 
-It trusts dist_h on all of H, which acceptance 2 checks against BFS only
-to radius 10.  Its line table and each layer hold at most MAX_POINTS
-points, or it raises BudgetExceeded.  pair_dist and the loop checks of
-paths run on it; bfs_ball grows B(1, r) by BFS, and the tests keep the BFS
-searches as oracles.
+Each term, the last too, is one read along a line of H (_line).  It
+trusts dist_h on all of H, which acceptance 2 checks against BFS only to
+radius 10.  Its line table and each layer hold at most MAX_POINTS points,
+or it raises BudgetExceeded.  pair_dist and the loop checks of paths run
+on it; bfs_ball grows B(1, r) by BFS, and the tests keep the BFS searches
+as oracles.
 """
 from __future__ import annotations
 
@@ -369,8 +370,8 @@ def _line(L: int, table: tuple[dict, list], u: int, v: int, gen: str, b: int) ->
     x^(v+q) y^q a^p with u = qL + p, |p| < L, of length |p| + g(v+q) + g(q)
     (vertex_group._h_route), so within b both powers are in the table.
     Along the a-line q runs over the table, cheapest first; along the
-    x-line y^q is fixed and x^(v+k+q) runs over it, and along the y-line,
-    a^(u+kL) x^(v-k), x^(v+q) is fixed and y^(q+k) runs over it.
+    x-line y^q is fixed and x^(v+k+q) runs over it.  s <-> t fixes a and
+    swaps x and y, so a y-line is the x-line through a^(u+Lv) x^-v.
     """
     g, order = table
     out: dict[int, int] = {}
@@ -386,12 +387,14 @@ def _line(L: int, table: tuple[dict, list], u: int, v: int, gen: str, b: int) ->
                 if gq + gw + abs(p) < out.get(k + p, b + 1):
                     out[k + p] = gq + gw + abs(p)
         return out
+    if gen == "y":
+        u, v = u + L * v, -v
     for q, p in _splits(L, u):
-        fixed, shift = (g.get(q), v + q) if gen == "x" else (g.get(v + q), q)
-        if fixed is None:
+        gq, shift = g.get(q), v + q
+        if gq is None:
             continue
-        for gw, w in order:
-            d = abs(p) + fixed + gw
+        for gw, w in order:  # x^w = x^(v+q+k)
+            d = abs(p) + gq + gw
             if d > b:
                 break
             if d < out.get(w - shift, b + 1):
@@ -403,16 +406,16 @@ def _tree_dist(L: int, table: tuple[dict, list], key: Key, cap: int) -> Optional
     """Exact |key| if it is <= cap, else None, by the program of the module
     docstring.  A state is the landing exponent k_j of a crossing, with the
     least cost of reaching it.  A transition reads the exit line of the next
-    crossing (_line) within the cap less that cost and the crossings still
-    to come, so a state that cannot finish within the cap is dropped.  The
-    table must cover c >= cap - n.  A layer of more than MAX_POINTS states
-    raises BudgetExceeded, checked after each state's line.
+    crossing (_line) within the cap less that cost and the crossings to come,
+    dropping states that cannot finish; one read of the landing line through
+    the tail ends it.  The table must cover c >= cap - n.  A layer of more
+    than MAX_POINTS states raises BudgetExceeded, checked after each line.
     """
     n = (len(key) - 2) // 3
     letters = _letters(L)
-    layer = {0: 0}
-    eu = ev = 0  # the landing step of the last crossing
+    layer, land = {0: 0}, "a"  # the state before the first crossing: 0 along any line
     for j in range(0, 3 * n, 3):
+        _, eu, ev = letters[land]
         hu, hv = key[j], key[j + 1]
         leave, land = _CROSSING[_LETTER[key[j + 2]]]
         nxt: dict[int, int] = {}
@@ -424,13 +427,8 @@ def _tree_dist(L: int, table: tuple[dict, list], key: Key, cap: int) -> Optional
             if len(nxt) > MAX_POINTS:
                 raise BudgetExceeded(frontier=len(nxt), visited=len(table[0]) + len(nxt))
         layer = nxt
-        _, eu, ev = letters[land]
-    g, best = table[0], cap + 1
-    for k, cost in layer.items():  # the last segment, its routes read from the table
-        u, v = key[-2] - k * eu, key[-1] - k * ev
-        for q, p in _splits(L, u):
-            if q in g and v + q in g:
-                best = min(best, cost + abs(p) + g[q] + g[v + q])
+    last = _line(L, table, key[-2], key[-1], land, cap - n)  # each cost is at least n
+    best = min((cost + last[-k] for k, cost in layer.items() if -k in last), default=cap + 1)
     return best if best <= cap else None
 
 

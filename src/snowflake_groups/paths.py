@@ -16,14 +16,17 @@ With respect to a coset gH of the vertex group, an *escape* is a subpath
 meeting gH exactly at its endpoints; its endpoints differ by a power of a,
 x or y (its flavor), the exponent of that power is the escape's exponent,
 and its trace is the toral path between its endpoints.
+
+The loop checks measure g_i^-1 g_j, the element spelled by the letters i
+to j of the loop, on the distance program of hnn_group._tree_dist.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
-from .hnn_group import _CROSSING, InvariantViolation, _key_invert, _key_mul, _line_table, _tree_dist
+from .hnn_group import _CROSSING, InvariantViolation, _line_table, _tree_dist, prefix_keys, reduce_chars
 from .params import GroupParams
 from .vertex_group import HPoint, _expand_digits
 from .words import MAX_LETTERS, PathWord, invert_chars
@@ -256,13 +259,12 @@ class BilipReport:
         return self.embedded and self.complete and self.constant == 1
 
 
-def _loop_vertices(params: GroupParams, loop: PathWord) -> list[tuple]:
+def _check_closed(L: int, loop: PathWord) -> None:
+    """Refuse a loop with x or y edges, or one whose word is not trivial."""
     if any(c in loop.chars for c in "xXyY"):
         raise ValueError("loop checks require an {a, s, t} word (x/y edges are weighted)")
-    keys = loop.vertex_keys()
-    if len(keys[-1]) != 2 or keys[-1] != (0, 0):
+    if reduce_chars(L, loop.chars) != (0, 0):
         raise ValueError("path is not a closed loop")
-    return keys[:-1]
 
 
 def loop_bilip_constant(params: GroupParams, loop: PathWord, cap: int) -> BilipReport:
@@ -270,10 +272,14 @@ def loop_bilip_constant(params: GroupParams, loop: PathWord, cap: int) -> BilipR
 
     d(g_i, g_j) = |g_i^-1 g_j| is found to c = min(cap, d_loop) by the
     program along the Bass-Serre tree (hnn_group._tree_dist), with one line
-    table built for the largest c.  A table or layer of more than
-    hnn_group.MAX_POINTS points raises BudgetExceeded.
+    table built for the largest c.  g_i^-1 g_j is spelled by the letters i
+    to j of the loop, so the goals from g_i are the prefix keys of the loop
+    read from i.  A table or layer of more than hnn_group.MAX_POINTS points
+    raises BudgetExceeded.
     """
-    keys = _loop_vertices(params, loop)
+    L = params.L
+    _check_closed(L, loop)
+    keys = prefix_keys(L, loop.chars)[:-1]
     n = len(keys)
     seen: dict[tuple, int] = {}
     for i, k in enumerate(keys):
@@ -284,18 +290,17 @@ def loop_bilip_constant(params: GroupParams, loop: PathWord, cap: int) -> BilipR
     # g_(i+1) = g_j, so i = j + 1 and j = i + 1 mod n: the loop of length 2
     if n == 2:
         return BilipReport(False, True, None, None, repeated_at=(1, 0))
-    L = params.L
     table = _line_table(L, min(cap, n // 2))
     best = Fraction(0)
     witness: Optional[tuple[int, int]] = None
     complete = True
     for i in range(n):
-        gi_inv = _key_invert(L, keys[i])
+        goals = prefix_keys(L, loop.chars[i:])  # goals[j - i] = g_i^-1 g_j
         for j in range(i + 1, n):
             d_loop = min(j - i, n - (j - i))
             if d_loop <= 1:
                 continue
-            d = _tree_dist(L, table, _key_mul(L, gi_inv, keys[j]), min(cap, d_loop))
+            d = _tree_dist(L, table, goals[j - i], min(cap, d_loop))
             if d is None:
                 complete = False
             elif Fraction(d_loop, d) > best:
@@ -329,25 +334,22 @@ def verify_geodesic_loop(params: GroupParams, loop: PathWord) -> GeodesicLoopRep
     Each antipodal pair (g_i, g_(i+h)), h = |loop|/2, is measured by the
     program along the Bass-Serre tree (hnn_group._tree_dist), to the cap
     h - 1, in the order of i; the first pair found within it is the
-    witness.  The one line table, for that cap, is built before any vertex
-    of the loop is stored.  A loop of length 2 retraces its only edge, so
-    it is not geodesic, though its two vertices are at distance 1; it has no
-    witness.  A table or layer of more than hnn_group.MAX_POINTS points
-    raises BudgetExceeded.
+    witness.  The goal g_i^-1 g_(i+h) is the element spelled by the letters
+    i to i + h of the loop, so no vertex of the loop is stored.  The one
+    line table, for that cap, is built first.  A loop of length 2 retraces
+    its only edge, so it is not geodesic, though its two vertices are at
+    distance 1; it has no witness.  A table or layer of more than
+    hnn_group.MAX_POINTS points raises BudgetExceeded.
     """
     L = params.L
     half = len(loop.chars) // 2
     table = _line_table(L, half - 1)
-    keys = _loop_vertices(params, loop)
-    n = len(keys)
-    if n % 2:
-        raise ValueError("loops in G_L have even length")
-    if n == 2:
+    _check_closed(L, loop)
+    if half == 1:
         return GeodesicLoopReport(False)
     # the loop arc shows d <= half, so d <= half - 1 is all there is to rule out
     for i in range(half):
-        goal = _key_mul(L, _key_invert(L, keys[i]), keys[i + half])
-        d = _tree_dist(L, table, goal, half - 1)
+        d = _tree_dist(L, table, reduce_chars(L, loop.chars[i : i + half]), half - 1)
         if d is not None:
             return GeodesicLoopReport(False, (i, i + half), d)
     return GeodesicLoopReport(True)

@@ -21,9 +21,11 @@ is not pinned down; we minimize over every valid decomposition (r = l mod L
 and r - L), which is safe and is validated against the breadth-first-search
 oracle.
 
-|a^(qL+r)| needs only |a^q| and |a^(q+1)|, so |a^m| is one pass down the
-base-L digits of m carrying that pair, in O(log_L m) steps.  All
-functions are pure and the module keeps no state.
+The guard routes to a^(qL+r) need only |a^q| and |a^(q+1)|, and _routes is
+their one home: |a^m| is one pass down the base-L digits of m carrying that
+pair, in O(log_L m) steps, and dist_table and the sets S(r) of _a_ball are
+built up from them a run of L lengths at a time.  All functions are pure
+and the module keeps no state.
 """
 from __future__ import annotations
 
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .params import GroupParams
-from .words import PathWord, power_chars
+from .words import MAX_LETTERS, PathWord, power_chars
 
 
 class HPoint(NamedTuple):
@@ -153,32 +155,27 @@ class BudgetExceeded(RuntimeError):
 def _a_ball(L: int, r: int, max_points: int) -> dict[int, int]:
     """{m: |a^m|} for every m >= 0 with |a^m| <= r: the set S(r), exactly.
 
-    |a^m| is the shorter guard route |a^(QL)| + |m - QL| through a multiple
-    QL with |m - QL| < L, and a route within r has Q = 0 or 4 + 2|a^Q| <= r,
-    that is Q in S((r - 4) // 2).  So S(r) is S((r - 4) // 2) one base-L
-    digit deeper, with integers only.  A level past max_points raises
-    BudgetExceeded, checked after each Q.
+    |a^(qL + i)|, 0 <= i < L, is the shorter guard route (_routes) through
+    |a^q| or |a^(q+1)|, and a route through a^(kL), k >= 1, is within r only
+    if 4 + 2|a^k| <= r, that is k in S((r - 4) // 2).  So S(r) is read off
+    the runs of L lengths whose q or q + 1 lies in the level below, as in
+    dist_table, a length missing there counting as r + 1.  A level past
+    max_points raises BudgetExceeded, checked after each run.
     """
-    radii = []  # r, (r - 4) // 2, ..., built from the bottom up
-    while r >= 0:
-        radii.append(r)
-        r = (r - 4) // 2
-    level: dict[int, int] = {}
-    for r in reversed(radii):
-        out = {p: p for p in range(min(r, L - 1) + 1)}  # Q = 0: p letters a
-        for q, dq in level.items():
-            if not q:
-                continue
-            base = 4 + 2 * dq
-            w = min(r - base, L - 1)
-            for m in range(q * L - w, q * L + w + 1):
-                d = base + abs(m - q * L)
-                if d < out.get(m, d + 1):
-                    out[m] = d
-            if len(out) > max_points:
-                raise BudgetExceeded(frontier=len(out), visited=len(level) + len(out))
-        level = out
-    return level
+    if r < 0:
+        return {}
+    level = _a_ball(L, (r - 4) // 2, max_points)
+    out: dict[int, int] = {}
+    for q in sorted({0, *level, *(k - 1 for k in level if k)}):
+        lo, hi = (level.get(q, r + 1), level.get(q + 1, r + 1)) if q else (0, 1)
+        low, high = _routes(L, lo, hi, 0)
+        for i in range(L):
+            d = low + i if low + i < high - i else high - i
+            if d <= r:
+                out[q * L + i] = d
+        if len(out) > max_points:
+            raise BudgetExceeded(frontier=len(out), visited=len(level) + len(out))
+    return out
 
 
 def _gpow(L: int, k: int) -> int:
@@ -285,9 +282,12 @@ def geodesic_expression(params: GroupParams, m: int) -> GeodesicExpression:
 
 
 def _expand_digits(digits: tuple[int, ...]) -> str:
-    """Path word realizing sum digits[i] L^i: recursively s w s^-1 t w t^-1 a^d."""
+    """Path word realizing sum digits[i] L^i: recursively s w s^-1 t w t^-1 a^d,
+    refused with ValueError before a doubling would pass MAX_LETTERS letters."""
     chars = power_chars("a", digits[-1])
     for d in reversed(digits[:-1]):
+        if 2 * len(chars) + 4 + abs(d) > MAX_LETTERS:
+            raise ValueError(f"geodesic word longer than {MAX_LETTERS} letters")
         chars = "s" + chars + "S" + "t" + chars + "T" + power_chars("a", d)
     return chars
 
@@ -307,9 +307,11 @@ def geodesic_word_a_power(params: GroupParams, m: int) -> PathWord:
 
 
 def geodesic_word_h(params: GroupParams, h: HPoint) -> PathWord:
-    """A geodesic word from 1 to h of the shape (x-escape)(y-escape)(a-path)."""
+    """A geodesic word from 1 to h, (x-escape)(y-escape)(a-path); ValueError past MAX_LETTERS."""
     u, v = h
-    _, q, p = _h_route(params.L, u, v)
+    d, q, p = _h_route(params.L, u, v)
+    if d > MAX_LETTERS:
+        raise ValueError(f"geodesic word longer than {MAX_LETTERS} letters")
     chars = _geodesic_chars(params, "x", v + q) + _geodesic_chars(params, "y", q)
     return PathWord(params, chars + power_chars("a", p))
 

@@ -364,6 +364,53 @@ def test_verify_loop_depth_18_bounded_memory():
     assert proc.stderr.startswith("error: state budget exceeded: ") and proc.stderr.count("\n") == 1
 
 
+_BIGON = {"kind": "bigon", "corners": [[0, 0], [12, 1]], "flavors": ["a", "a"],
+          "exponents": [12, -12], "D": 3, "subdivision": [6, 6]}
+
+
+@pytest.mark.parametrize(
+    "change, err",
+    [
+        # the gap from a^12 to the corner a^(10^21) is measured, not spelled
+        ({"corners": [[0, 0], [10**21, 0]]}, "error: corner path 0 has length 734426360 > D = 3\n"),
+        ({"subdivision": [10**21, 12 - 10**21]}, "error: geodesic word longer than 10000000 letters\n"),
+        (
+            {"corners": [[0, 0], [10**21 + 12, 0]], "exponents": [10**21 + 12, -(10**21) - 12],
+             "D": 0, "subdivision": [10**21 + 12]},
+            "error: geodesic word longer than 10000000 letters\n",
+        ),
+    ],
+)
+def test_fill_oversize_geodesic_refused_before_spelling(tmp_path, change, err):
+    # each of these would spell a word of more than 10^8 letters
+    path = tmp_path / "bigon.json"
+    path.write_text(json.dumps({**_BIGON, **change}))
+    proc = _run_under_memory_limit(["fill", "bigon", "--L", "6", "--input", str(path)], 400)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", err)
+
+
+@pytest.mark.parametrize(
+    "argv, payload, err",
+    [
+        # int() would read these as 6, 12 and 1
+        (("fill", "bigon"), {**_BIGON, "subdivision": [6, 6.9]},
+         "polygon JSON: 'subdivision' must be a list of integers"),
+        (("fill", "bigon"), {**_BIGON, "exponents": ["12", -12]},
+         "polygon JSON: malformed field: expected an integer, got str"),
+        (("fill", "bigon"), {**_BIGON, "D": True},
+         "polygon JSON: malformed field: expected an integer, got bool"),
+        (("central",), {"nodes": [{"id": "a", "arcs": [1.5]}], "edges": []},
+         "dual tree JSON: malformed field: expected an integer, got float"),
+        (("central",), {"nodes": [{"id": "a"}, {"id": "b"}], "edges": [["a", "b", False]]},
+         "dual tree JSON: malformed field: expected an integer, got bool"),
+    ],
+)
+def test_input_files_take_json_integers_only(tmp_path, capsys, argv, payload, err):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    assert run_cli(capsys, *argv, "--L", "6", "--input", str(path)) == (2, "", f"error: {err}\n")
+
+
 def test_central_from_file(tmp_path, capsys):
     tree = {
         "nodes": [

@@ -244,6 +244,29 @@ def test_non_geodesic_loop_stops_early(p6):
     assert report.witness == (0, 20) and report.distance == 12
 
 
+def test_verify_loop_reads_goals_off_the_word(p6, monkeypatch):
+    # each goal g_i^-1 g_(i+h) is the word's letters i to i + h, reduced:
+    # the check stores no vertex list, so it needs no prefix keys
+    from snowflake_groups import paths
+
+    def refuse(*args):
+        raise AssertionError("verify_geodesic_loop stored the vertices of the loop")
+
+    monkeypatch.setattr(paths, "prefix_keys", refuse)
+    monkeypatch.setattr(PathWord, "vertex_keys", refuse)
+    assert verify_geodesic_loop(p6, snowflake_loop(p6, 2))
+    report = verify_geodesic_loop(p6, PathWord(p6, "a" * 12 + "A" * 12))
+    assert (report.geodesic, report.witness, report.distance) == (False, (0, 12), 8)
+
+
+@pytest.mark.parametrize("check", [verify_geodesic_loop, lambda p, w: loop_bilip_constant(p, w, 3)])
+def test_loop_checks_refuse_open_or_weighted_words(p6, check):
+    with pytest.raises(ValueError, match="not a closed loop"):
+        check(p6, PathWord(p6, "aaaa"))
+    with pytest.raises(ValueError, match="x/y edges"):
+        check(p6, PathWord(p6, "xX"))
+
+
 def test_verify_loop_budget(p6, monkeypatch):
     # the line table for cap 15 holds 49 points, as does the largest layer
     loop = snowflake_loop(p6, 2)

@@ -22,6 +22,7 @@ from snowflake_groups import (
     reduce_word,
     xy_line_intersection,
 )
+from snowflake_groups import vertex_group
 from snowflake_groups.vertex_group import BudgetExceeded, _a_ball
 
 
@@ -150,7 +151,7 @@ def test_dist_table_short(p6, p10):
     assert dist_table(p10, 11) == [0, 1, 2, 3, 4, 5, 6, 7, 8, 7, 6, 7]
 
 
-@pytest.mark.parametrize("L", [6, 8, 12])
+@pytest.mark.parametrize("L", [6, 8, 10, 12])
 def test_a_ball_matches_dist_table(L):
     # S(r) = {m >= 0 : |a^m| <= r} against a scan; |a^m| >= m^(1/alpha),
     # so S(39) lies below 39^alpha
@@ -269,6 +270,24 @@ def test_geodesic_word_a_power_examples(p6, p10):
     end = w.endpoint()
     assert end.in_vertex_group() and end.h_point() == HPoint(36, 0)
     assert geodesic_word_a_power(p6, 0).chars == ""
+
+
+def test_geodesic_word_refused_past_max_letters(p6, monkeypatch):
+    # refused at the doubling that would pass the limit, before it is spelled
+    with pytest.raises(ValueError, match="longer than 10000000 letters"):
+        geodesic_word_a_power(p6, 10**21)  # |a^(10^21)| = 734426360
+    with pytest.raises(ValueError, match="longer than 10000000 letters"):
+        geodesic_word_h(p6, HPoint(0, 10**21))
+    # x- and y-escapes of 6 310 082 and 4 900 002 letters: each within the
+    # limit, the word of 11 210 084 letters not
+    h = HPoint(12955520674908624, 2159253445818104)
+    assert dist_h(p6, h) == 11_210_084
+    with pytest.raises(ValueError, match="longer than 10000000 letters"):
+        geodesic_word_h(p6, h)
+    monkeypatch.setattr(vertex_group, "MAX_LETTERS", 16)
+    assert geodesic_word_a_power(p6, 36).length == 16  # at the limit
+    with pytest.raises(ValueError, match="longer than 16 letters"):
+        geodesic_word_a_power(p6, 37)  # |a^37| = 17
 
 
 @pytest.mark.parametrize("L", [6, 10])
