@@ -17,6 +17,9 @@ closed boundary word with the point it is read from.  Every produced
 boundary word reduces to the identity; planarity is by construction and
 is not re-verified.  A cell whose word freely reduces to the empty word
 encloses nothing, so it is left out and does not count toward the area.
+Many cells of a diagram share their pieces and their words: a diagram
+spells each (flavor, exponent) once, and its mesh and triviality check
+read each distinct boundary word once.
 """
 from __future__ import annotations
 
@@ -24,9 +27,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .hnn_group import InvariantViolation
+from .hnn_group import InvariantViolation, reduce_chars
 from .params import GroupParams
 from .paths import _check_depth, snowflake_loop, snowflake_path
 from .vertex_group import (
@@ -61,9 +64,20 @@ def _json_int(value) -> int:
     return value
 
 
-def _cell_word(params: GroupParams, *pieces: tuple[str, int]) -> str:
+def _json_rows(rows, name: str, size: int):
+    """rows (the JSON field `name`) if it is a list of lists of `size`
+    entries, else TypeError naming the field, before any row is unpacked."""
+    if not isinstance(rows, (list, tuple)):
+        raise TypeError(f"{name} must be a list")
+    for i, row in enumerate(rows):
+        if not isinstance(row, (list, tuple)) or len(row) != size:
+            raise TypeError(f"{name}[{i}] must be a list of {size} entries")
+    return rows
+
+
+def _cell_word(diagram: "Diagram", *pieces: tuple[str, int]) -> str:
     """The geodesic words of the (flavor, exponent) pieces, one after another."""
-    return "".join(_geodesic_chars(params, flavor, k) for flavor, k in pieces)
+    return "".join(diagram.spell(flavor, k) for flavor, k in pieces)
 
 
 def _backward(exps: Sequence[int]) -> list[int]:
@@ -131,10 +145,26 @@ class Cell:
 
 @dataclass
 class Diagram:
-    """A combinatorial van Kampen diagram: its cells."""
+    """A combinatorial van Kampen diagram: its cells.
+
+    The geodesic words a filling spells while it builds the diagram are
+    kept with it, so each (flavor, exponent) is spelled once per diagram;
+    they take no part in equality or repr.
+    """
 
     params: GroupParams
     cells: list[Cell]
+    _spelled: dict[tuple[str, int], str] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def spell(self, flavor: str, k: int) -> str:
+        """The geodesic word of flavor^k (vertex_group._geodesic_chars), spelled
+        the first time this diagram asks for it."""
+        word = self._spelled.get((flavor, k))
+        if word is None:
+            word = self._spelled[flavor, k] = _geodesic_chars(self.params, flavor, k)
+        return word
 
     @property
     def area(self) -> int:
@@ -147,12 +177,20 @@ class Diagram:
         if free_reduce(word):
             self.cells.append(Cell(PathWord(self.params, word), basepoint))
 
+    def _distinct_boundaries(self) -> Iterable[PathWord]:
+        """One boundary per distinct word, in the order of first appearance."""
+        return {c.boundary.chars: c.boundary for c in self.cells}.values()
+
     @property
     def mesh(self) -> int:
-        return max((c.boundary.length for c in self.cells), default=0)
+        """The longest cell boundary, measured once per distinct word."""
+        return max((b.length for b in self._distinct_boundaries()), default=0)
 
     def boundaries_trivial(self) -> bool:
-        return all(c.boundary.is_closed() for c in self.cells)
+        """Whether every cell word Britton-reduces to the identity; each
+        distinct word is reduced once, in full."""
+        L = self.params.L
+        return all(reduce_chars(L, b.chars) == (0, 0) for b in self._distinct_boundaries())
 
     def to_json(self) -> dict:
         return {
@@ -282,7 +320,6 @@ def _validate_subdivision(label: str, exps: SubdivisionExps, total: int) -> None
 
 
 def _bigon_cells(
-    params: GroupParams,
     diagram: Diagram,
     G0: HPoint,
     flavor: str,
@@ -309,6 +346,7 @@ def _bigon_cells(
     n = len(exps)
     if n == 0:
         raise ValueError("subdivision must have at least one segment")
+    params = diagram.params
     prefix = list(accumulate(exps, initial=0))
     lo, hi = min(0, -M1), max(0, -M1)
     p = min(n - 1, max(i for i, s in enumerate(prefix) if lo <= s <= hi))
@@ -322,8 +360,8 @@ def _bigon_cells(
     tops = [-e for e in exps[:p]] + [M1 + prefix[p]] + [0] * (n - 1 - p)
     for i, (e, top) in enumerate(zip(exps, tops)):
         word = (
-            _geodesic_chars(params, flavor, e) + verticals[i + 1]
-            + _geodesic_chars(params, flavor, top) + invert_chars(verticals[i])
+            diagram.spell(flavor, e) + verticals[i + 1]
+            + diagram.spell(flavor, top) + invert_chars(verticals[i])
         )
         diagram.add(word, starts[i])
     return [M1 + prefix[p]] + _backward(exps[:p])
@@ -344,7 +382,7 @@ def fill_bigon(
     cps = _corner_paths(params, poly)
     diagram = Diagram(params, [])
     out = _bigon_cells(
-        params, diagram, poly.corners[0], poly.flavors[0], subdivision,
+        diagram, poly.corners[0], poly.flavors[0], subdivision,
         poly.corners[1], poly.exponents[1], cps[0].chars, cps[1].chars,
     )
     return diagram, Subdivision(poly.corners[1], poly.flavors[1], tuple(out))
@@ -386,14 +424,14 @@ def _fill_polygon(
     inbound: Sides = {}
     for i, exps in given.items():
         out = _bigon_cells(
-            params, diagram, poly.corners[i], poly.flavors[i], exps,
+            diagram, poly.corners[i], poly.flavors[i], exps,
             true.corners[(i + 1) % n], -true.exponents[i], gammas[i], invert_chars(alphas[i]),
         )
         inbound[i] = _backward(out)  # true side i, forward from its corner
     subs = []
     for i, exps in interior(diagram, true, inbound).items():
         out = _bigon_cells(
-            params, diagram, true.corners[i], poly.flavors[i], exps,
+            diagram, true.corners[i], poly.flavors[i], exps,
             poly.side_end(params, i), -poly.exponents[i], invert_chars(gammas[i]), alphas[i],
         )
         subs.append(Subdivision(poly.corners[i], poly.flavors[i], tuple(_backward(out))))
@@ -441,7 +479,7 @@ def _triangle_interior(diagram: Diagram, true: ApproxPolygon, inbound: Sides) ->
         if rounded[j] == prefix[j] and rounded[j - 1] == prefix[j - 1]:
             continue  # nothing moved; no strip cell needed
         word = _cell_word(
-            params,
+            diagram,
             ("a", prefix[j] - prefix[j - 1]),
             ("a", rounded[j] - prefix[j]),
             ("a", rounded[j - 1] - rounded[j]),
@@ -456,12 +494,12 @@ def _triangle_interior(diagram: Diagram, true: ApproxPolygon, inbound: Sides) ->
     for j, dj in enumerate(d):
         if dj == 0:
             continue
-        word = _cell_word(params, ("a", -L * dj), ("x", dj), ("y", dj))
+        word = _cell_word(diagram, ("a", -L * dj), ("x", dj), ("y", dj))
         diagram.add(word, g2p * HPoint(rounded[j], 0))
         for i in range(j):
             if d[i] == 0:
                 continue
-            word = _cell_word(params, ("x", d[i]), ("y", -dj), ("x", -d[i]), ("y", dj))
+            word = _cell_word(diagram, ("x", d[i]), ("y", -dj), ("x", -d[i]), ("y", dj))
             diagram.add(word, g2p * HPoint(rounded[j], heights[j] - heights[i]))
     grid = d[::-1]
     return {0: grid, 1: grid}
@@ -485,19 +523,20 @@ def fill_triangle(
 def _diamond_grid(diagram: Diagram, corner: HPoint, dw: Sequence[int], dz: Sequence[int]) -> None:
     """One small diamond x^w y^z x^-w y^-z per nonzero segment w of dw and
     z of dz, read from corner x^(dw before w) y^(dz before z); w outer.
-    Cells of one shape share their word."""
+    Cells of one shape share one word object (the diagram has spelled its
+    pieces once already), so a grid of n^2 equal cells holds one word."""
     params = diagram.params
     words: dict[tuple[int, int], str] = {}
     for wp, w in zip(accumulate(dw, initial=0), dw):
         if w == 0:
             continue
+        row = corner * HPoint.generator(params, "x", wp)
         for zp, z in zip(accumulate(dz, initial=0), dz):
             if z == 0:
                 continue
             if (w, z) not in words:
-                words[w, z] = _cell_word(params, ("x", w), ("y", z), ("x", -w), ("y", -z))
-            x_wp, y_zp = HPoint.generator(params, "x", wp), HPoint.generator(params, "y", zp)
-            diagram.add(words[w, z], corner * x_wp * y_zp)
+                words[w, z] = _cell_word(diagram, ("x", w), ("y", z), ("x", -w), ("y", -z))
+            diagram.add(words[w, z], row * HPoint.generator(params, "y", zp))
 
 
 def _diamond_interior(diagram: Diagram, true: ApproxPolygon, inbound: Sides) -> Sides:
@@ -596,15 +635,15 @@ def subdivide_snowflake(
                 f"subdivision constant {lam} leaves non-integral grid at depth {m}"
             )
         d = piece // L
-        tri_word = _cell_word(params, ("a", -L * d), ("x", d), ("y", d))
-        dia_word = _cell_word(params, ("x", d), ("y", -d), ("x", -d), ("y", d))
+        tri_word = _cell_word(diagram, ("a", -L * d), ("x", d), ("y", d))
+        dia_word = _cell_word(diagram, ("x", d), ("y", -d), ("x", -d), ("y", d))
         for word in ([tri_word] * lam + [dia_word] * ((lam * lam - lam) // 2)) * 2 ** (m + 1):
             diagram.add(word)
 
     # caps
     incoming = L ** (depth - m_star)
     piece = incoming // lam
-    piece_geo = invert_chars(_geodesic_chars(params, "a", piece))
+    piece_geo = invert_chars(diagram.spell("a", piece))
     for flavor in ("s", "t"):
         cap_word = snowflake_path(params, depth - m_star, flavor).chars + piece_geo * lam
         for _ in range(2 ** m_star):
@@ -687,7 +726,7 @@ class HnnDualTree:
         with _json_fields("dual tree JSON"):
             arcs = {n["id"]: tuple(map(_json_int, n.get("arcs", ()))) for n in data["nodes"]}
             kinds = {n["id"]: n["kind"] for n in data["nodes"] if n.get("kind")}
-            edges = [(a, b, _json_int(l)) for a, b, l in data["edges"]]
+            edges = [(a, b, _json_int(l)) for a, b, l in _json_rows(data["edges"], "edges", 3)]
             return cls(arcs, edges, kinds)
 
     def to_dot(self) -> str:
@@ -838,7 +877,7 @@ def polygon_from_json(params: GroupParams, data: dict) -> ApproxPolygon:
             )
         return ApproxPolygon(
             data["kind"],
-            tuple(HPoint(_json_int(u), _json_int(v)) for u, v in data["corners"]),
+            tuple(HPoint(_json_int(u), _json_int(v)) for u, v in _json_rows(data["corners"], "corners", 2)),
             tuple(data["flavors"]),
             tuple(map(_json_int, data["exponents"])),
             _json_int(data["D"]),

@@ -411,6 +411,39 @@ def test_input_files_take_json_integers_only(tmp_path, capsys, argv, payload, er
     assert run_cli(capsys, *argv, "--L", "6", "--input", str(path)) == (2, "", f"error: {err}\n")
 
 
+@pytest.mark.parametrize(
+    "argv, payload, err",
+    [
+        (("fill", "bigon"), {**_BIGON, "corners": [[0], [12, 1]]},
+         "polygon JSON: malformed field: corners[0] must be a list of 2 entries"),
+        (("fill", "bigon"), {**_BIGON, "corners": [[0, 0], [12, 1, 0]]},
+         "polygon JSON: malformed field: corners[1] must be a list of 2 entries"),
+        (("central",), {"nodes": [{"id": "a"}, {"id": "b"}], "edges": [["a", "b"]]},
+         "dual tree JSON: malformed field: edges[0] must be a list of 3 entries"),
+    ],
+    ids=["corner-of-1", "corner-of-3", "edge-of-2"],
+)
+def test_input_rows_of_the_wrong_size(tmp_path, capsys, argv, payload, err):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    assert run_cli(capsys, *argv, "--L", "6", "--input", str(path)) == (2, "", f"error: {err}\n")
+
+
+def test_fill_exit_1_when_a_spelling_is_wrong(tmp_path, capsys, monkeypatch):
+    # nothing is trusted from the speller: one wrong piece makes cells that
+    # are not trivial, and fill says so with exit 1
+    spell = filling._geodesic_chars
+
+    def wrong(params, flavor, k):
+        return spell(params, flavor, k) + ("a" if (flavor, k) == ("a", 6) else "")
+
+    monkeypatch.setattr(filling, "_geodesic_chars", wrong)
+    code, out, err = fill_file(tmp_path, capsys, "bigon", _BIGON)
+    assert (code, err) == (1, "")
+    data = json.loads(out)
+    assert data["trivial"] is False and data["area"] == 2
+
+
 def test_central_from_file(tmp_path, capsys):
     tree = {
         "nodes": [

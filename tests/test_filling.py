@@ -1,5 +1,6 @@
 """Snapping, the primitive fillings, snowflake subdivision, dual trees."""
 
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -403,6 +404,91 @@ def test_polygon_json_roundtrip(p6):
     data = polygon_to_json(poly)
     back = polygon_from_json(p6, json.loads(json.dumps(data)))
     assert back == poly
+
+
+# ---------------------------------------------------------------------------
+# diagrams: shared spellings and distinct boundary words
+
+
+def _cells_digest(diagram):
+    """sha256 over the cells' words and basepoints, in order."""
+    h = hashlib.sha256()
+    for c in diagram.cells:
+        b = c.basepoint
+        h.update(f"{c.boundary.chars} {'-' if b is None else f'{b.u},{b.v}'}\n".encode())
+    return h.hexdigest()
+
+
+def test_cell_words_pinned(p6):
+    # recorded before diagrams shared their spellings: every cell word and
+    # basepoint, in order, is byte-identical
+    tri = ApproxPolygon("triangle", (HPoint(0, 0), HPoint(0, 2), HPoint(12, 0)), ("x", "y", "a"), (2, 2, -12), 0)
+    cp0 = PathWord(p6, geodesic_word_h(p6, HPoint(1, 0)).chars + "aA")
+    cp1 = PathWord(p6, geodesic_word_h(p6, HPoint(-1, 0)).chars + "sS")
+    bigon = ApproxPolygon("bigon", (HPoint(0, 0), HPoint(13, 0)), ("a", "a"), (12, -12), 3, (cp0, cp1))
+    corners = (HPoint(0, 0), HPoint(0, 2), HPoint(12, 0), HPoint(12, -2))
+    dia = ApproxPolygon("diamond", corners, ("x", "y", "x", "y"), (2, 2, -2, -2), 0)
+    digests = {
+        "README triangle": _cells_digest(fill_triangle(p6, tri, [-6, -6])[0]),
+        "corner-path bigon": _cells_digest(fill_bigon(p6, bigon, [6, 6])[0]),
+        "true diamond": _cells_digest(fill_diamond(p6, dia, [1, 1], [1, 1])[0]),
+        "snowflake p=5": _cells_digest(subdivide_snowflake(p6, 5)),
+    }
+    assert digests == {
+        "README triangle": "f59fcb413c2b372c3fc4456099769d9c8e19ec76cbee67b3a8b064427d78c49d",
+        "corner-path bigon": "8506d3492742a0ccaafa01ebd874d9d16a2d3df5f51bdc7f4005ac4dd458eac5",
+        "true diamond": "3a3dbe72750fa5e59771257eee22e0bd1def6f90ed47bbaaea67e1feeddb8889",
+        "snowflake p=5": "d7bbf9f12c75a55be671a79be83fb0e777b9a4b95c6c23ef78032e029b77502e",
+    }
+
+
+@pytest.mark.parametrize(
+    "kind, area, digest",
+    [
+        ("bigon", 132, "7916c0dca16357e8bc636798f38a0f8e3282d754d0117220201bea493adc0738"),
+        ("triangle", 765, "c5add84511664f93efa0aad7794f68391f866d9c759606931c5bebe0fb36a8c3"),
+        ("diamond", 1537, "8f71465a8f56824bd913ac863c2c8802f10b8c456f9d8a3e48e34574275d9dbb"),
+    ],
+)
+def test_randomized_cell_words_pinned(p6, kind, area, digest):
+    # the 30 jittered polygons of test_fill_bounds_randomized, recorded as above
+    rng = random.Random(f"fill-{kind}")
+    jitters = jitter_pool(p6, 2) + [HPoint(0, 0)] * 6
+    make = {"bigon": random_bigon, "triangle": random_triangle, "diamond": random_diamond}[kind]
+    fill = {"bigon": fill_bigon, "triangle": fill_triangle, "diamond": fill_diamond}[kind]
+    h, total = hashlib.sha256(), 0
+    for _ in range(30):
+        poly, *subs = make(p6, rng, 12, 8, jitters)
+        diagram = fill(p6, poly, *subs)[0]
+        total += diagram.area
+        h.update(_cells_digest(diagram).encode())
+    assert (total, h.hexdigest()) == (area, digest)
+
+
+@pytest.mark.parametrize("where", [0, 50, 100])
+def test_one_bad_cell_among_repeats_is_found(p6, where):
+    # the triviality check reads each distinct word once; a single
+    # non-trivial word among 100 copies of a trivial one still fails it
+    unit = geodesic_word_h(p6, HPoint(0, 1)).chars + geodesic_word_h(p6, HPoint(6, -1)).chars + "A" * 6
+    diagram = filling.Diagram(p6, [])
+    for i in range(101):
+        diagram.add("a" if i == where else unit)
+    assert diagram.area == 101
+    assert not diagram.boundaries_trivial()
+    assert diagram.mesh == len(unit)
+    good = filling.Diagram(p6, [c for c in diagram.cells if c.boundary.chars != "a"])
+    assert good.boundaries_trivial()
+
+
+def test_diagram_equality_ignores_spellings(p6):
+    tri = ApproxPolygon("triangle", (HPoint(0, 0), HPoint(0, 2), HPoint(12, 0)), ("x", "y", "a"), (2, 2, -12), 0)
+    filled = fill_triangle(p6, tri, [-6, -6])[0]
+    bare = filling.Diagram(p6, list(filled.cells))
+    assert filled == bare and repr(filled) == repr(bare)
+    assert filled.to_json() == bare.to_json()
+    assert bare.spell("x", 7) == geodesic_word_h(p6, HPoint(0, 7)).chars
+    assert bare.spell("a", 0) == ""
+    assert filled == bare and filled.to_json() == bare.to_json()
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ import ast
 import sys
 from pathlib import Path
 
+import pytest
+
 import snowflake_groups
 
 SOURCES = sorted(Path(snowflake_groups.__file__).parent.glob("*.py"))
@@ -38,5 +40,47 @@ def test_package_imports_stdlib_only():
         for path in SOURCES
         for lineno, name in _absolute_imports(ast.parse(path.read_text(), filename=str(path)))
         if name.partition(".")[0] not in sys.stdlib_module_names
+    ]
+    assert found == []
+
+
+_CACHES = {"cache", "lru_cache"}
+
+
+def _functools_caches(tree):
+    """(lineno, name) of every functools.cache or lru_cache the module imports or applies."""
+    aliases = {"functools"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            aliases.update(a.asname or a.name for a in node.names if a.name == "functools")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            yield from ((node.lineno, a.name) for a in node.names if a.name in _CACHES)
+        elif isinstance(node, ast.Attribute) and node.attr in _CACHES:
+            if isinstance(node.value, ast.Name) and node.value.id in aliases:
+                yield node.lineno, node.attr
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        ("from functools import lru_cache\n", [(1, "lru_cache")]),
+        ("import functools as ft\n@ft.cache\ndef f(): pass\n", [(2, "cache")]),
+        ("import functools\ng = functools.lru_cache(maxsize=None)(len)\n", [(2, "lru_cache")]),
+        ("from functools import reduce\ncache = {}\n", []),
+    ],
+)
+def test_cache_check_sees_imports_and_decorators(source, found):
+    assert sorted(_functools_caches(ast.parse(source))) == found
+
+
+def test_no_functools_cache_in_package():
+    # memoized results live with the call or object that made them, never in
+    # a process-wide cache that outlives it
+    assert SOURCES
+    found = [
+        f"{path.name}:{lineno} {name}"
+        for path in SOURCES
+        for lineno, name in _functools_caches(ast.parse(path.read_text(), filename=str(path)))
     ]
     assert found == []
