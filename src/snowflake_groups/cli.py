@@ -4,10 +4,13 @@ Every subcommand prints deterministic output.  Exit codes: 0 on success,
 1 when a verification fails or a stated invariant does not hold (the
 counterexample is printed), 2 on usage errors, malformed inputs, words of
 more than 10^7 letters, integers too long to print, exhausted search
-budgets and exhausted memory.  `ball` takes --budget (default 10^7), the
-most states one BFS layer may hold.  `verify-loop` has a fixed limit
-instead: its distance program stores at most hnn_group.MAX_POINTS = 10^6
-points in its table or one layer.
+budgets and exhausted memory.  No subcommand takes a budget option; the
+limits are fixed.  `ball` stores at most hnn_group.MAX_BALL_STATES =
+1.5 * 10^7 states, `verify-loop`'s distance program at most
+hnn_group.MAX_POINTS = 10^6 points in its table or one layer, and a
+`fill` diagram at most words.MAX_LETTERS = 10^7 letters.  Input files are
+read by _read_json, so a malformed or too deeply nested file is a usage
+error too.
 """
 from __future__ import annotations
 
@@ -18,7 +21,7 @@ import sys
 from fractions import Fraction
 
 from . import distortion, filling, paths
-from .hnn_group import DEFAULT_MAX_STATES, BudgetExceeded, InvariantViolation, bfs_ball
+from .hnn_group import BudgetExceeded, InvariantViolation, bfs_ball
 from .params import GroupParams
 from .vertex_group import (
     HPoint,
@@ -143,7 +146,7 @@ def _cmd_verify_loop(args) -> int:
 
 def _cmd_ball(args) -> int:
     params = _params(args)
-    ball = bfs_ball(params, args.radius, max_states=args.budget)
+    ball = bfs_ball(params, args.radius)
     ball.dump_jsonl(sys.stdout)
     return 0
 
@@ -178,6 +181,16 @@ def _cmd_enfilade(args) -> int:
     return 0
 
 
+def _read_json(path: str):
+    """The JSON value in the file at path.  A file nested too deeply for
+    json.load raises ValueError, not RecursionError."""
+    with open(path) as fp:
+        try:
+            return json.load(fp)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
+
+
 def _subdivision(data, name: str) -> list[int]:
     """The exponent list `name` of a polygon file."""
     try:
@@ -192,8 +205,7 @@ def _cmd_fill(args) -> int:
         diagram = filling.subdivide_snowflake(params, args.p, args.subdivision_constant)
         print(json.dumps(diagram.to_json(), sort_keys=True))
         return 0
-    with open(args.input) as fp:
-        data = json.load(fp)
+    data = _read_json(args.input)
     poly = filling.polygon_from_json(params, data)
     if args.shape == "bigon":
         diagram, out = filling.fill_bigon(params, poly, _subdivision(data, "subdivision"))
@@ -218,8 +230,7 @@ def _cmd_central(args) -> int:
         params = _params(args)
         tree = filling.snowflake_hnn_tree(params, args.p)
     else:
-        with open(args.input) as fp:
-            tree = filling.HnnDualTree.from_json(json.load(fp))
+        tree = filling.HnnDualTree.from_json(_read_json(args.input))
     loc = filling.find_central_region(tree)
     payload = {
         "kind": loc.kind,
@@ -297,9 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ball", help="dump the BFS ball as JSON lines")
     common(p)
-    p.add_argument(
-        "--budget", type=int, default=DEFAULT_MAX_STATES, help="most states one BFS layer may hold"
-    )
     p.add_argument("--radius", type=int, required=True)
     p.set_defaults(func=_cmd_ball)
 

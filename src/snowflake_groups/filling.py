@@ -148,8 +148,9 @@ class Diagram:
     """A combinatorial van Kampen diagram: its cells.
 
     The geodesic words a filling spells while it builds the diagram are
-    kept with it, so each (flavor, exponent) is spelled once per diagram;
-    they take no part in equality or repr.
+    kept with it, so each (flavor, exponent) is spelled once per diagram,
+    and so is the count of letters its cells hold; neither takes part in
+    equality or repr.
     """
 
     params: GroupParams
@@ -157,6 +158,10 @@ class Diagram:
     _spelled: dict[tuple[str, int], str] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    _letters: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._letters = sum(len(c.boundary) for c in self.cells)
 
     def spell(self, flavor: str, k: int) -> str:
         """The geodesic word of flavor^k (vertex_group._geodesic_chars), spelled
@@ -173,8 +178,17 @@ class Diagram:
     def add(self, word: str, basepoint: Optional[HPoint] = None) -> None:
         """Append the cell with boundary word `word` read from `basepoint`,
         unless the word freely reduces to the empty word: such a cell
-        encloses nothing.  This is the only place a Cell is made."""
+        encloses nothing.  This is the only place a Cell is made.
+
+        The cells of a diagram hold at most MAX_LETTERS letters in all: a
+        cell that would pass that raises ValueError before it is stored, so
+        a short input cannot spell a diagram without bound.
+        """
         if free_reduce(word):
+            letters = self._letters + len(word)
+            if letters > MAX_LETTERS:
+                raise ValueError(f"the diagram's cells would hold more than {MAX_LETTERS} letters")
+            self._letters = letters
             self.cells.append(Cell(PathWord(self.params, word), basepoint))
 
     def _distinct_boundaries(self) -> Iterable[PathWord]:
@@ -605,9 +619,15 @@ def subdivide_snowflake(
     the loop raises InvariantViolation.  That happens where no branch depth
     meets the capping inequality (L = 12 at p = 2, whose cap is then one
     cell of length 18 > 16) and where Lam is too small to cut the central
-    diamond short enough (Lam = 1, 2 or 3 at L = 6).  Lam < 1, a Lam that
-    does not divide L^(p-1), and a depth whose loop is longer than
-    MAX_LETTERS raise ValueError.
+    diamond short enough (Lam = 1, 2 or 3 at L = 6).
+
+    The parameters are checked before the first cell is made: Lam < 1, and
+    for p >= 2 a Lam over half the loop length (a cap cell holds at least
+    Lam letters), a Lam that does not divide L^(p-1), or one that leaves a
+    non-integral grid at a branch level, raise ValueError, as does a depth
+    whose loop is longer than MAX_LETTERS.  The cells hold at most
+    MAX_LETTERS letters in all (Diagram.add): L = 6 is filled up to p = 14
+    (7 043 936 letters) and refused from p = 15 on.
     """
     L = params.L
     lam = subdivision_constant if subdivision_constant is not None else L
@@ -618,37 +638,39 @@ def subdivide_snowflake(
     if depth == 1:
         diagram.add(snowflake_loop(params, 1).chars, HPoint.identity())
         return diagram
+    half = 5 * 2**depth - 4
+    if lam > half:
+        raise ValueError(f"subdivision constant must be at most half the loop length, {half}, got {lam}")
     if L ** (depth - 1) % lam:
         raise ValueError(f"subdivision constant {lam} must divide L^(p-1)")
     m_star = cap_depth(params, depth, lam)
+    # the exponent of the pieces a depth-m branch side is cut into, m = 1 .. m_star
+    pieces = [L ** (depth - m) // lam for m in range(1, m_star + 1)]
+    for m, piece in enumerate(pieces[:-1], 1):
+        if piece % L:
+            raise ValueError(f"subdivision constant {lam} leaves non-integral grid at depth {m}")
 
     # central diamond -> lam^2 small diamonds
     k1 = L ** (depth - 1) // lam
     _diamond_grid(diagram, HPoint.identity(), [k1] * lam, [k1] * lam)
 
     # branch levels
-    for m in range(1, m_star):
-        incoming = L ** (depth - m)
-        piece = incoming // lam
-        if piece % L:
-            raise ValueError(
-                f"subdivision constant {lam} leaves non-integral grid at depth {m}"
-            )
+    for m, piece in enumerate(pieces[:-1], 1):
         d = piece // L
         tri_word = _cell_word(diagram, ("a", -L * d), ("x", d), ("y", d))
         dia_word = _cell_word(diagram, ("x", d), ("y", -d), ("x", -d), ("y", d))
-        for word in ([tri_word] * lam + [dia_word] * ((lam * lam - lam) // 2)) * 2 ** (m + 1):
-            diagram.add(word)
+        for _ in range(2 ** (m + 1)):
+            for _ in range(lam):
+                diagram.add(tri_word)
+            for _ in range((lam * lam - lam) // 2):
+                diagram.add(dia_word)
 
     # caps
-    incoming = L ** (depth - m_star)
-    piece = incoming // lam
-    piece_geo = invert_chars(diagram.spell("a", piece))
+    piece_geo = invert_chars(diagram.spell("a", pieces[-1]))
     for flavor in ("s", "t"):
         cap_word = snowflake_path(params, depth - m_star, flavor).chars + piece_geo * lam
         for _ in range(2 ** m_star):
             diagram.add(cap_word)
-    half = 5 * 2**depth - 4
     if diagram.mesh > half:
         raise InvariantViolation(f"a cell of length {diagram.mesh} is longer than half the loop, {half}")
     return diagram
@@ -723,8 +745,17 @@ class HnnDualTree:
 
     @classmethod
     def from_json(cls, data: dict) -> "HnnDualTree":
+        """The tree of a dual-tree file.  Node ids must be distinct JSON
+        strings; any other id is refused with ValueError naming it."""
         with _json_fields("dual tree JSON"):
-            arcs = {n["id"]: tuple(map(_json_int, n.get("arcs", ()))) for n in data["nodes"]}
+            arcs: dict[str, tuple[int, ...]] = {}
+            for n in data["nodes"]:
+                node = n["id"]
+                if type(node) is not str:
+                    raise ValueError(f"dual tree JSON: node id {node!r} is not a string")
+                if node in arcs:
+                    raise ValueError(f"dual tree JSON: node id {node!r} is repeated")
+                arcs[node] = tuple(map(_json_int, n.get("arcs", ())))
             kinds = {n["id"]: n["kind"] for n in data["nodes"] if n.get("kind")}
             edges = [(a, b, _json_int(l)) for a, b, l in _json_rows(data["edges"], "edges", 3)]
             return cls(arcs, edges, kinds)

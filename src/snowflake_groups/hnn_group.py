@@ -54,8 +54,11 @@ Each term, the last too, is one read along a line of H (_line).  It
 trusts dist_h on all of H, which acceptance 2 checks against BFS only to
 radius 10.  Its line table and each layer hold at most MAX_POINTS points,
 or it raises BudgetExceeded.  pair_dist and the loop checks of paths run
-on it; bfs_ball grows B(1, r) by BFS, and the tests keep the BFS searches
-as oracles.
+on it; bfs_ball grows B(1, r) by BFS, holding at most MAX_BALL_STATES
+states, and the tests keep the BFS searches as oracles.
+
+The two limits are fixed, not options: each is read at call time, and
+only the tests set other values.
 """
 from __future__ import annotations
 
@@ -71,9 +74,11 @@ from .words import format_word, parse_word, power_chars
 
 _LETTER = {1: "s", -1: "S", 3: "t", -3: "T"}
 
-DEFAULT_MAX_STATES = 10_000_000  # bfs_ball: the most states one layer may hold
 # the distance program: the most points its line table or one layer may hold
 MAX_POINTS = 10**6
+# bfs_ball: the most states the whole ball may hold.  It admits the radius-10
+# ball of G_6 (12.18 M states, about 4 GB), which acceptance 2 builds.
+MAX_BALL_STATES = 15 * 10**6
 
 Key = tuple  # flat normal-form tuple
 
@@ -316,18 +321,20 @@ class Ball:
             fp.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
-def bfs_ball(params: GroupParams, radius: int, max_states: int = DEFAULT_MAX_STATES) -> Ball:
+def bfs_ball(params: GroupParams, radius: int) -> Ball:
     """All elements with |g| <= radius, by layered BFS with normal-form dedup.
 
-    The memory budget caps the size of a single BFS layer (the quantity that
-    drives the growth of the search).  It is checked as the layer grows, after
-    each expanded key, so BudgetExceeded is raised with a frontier of at most
-    max_states + 6 elements, before the rest of the layer is stored.  A
-    negative radius raises ValueError.
+    The whole ball holds at most MAX_BALL_STATES states.  The limit is
+    checked as each layer grows, after each expanded key, so BudgetExceeded
+    is raised with at most MAX_BALL_STATES + 6 states stored, before the
+    rest of the layer is.  Spheres of G_L grow about 4.86 times per layer
+    from radius 8 on, so the radius-10 ball (12.2 to 12.3 M states for any L)
+    fits and the radius-11 ball does not.  A negative radius raises
+    ValueError.
     """
     if radius < 0:
         raise ValueError(f"radius must be nonnegative, got {radius}")
-    L = params.L
+    L, limit = params.L, MAX_BALL_STATES
     dist: dict[Key, int] = {identity_key(): 0}
     frontier: list[Key] = [identity_key()]
     for d in range(1, radius + 1):
@@ -337,7 +344,7 @@ def bfs_ball(params: GroupParams, radius: int, max_states: int = DEFAULT_MAX_STA
                 if nb not in dist:
                     dist[nb] = d
                     nxt.append(nb)
-            if len(nxt) > max_states:
+            if len(dist) > limit:
                 raise BudgetExceeded(frontier=len(nxt), visited=len(dist))
         frontier = nxt
     return Ball(params, radius, dist)

@@ -5,7 +5,6 @@ import pytest
 
 from snowflake_groups import GroupParams, bfs_ball
 from snowflake_groups.hnn_group import (
-    DEFAULT_MAX_STATES,
     Ball,
     BudgetExceeded,
     GroupElement,
@@ -178,6 +177,7 @@ def bidirectional_dist(L, goal, cap):
 
 
 SWAP_CODES = {1: 3, 3: 1, -1: -3, -3: -1}
+MAX_STATES = 10_000_000  # the oracles' default budget on one stored search layer
 
 
 def key_swap_st(L, key):
@@ -210,7 +210,7 @@ def canonical_key(L, key):
 
 
 def ball_dist(
-    ball: Ball, goal, cap: int, max_states: int = DEFAULT_MAX_STATES
+    ball: Ball, goal, cap: int, max_states: int = MAX_STATES
 ) -> Optional[int]:
     """Exact |goal| if it is <= cap, else None, by BFS out of goal into `ball`.
 
@@ -220,9 +220,9 @@ def ball_dist(
     steps, so once layer k has no ball element, d > k + R; then the first
     hit in layer k + 1 lies on the sphere of radius R and d = k + 1 + R
     exactly.  The search stops with None once k + R >= cap, so it expands
-    at most max(cap - R, 0) layers.  The budget caps each stored layer as
-    in bfs_ball; the last layer is only probed against the ball, never
-    stored, as it is the largest.
+    at most max(cap - R, 0) layers.  The budget caps each stored layer,
+    checked after each expanded key; the last layer is only probed against
+    the ball, never stored, as it is the largest.
     """
     dist, R = ball.distances, ball.radius
     d = dist.get(goal)
@@ -254,14 +254,15 @@ def ball_dist(
 def goal_distances(
     params: GroupParams,
     goals: list[tuple[tuple, int]],
-    max_states: int = DEFAULT_MAX_STATES,
+    max_states: int = MAX_STATES,
     first_only: bool = False,
 ) -> dict[int, Optional[int]]:
     """{index: |goal| if it is <= cap, else None} for the (goal, cap) pairs.
 
     Goals are grouped by isometry class (canonical_key) and cap, and each
     group is searched once; every member index gets its group's result.
-    A ball B(1, r) is built by bfs_ball for r = 0, 1, 2, ...  At each r, every
+    A ball B(1, r) is built by bfs_ball (within its own fixed limit,
+    hnn_group.MAX_BALL_STATES) for r = 0, 1, 2, ...  At each r, every
     group not yet settled is searched with ball_dist to min(cap, 2r - p),
     p the parity of the goal (= |goal| mod 2, so a cap of the other parity
     is lowered by one); a group is settled once its distance is found or
@@ -283,7 +284,7 @@ def goal_distances(
     pending = [(members, goal, cap) for (goal, cap), members in groups.items()]
     out: dict[int, Optional[int]] = {}
     for r in count():
-        ball = bfs_ball(params, r, max_states)
+        ball = bfs_ball(params, r)
         rest = []
         for members, goal, cap in pending:
             c = min(cap, 2 * ball.radius - cap % 2)  # cap has the parity of |goal|

@@ -56,7 +56,7 @@ def test_acceptance_1_snowflake_length_law():
 def test_acceptance_2_oracle_equivalence():
     t0 = time.time()
     params = GroupParams(6)
-    ball = bfs_ball(params, 10, max_states=10_000_000)
+    ball = bfs_ball(params, 10)
     h_checked = 0
     for h, d in ball.h_elements():
         assert dist_h(params, h) == d

@@ -9,8 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from snowflake_groups import GroupParams, InvariantViolation, distortion_table, filling
-from snowflake_groups.cli import main
+from snowflake_groups import GroupParams, InvariantViolation, distortion_table, filling, hnn_group
+from snowflake_groups.cli import build_parser, main
 from snowflake_groups.distortion import write_distortion_csv
 
 
@@ -321,12 +321,13 @@ def test_invariant_violation_exit_1(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("ball", "--L", "6", "--radius", "5", "--budget", "100"),
+        ("ball", "--L", "6", "--radius", "5"),  # past MAX_BALL_STATES as set here
         ("verify-loop", "--L", "6", "--n", "18"),  # past hnn_group.MAX_POINTS
     ],
     ids=["ball", "verify-loop-depth-18"],
 )
-def test_budget_exceeded_exit_2(capsys, argv):
+def test_budget_exceeded_exit_2(capsys, monkeypatch, argv):
+    monkeypatch.setattr(hnn_group, "MAX_BALL_STATES", 100)
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: state budget exceeded: ") and err.count("\n") == 1
@@ -362,6 +363,30 @@ def test_verify_loop_depth_18_bounded_memory():
     proc = _run_under_memory_limit(["verify-loop", "--L", "6", "--n", "18"], 400)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith("error: state budget exceeded: ") and proc.stderr.count("\n") == 1
+
+
+def test_fill_diagram_letters_bounded(tmp_path):
+    # 2000 segments a^(6^15) would spell about 328 k letters per cell: the
+    # diagram's letter limit stops the strip after about 30 cells
+    e = 6**15
+    path = tmp_path / "bigon.json"
+    path.write_text(json.dumps({**_BIGON, "corners": [[0, 0], [2000 * e, 0]], "D": 0,
+                                "exponents": [2000 * e, -2000 * e], "subdivision": [e] * 2000}))
+    proc = _run_under_memory_limit(["fill", "bigon", "--L", "6", "--input", str(path)], 400)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: the diagram's cells would hold more than 10000000 letters\n"
+
+
+def test_fill_snowflake_constant_refused_before_any_cell():
+    # Lam = 6^11 divides 6^11 but is over half the loop, 20476: refused
+    # before its Lam^2 central cells are built
+    proc = _run_under_memory_limit(
+        ["fill", "snowflake", "--L", "6", "--p", "12", "--subdivision-constant", str(6**11)], 400
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        "error: subdivision constant must be at most half the loop length, 20476, got 362797056\n"
+    )
 
 
 _BIGON = {"kind": "bigon", "corners": [[0, 0], [12, 1]], "flavors": ["a", "a"],
@@ -474,6 +499,33 @@ def test_central_tie_from_file(tmp_path, capsys):
     assert data["f"] == [0, 1]
 
 
+@pytest.mark.parametrize("argv", [("fill", "bigon"), ("central",)])
+def test_deeply_nested_input_exit_2(tmp_path, capsys, argv):
+    path = tmp_path / "input.json"
+    path.write_text("[" * 200_000)
+    code, out, err = run_cli(capsys, *argv, "--L", "6", "--input", str(path))
+    assert (code, out, err) == (2, "", f"error: {path}: JSON nested too deeply\n")
+
+
+@pytest.mark.parametrize(
+    "nodes, err",
+    [
+        # the second "a" would drop the arcs of the first
+        ([{"id": "a", "arcs": [10]}, {"id": "b", "arcs": [2]}, {"id": "a", "arcs": [10]}],
+         "dual tree JSON: node id 'a' is repeated"),
+        # an integer next to strings would not sort for --dot
+        ([{"id": "a", "arcs": [10]}, {"id": 1, "arcs": [2]}, {"id": "c", "arcs": [10]}],
+         "dual tree JSON: node id 1 is not a string"),
+        ([{"id": ["a"]}], "dual tree JSON: node id ['a'] is not a string"),
+    ],
+    ids=["repeated", "integer", "list"],
+)
+def test_dual_tree_node_ids_checked(tmp_path, capsys, nodes, err):
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps({"nodes": nodes, "edges": [["a", "b", 0], ["b", "c", 3]]}))
+    assert run_cli(capsys, "central", "--L", "6", "--input", str(path), "--dot") == (2, "", f"error: {err}\n")
+
+
 def test_central_snowflake(capsys):
     code, out, _ = run_cli(capsys, "central", "--L", "6", "--p", "3")
     assert code == 0
@@ -494,12 +546,29 @@ def test_usage_error_exit_code():
     assert info.value.code == 2
 
 
-def test_budget_only_on_searches():
-    # --budget belongs to ball; other subcommands, verify-loop too, reject it
-    for argv in (["dist", "--L", "6", "--a-power", "36"], ["verify-loop", "--L", "6", "--n", "2"]):
+def test_budget_only_on_searches(capsys):
+    # the limits are fixed: no subcommand, ball and verify-loop included, takes --budget
+    valid = {
+        "dist": ["--L", "6", "--a-power", "36"],
+        "expr": ["--L", "6", "--m", "36"],
+        "word": ["--L", "6", "--a-power", "6"],
+        "table": ["--L", "6", "--m-max", "10"],
+        "mn": ["--L", "6", "--n-max", "3"],
+        "snowflake": ["--L", "6", "--n", "1"],
+        "verify-loop": ["--L", "6", "--n", "2"],
+        "ball": ["--L", "6", "--radius", "1"],
+        "enfilade": ["--L", "6", "--word", "s a s^-1", "--R", "4"],
+        "fill": ["snowflake", "--L", "6", "--p", "2"],
+        "central": ["--L", "6", "--p", "2"],
+        "area-budget": ["--central", "1", "--enfilade", "1", "--branching", "1", "--shells", "1"],
+    }
+    assert sorted(valid) == sorted(build_parser()._subparsers._group_actions[0].choices)
+    for command, argv in valid.items():
+        assert main([command, *argv]) == 0, command
         with pytest.raises(SystemExit) as info:
-            main(argv + ["--budget", "5"])
-        assert info.value.code == 2, argv
+            main([command, *argv, "--budget", "5"])
+        assert info.value.code == 2, command
+        assert capsys.readouterr().err.endswith("error: unrecognized arguments: --budget 5\n"), command
 
 
 def test_ball_negative_radius_exit_2(capsys):

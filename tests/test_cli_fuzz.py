@@ -3,7 +3,9 @@
 Each run must end in exit 0, 1 or 2; on exit 1 or 2 stderr holds exactly
 one line besides argparse's usage lines, and never a traceback.  Sizes are
 bounded so that nothing large is built in-process: the refusals of large
-inputs have their own tests in test_cli.
+inputs have their own tests in test_cli.  Input files are mutated
+polygons and dual trees (some with an integer or a repeated node id), and
+now and then JSON nested too deeply for json.load.
 """
 
 import json
@@ -55,7 +57,7 @@ OPTIONS = {
     "mn": {"--L": L, "--n-max": _int(-3, 40)},
     "snowflake": {"--L": L, "--n": _int(-2, 6), "--flavor": st.sampled_from("stu"), "--loop": flag},
     "verify-loop": {"--L": L, "--n": _int(-2, 2), "--word": word},
-    "ball": {"--L": L, "--radius": _int(-2, 3), "--budget": _int(-1, 200)},
+    "ball": {"--L": L, "--radius": _int(-2, 3)},
     "enfilade": {
         "--L": L, "--word": word, "--R": st.sampled_from(["4", "7/2", "2", "1/0", "-3", "abc", "5e3"]),
     },
@@ -152,6 +154,31 @@ def mutated(draw, documents):
     return doc
 
 
+@st.composite
+def node_ids_mutated(draw, documents):
+    """A mutated dual tree in which, now and then, one node id is renamed,
+    in the edges too, to an integer or to another node's id."""
+    doc = draw(mutated(documents))
+    nodes = doc.get("nodes") if isinstance(doc, dict) else None
+    if isinstance(nodes, list) and nodes and all(isinstance(n, dict) for n in nodes) and not draw(_mostly(3)):
+        node = draw(st.sampled_from(nodes))
+        old = node.get("id")
+        new = node["id"] = draw(st.integers(-1, 1) | st.sampled_from([n.get("id") for n in nodes]))
+        for edge in doc.get("edges") if isinstance(doc.get("edges"), list) else ():
+            if isinstance(edge, list):
+                edge[:2] = [new if end == old else end for end in edge[:2]]
+    return doc
+
+
+# JSON nested deeper than json.load recurses, and once nested within it
+DEEP = st.sampled_from(["[" * 200_000, '{"nodes": ' + "[" * 200_000, "[" * 500 + "]" * 500])
+
+
+def files(documents):
+    """The text of an input file: a document, or now and then a deeply nested one."""
+    return _rarely(documents.map(json.dumps), DEEP)
+
+
 def _run(capsys, argv):
     try:
         code = main(argv)
@@ -166,27 +193,32 @@ def _run(capsys, argv):
 
 
 @settings(FUZZ, max_examples=400)
-@given(argv=argvs(), polygon=mutated(POLYGONS), tree=mutated([TREE]))
+@given(argv=argvs(), polygon=files(mutated(POLYGONS)), tree=files(node_ids_mutated([TREE])))
 def test_fuzzed_argv(tmp_path, capsys, argv, polygon, tree):
     path = tmp_path / "input.json"
-    path.write_text(json.dumps(tree if "central" in argv else polygon))
+    path.write_text(tree if "central" in argv else polygon)
     _run(capsys, [str(path) if a == "FILE" else a for a in argv])
 
 
 @FUZZ
-@given(polygon=mutated(POLYGONS), own_kind=_mostly(5), shape=st.sampled_from(["bigon", "triangle", "diamond"]))
-def test_fuzzed_polygon_files(tmp_path, capsys, polygon, own_kind, shape):
+@given(
+    polygon=mutated(POLYGONS),
+    own_kind=_mostly(5),
+    shape=st.sampled_from(["bigon", "triangle", "diamond"]),
+    deep=_rarely(st.none(), DEEP),
+)
+def test_fuzzed_polygon_files(tmp_path, capsys, polygon, own_kind, shape, deep):
     # filled as the kind it names, mostly
     if own_kind and isinstance(polygon, dict) and polygon.get("kind") in ("bigon", "triangle", "diamond"):
         shape = polygon["kind"]
     path = tmp_path / "polygon.json"
-    path.write_text(json.dumps(polygon))
+    path.write_text(json.dumps(polygon) if deep is None else deep)
     _run(capsys, ["fill", shape, "--L", "6", "--input", str(path)])
 
 
 @FUZZ
-@given(tree=mutated([TREE]), dot=st.booleans())
+@given(tree=files(node_ids_mutated([TREE])), dot=st.booleans())
 def test_fuzzed_dual_tree_files(tmp_path, capsys, tree, dot):
     path = tmp_path / "tree.json"
-    path.write_text(json.dumps(tree))
+    path.write_text(tree)
     _run(capsys, ["central", "--L", "6", "--input", str(path)] + ["--dot"] * dot)

@@ -480,6 +480,31 @@ def test_one_bad_cell_among_repeats_is_found(p6, where):
     assert good.boundaries_trivial()
 
 
+def test_diagram_letters_bounded(p6, monkeypatch):
+    # the cells hold at most MAX_LETTERS letters; a freely trivial word is
+    # not stored and does not count, and a refused cell is not stored
+    monkeypatch.setattr(filling, "MAX_LETTERS", 10)
+    diagram = filling.Diagram(p6, [])
+    for word in ("aaaa", "aAsS" * 5, "ssss"):
+        diagram.add(word)
+    with pytest.raises(ValueError, match="more than 10 letters"):
+        diagram.add("ttt")
+    assert [c.boundary.chars for c in diagram.cells] == ["aaaa", "ssss"]
+    diagram.add("tt")
+    with pytest.raises(ValueError):  # cells given to a diagram count too
+        filling.Diagram(p6, list(diagram.cells)).add("a")
+
+
+def test_subdivide_snowflake_letters_bounded(p6, monkeypatch):
+    # a diagram with exactly MAX_LETTERS letters is made, one more is refused
+    total = sum(len(c.boundary) for c in subdivide_snowflake(p6, 5).cells)
+    monkeypatch.setattr(filling, "MAX_LETTERS", total)
+    assert subdivide_snowflake(p6, 5).area == 128
+    monkeypatch.setattr(filling, "MAX_LETTERS", total - 1)
+    with pytest.raises(ValueError, match=f"more than {total - 1} letters"):
+        subdivide_snowflake(p6, 5)
+
+
 def test_diagram_equality_ignores_spellings(p6):
     tri = ApproxPolygon("triangle", (HPoint(0, 0), HPoint(0, 2), HPoint(12, 0)), ("x", "y", "a"), (2, 2, -12), 0)
     filled = fill_triangle(p6, tri, [-6, -6])[0]
@@ -541,6 +566,25 @@ def test_subdivide_rejects_bad_inputs(p6):
     for lam in (0, -6):
         with pytest.raises(ValueError, match="subdivision constant must be >= 1"):
             subdivide_snowflake(p6, 2, lam)
+
+
+@pytest.mark.parametrize(
+    "L, p, lam, err",
+    [
+        (6, 4, 216, "subdivision constant must be at most half the loop length, 76, got 216"),
+        (6, 12, 6**11, "subdivision constant must be at most half the loop length, 20476, got 362797056"),
+        (18, 2, None, "subdivision constant must be at most half the loop length, 16, got 18"),
+        (6, 5, 144, "subdivision constant 144 leaves non-integral grid at depth 1"),
+    ],
+)
+def test_subdivide_parameters_refused_before_any_cell(monkeypatch, L, p, lam, err):
+    def no_cells(*args, **kwargs):
+        raise AssertionError("a cell was made")
+
+    monkeypatch.setattr(filling.Diagram, "add", no_cells)
+    with pytest.raises(ValueError) as info:
+        subdivide_snowflake(GroupParams(L), p, lam)
+    assert str(info.value) == err
 
 
 @pytest.mark.parametrize(

@@ -213,11 +213,14 @@ def test_ball_oracle_and_parity(p6, ball6_r6):
         assert g.parity() == d % 2
 
 
-def test_ball_budget_error(p6):
+def test_ball_budget_error(p6, monkeypatch):
+    monkeypatch.setattr(hnn_group, "MAX_BALL_STATES", 1000)
     with pytest.raises(BudgetExceeded) as info:
-        bfs_ball(p6, 8, max_states=1000)
-    # checked as the layer grows: one expanded key (6 neighbours) past the budget
-    assert 1000 < info.value.frontier <= 1000 + 6
+        bfs_ball(p6, 8)
+    # the whole ball is bounded, checked as each layer grows: at most one
+    # expanded key (6 neighbours) past the limit is stored
+    assert 1000 < info.value.visited <= 1000 + 6
+    assert len(bfs_ball(p6, 3)) == 1 + 6 + 30 + 150 <= 1000  # a ball within the limit is whole
 
 
 def test_ball_jsonl_dump(p6):
