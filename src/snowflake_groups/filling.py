@@ -18,8 +18,9 @@ boundary word reduces to the identity; planarity is by construction and
 is not re-verified.  A cell whose word freely reduces to the empty word
 encloses nothing, so it is left out and does not count toward the area.
 Many cells of a diagram share their pieces and their words: a diagram
-spells each (flavor, exponent) once, and its mesh and triviality check
-read each distinct boundary word once.
+spells each (flavor, exponent) once, keeps one boundary per distinct word
+for all the cells that hold it, and free-reduces, checks, measures and
+formats each distinct word once.
 """
 from __future__ import annotations
 
@@ -148,9 +149,10 @@ class Diagram:
     """A combinatorial van Kampen diagram: its cells.
 
     The geodesic words a filling spells while it builds the diagram are
-    kept with it, so each (flavor, exponent) is spelled once per diagram,
-    and so is the count of letters its cells hold; neither takes part in
-    equality or repr.
+    kept with it, so each (flavor, exponent) is spelled once per diagram.
+    It also keeps one boundary per distinct cell word, shared by all the
+    cells of that word, and the count of letters its cells hold.  None of
+    these takes part in equality or repr.
     """
 
     params: GroupParams
@@ -158,9 +160,11 @@ class Diagram:
     _spelled: dict[tuple[str, int], str] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    _words: dict[str, PathWord] = field(init=False, repr=False, compare=False)
     _letters: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        self._words = {b.chars: b for b in self._distinct_boundaries() if free_reduce(b.chars)}
         self._letters = sum(len(c.boundary) for c in self.cells)
 
     def spell(self, flavor: str, k: int) -> str:
@@ -180,16 +184,23 @@ class Diagram:
         unless the word freely reduces to the empty word: such a cell
         encloses nothing.  This is the only place a Cell is made.
 
+        A word is free-reduced and checked the first time it is stored;
+        later cells of that word share its boundary.
+
         The cells of a diagram hold at most MAX_LETTERS letters in all: a
         cell that would pass that raises ValueError before it is stored, so
         a short input cannot spell a diagram without bound.
         """
-        if free_reduce(word):
-            letters = self._letters + len(word)
-            if letters > MAX_LETTERS:
-                raise ValueError(f"the diagram's cells would hold more than {MAX_LETTERS} letters")
-            self._letters = letters
-            self.cells.append(Cell(PathWord(self.params, word), basepoint))
+        boundary = self._words.get(word)
+        if boundary is None and not free_reduce(word):
+            return
+        letters = self._letters + len(word)
+        if letters > MAX_LETTERS:
+            raise ValueError(f"the diagram's cells would hold more than {MAX_LETTERS} letters")
+        self._letters = letters
+        if boundary is None:
+            boundary = self._words[word] = PathWord(self.params, word)
+        self.cells.append(Cell(boundary, basepoint))
 
     def _distinct_boundaries(self) -> Iterable[PathWord]:
         """One boundary per distinct word, in the order of first appearance."""
@@ -207,10 +218,13 @@ class Diagram:
         return all(reduce_chars(L, b.chars) == (0, 0) for b in self._distinct_boundaries())
 
     def to_json(self) -> dict:
+        """Area, mesh and the cells' words in token form, each distinct word
+        formatted once."""
+        text = {b.chars: str(b) for b in self._distinct_boundaries()}
         return {
             "area": self.area,
             "mesh": self.mesh,
-            "cells": [{"boundary": str(c.boundary)} for c in self.cells],
+            "cells": [{"boundary": text[c.boundary.chars]} for c in self.cells],
         }
 
 
@@ -537,10 +551,8 @@ def fill_triangle(
 def _diamond_grid(diagram: Diagram, corner: HPoint, dw: Sequence[int], dz: Sequence[int]) -> None:
     """One small diamond x^w y^z x^-w y^-z per nonzero segment w of dw and
     z of dz, read from corner x^(dw before w) y^(dz before z); w outer.
-    Cells of one shape share one word object (the diagram has spelled its
-    pieces once already), so a grid of n^2 equal cells holds one word."""
+    Cells of one shape share the diagram's one boundary of their word."""
     params = diagram.params
-    words: dict[tuple[int, int], str] = {}
     for wp, w in zip(accumulate(dw, initial=0), dw):
         if w == 0:
             continue
@@ -548,9 +560,8 @@ def _diamond_grid(diagram: Diagram, corner: HPoint, dw: Sequence[int], dz: Seque
         for zp, z in zip(accumulate(dz, initial=0), dz):
             if z == 0:
                 continue
-            if (w, z) not in words:
-                words[w, z] = _cell_word(diagram, ("x", w), ("y", z), ("x", -w), ("y", -z))
-            diagram.add(words[w, z], row * HPoint.generator(params, "y", zp))
+            word = _cell_word(diagram, ("x", w), ("y", z), ("x", -w), ("y", -z))
+            diagram.add(word, row * HPoint.generator(params, "y", zp))
 
 
 def _diamond_interior(diagram: Diagram, true: ApproxPolygon, inbound: Sides) -> Sides:
@@ -761,14 +772,20 @@ class HnnDualTree:
             return cls(arcs, edges, kinds)
 
     def to_dot(self) -> str:
+        """The tree in Graphviz DOT, every id and label a quoted string."""
         lines = ["graph dual_tree {"]
         for v in sorted(self.arcs):
             label = f"{v}|{list(self.arcs[v])}"
-            lines.append(f'  "{v}" [label="{label}"];')
+            lines.append(f"  {_dot_quote(v)} [label={_dot_quote(label)}];")
         for a, b, l in self.edges:
-            lines.append(f'  "{a}" -- "{b}" [label="{l}"];')
+            lines.append(f'  {_dot_quote(a)} -- {_dot_quote(b)} [label="{l}"];')
         lines.append("}")
         return "\n".join(lines)
+
+
+def _dot_quote(text: str) -> str:
+    """text as a DOT quoted string, its backslashes and double quotes escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def snowflake_hnn_tree(params: GroupParams, depth: int) -> HnnDualTree:
@@ -822,20 +839,35 @@ def _directed_masses(tree: HnnDualTree) -> dict[str, dict[str, int]]:
     return masses
 
 
+def _f_vertex(masses: dict[str, dict[str, int]], node: str, total: int) -> Fraction:
+    """f at a node: its largest directed mass less half the boundary length."""
+    return max(masses[node].values(), default=0) - Fraction(total, 2)
+
+
 def f_at_vertex(tree: HnnDualTree, node: str) -> Fraction:
-    biggest = max(_directed_masses(tree)[node].values(), default=0)
-    return biggest - Fraction(tree.boundary_length, 2)
+    """f at `node`; a node not in the tree raises ValueError naming it."""
+    if node not in tree.arcs:
+        raise ValueError(f"{node!r} is not a node of the tree")
+    return _f_vertex(_directed_masses(tree), node, tree.boundary_length)
 
 
 def f_at_edge_point(tree: HnnDualTree, edge: tuple[str, str], offset: Fraction) -> Fraction:
-    masses = _directed_masses(tree)
+    """f at distance `offset` from edge[0] along the corridor `edge`.
+
+    A pair of nodes that no corridor joins, or an offset outside
+    [0, length], raises ValueError naming it.
+    """
     a, b = edge
-    length = next(l for x, y, l in tree.edges if {x, y} == {a, b})
-    m_a = tree.boundary_length - masses[a][b]
-    m_b = tree.boundary_length - masses[b][a]
-    comp_a = m_a + 2 * offset
-    comp_b = m_b + 2 * (length - offset)
-    return Fraction(max(comp_a, comp_b)) - Fraction(tree.boundary_length, 2)
+    length = next((l for x, y, l in tree.edges if {x, y} == {a, b}), None)
+    if length is None:
+        raise ValueError(f"{edge!r} is not an edge of the tree")
+    if not 0 <= offset <= length:
+        raise ValueError(f"offset {offset} is outside the edge {edge!r} of length {length}")
+    masses = _directed_masses(tree)
+    total = tree.boundary_length
+    comp_a = total - masses[a][b] + 2 * offset
+    comp_b = total - masses[b][a] + 2 * (length - offset)
+    return Fraction(max(comp_a, comp_b)) - Fraction(total, 2)
 
 
 def find_central_region(tree: HnnDualTree) -> CentralLocation:
@@ -851,7 +883,7 @@ def find_central_region(tree: HnnDualTree) -> CentralLocation:
     half = Fraction(total, 2)
     found: list[CentralLocation] = []
     for v in tree.arcs:
-        f = max(masses[v].values(), default=0) - half
+        f = _f_vertex(masses, v, total)
         if f <= 0:
             found.append(CentralLocation("vertex", v, None, None, f))
     for a, b, length in tree.edges:

@@ -499,6 +499,23 @@ def test_central_tie_from_file(tmp_path, capsys):
     assert data["f"] == [0, 1]
 
 
+def test_central_dot_escapes_ids(tmp_path, capsys):
+    # a quote or backslash in an id stays inside its DOT string
+    ids = ['a"b', "c\\d"]
+    tree = {"nodes": [{"id": v, "arcs": [3]} for v in ids], "edges": [[*ids, 1]]}
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps(tree))
+    code, out, err = run_cli(capsys, "central", "--L", "6", "--input", str(path), "--dot")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[:5] == [
+        "graph dual_tree {",
+        r'  "a\"b" [label="a\"b|[3]"];',
+        r'  "c\\d" [label="c\\d|[3]"];',
+        r'  "a\"b" -- "c\\d" [label="1"];',
+        "}",
+    ]
+
+
 @pytest.mark.parametrize("argv", [("fill", "bigon"), ("central",)])
 def test_deeply_nested_input_exit_2(tmp_path, capsys, argv):
     path = tmp_path / "input.json"

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -34,6 +35,7 @@ from snowflake_groups.filling import (
     polygon_from_json,
     polygon_to_json,
 )
+from snowflake_groups import words
 from snowflake_groups.words import PathWord
 
 from conftest import reference_free_reduce
@@ -505,6 +507,54 @@ def test_subdivide_snowflake_letters_bounded(p6, monkeypatch):
         subdivide_snowflake(p6, 5)
 
 
+def _counting(calls, name, fn):
+    """fn, counting in calls[name] the calls whose result is not empty."""
+    def counted(*args):
+        result = fn(*args)
+        calls[name] += bool(result)
+        return result
+
+    return counted
+
+
+@pytest.mark.parametrize("build", ["snowflake", "diamond"])
+def test_each_distinct_word_handled_once(p6, monkeypatch, build):
+    # a diagram keeps one boundary per distinct word: it is free-reduced,
+    # checked and formatted once, and every cell of that word shares it
+    # (a freely trivial word is reduced each time and never stored)
+    calls = Counter()
+    monkeypatch.setattr(filling, "free_reduce", _counting(calls, "free_reduce", filling.free_reduce))
+    monkeypatch.setattr(filling, "PathWord", _counting(calls, "PathWord", filling.PathWord))
+    monkeypatch.setattr(words, "format_word", _counting(calls, "format_word", words.format_word))
+    if build == "snowflake":
+        diagram = subdivide_snowflake(p6, 5)
+    else:
+        corners = (HPoint(0, 0), HPoint(1, 6), HPoint(36, 0), HPoint(36, -6))
+        dia = ApproxPolygon("diamond", corners, ("x", "y", "x", "y"), (6, 6, -6, -6), 1)
+        diagram = fill_diamond(p6, dia, [2, 2, 2], [3, 3])[0]
+    shared = {}
+    for c in diagram.cells:
+        assert shared.setdefault(c.boundary.chars, c.boundary) is c.boundary
+    assert diagram.area > len(shared) > 1
+    assert calls == {"free_reduce": len(shared), "PathWord": len(shared)}
+    texts = [cell["boundary"] for cell in diagram.to_json()["cells"]]
+    assert calls["format_word"] == len(shared)
+    assert texts == [str(c.boundary) for c in diagram.cells]
+    # a cell put into the list by hand is still measured and checked
+    diagram.cells.append(filling.Cell(PathWord(p6, "a" * 500)))
+    assert diagram.mesh == 500 and not diagram.boundaries_trivial()
+
+
+def test_given_freely_trivial_cell_is_not_shared(p6):
+    # a freely trivial cell given to a diagram stays, but its word is not
+    # taken up: the same word added later is still left out
+    diagram = filling.Diagram(p6, [filling.Cell(PathWord(p6, "aA")), filling.Cell(PathWord(p6, "ss"))])
+    diagram.add("aA")
+    diagram.add("ss")
+    assert [c.boundary.chars for c in diagram.cells] == ["aA", "ss", "ss"]
+    assert diagram.cells[2].boundary is diagram.cells[1].boundary
+
+
 def test_diagram_equality_ignores_spellings(p6):
     tri = ApproxPolygon("triangle", (HPoint(0, 0), HPoint(0, 2), HPoint(12, 0)), ("x", "y", "a"), (2, 2, -12), 0)
     filled = fill_triangle(p6, tri, [-6, -6])[0]
@@ -670,6 +720,24 @@ def test_central_region_two_points_is_a_violation(monkeypatch):
     monkeypatch.setattr(filling, "_directed_masses", lambda t: {"a": {"b": 0}, "b": {"a": 0}})
     with pytest.raises(InvariantViolation):
         find_central_region(tree)
+
+
+@pytest.mark.parametrize(
+    "f, args, err",
+    [
+        (f_at_vertex, ("zz",), "'zz' is not a node of the tree"),
+        (f_at_edge_point, (("a", "c"), Fraction(1, 2)), r"\('a', 'c'\) is not an edge of the tree"),
+        (f_at_edge_point, (("a", "b"), Fraction(5)), r"offset 5 is outside the edge \('a', 'b'\) of length 1"),
+        (f_at_edge_point, (("b", "a"), Fraction(-1, 2)), r"offset -1/2 is outside the edge"),
+    ],
+    ids=["unknown-node", "not-an-edge", "past-the-end", "before-the-start"],
+)
+def test_f_refuses_points_off_the_tree(f, args, err):
+    tree = HnnDualTree({"a": (2,), "b": (2,), "c": (2,)}, [("a", "b", 1), ("b", "c", 1)])
+    with pytest.raises(ValueError, match=err):
+        f(tree, *args)
+    # the ends of an edge are on it, read from either side
+    assert f_at_edge_point(tree, ("a", "b"), Fraction(1)) == f_at_edge_point(tree, ("b", "a"), Fraction(0))
 
 
 def test_tree_validation():

@@ -1,6 +1,7 @@
 """Properties of the package source itself."""
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 
@@ -84,3 +85,25 @@ def test_no_functools_cache_in_package():
         for lineno, name in _functools_caches(ast.parse(path.read_text(), filename=str(path)))
     ]
     assert found == []
+
+
+def test_benchmark_entry_points_resolve():
+    # the benchmark's tracer wraps these (module, attribute) pairs at
+    # install(); each must still name something in the package.  The
+    # tracer's source is read, not imported.
+    tracing = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    (table,) = [
+        node.value
+        for node in ast.parse(tracing.read_text()).body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "ENTRY_POINTS"
+    ]
+    points = [(row.elts[0].value, row.elts[1].value) for row in table.elts]
+    assert points
+    missing = []
+    for module, attr in points:
+        obj = importlib.import_module(f"snowflake_groups.{module}")
+        for name in attr.split("."):
+            obj = getattr(obj, name, None)
+        if not callable(obj):
+            missing.append(f"{module}.{attr}")
+    assert missing == []
