@@ -17,10 +17,10 @@ closed boundary word with the point it is read from.  Every produced
 boundary word reduces to the identity; planarity is by construction and
 is not re-verified.  A cell whose word freely reduces to the empty word
 encloses nothing, so it is left out and does not count toward the area.
-Many cells of a diagram share their pieces and their words: a diagram
-spells each (flavor, exponent) once, keeps one boundary per distinct word
-for all the cells that hold it, and free-reduces, checks, measures and
-formats each distinct word once.
+Cells enter a diagram only through Diagram.add, which spells each
+(flavor, exponent) once and free-reduces each distinct word once: the
+cells of a word share one boundary, checked, measured and formatted once,
+and a freely trivial word is left out each time it comes back.
 """
 from __future__ import annotations
 
@@ -146,26 +146,24 @@ class Cell:
 
 @dataclass
 class Diagram:
-    """A combinatorial van Kampen diagram: its cells.
+    """A combinatorial van Kampen diagram: its cells, each made by add.
 
     The geodesic words a filling spells while it builds the diagram are
     kept with it, so each (flavor, exponent) is spelled once per diagram.
-    It also keeps one boundary per distinct cell word, shared by all the
-    cells of that word, and the count of letters its cells hold.  None of
-    these takes part in equality or repr.
+    It maps each word add has seen to the boundary all its cells share, or
+    to None if it freely reduces away, and counts its cells' letters.
+    None of these takes part in equality or repr.
     """
 
     params: GroupParams
-    cells: list[Cell]
+    cells: list[Cell] = field(default_factory=list, init=False)
     _spelled: dict[tuple[str, int], str] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
-    _words: dict[str, PathWord] = field(init=False, repr=False, compare=False)
-    _letters: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        self._words = {b.chars: b for b in self._distinct_boundaries() if free_reduce(b.chars)}
-        self._letters = sum(len(c.boundary) for c in self.cells)
+    _words: dict[str, Optional[PathWord]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _letters: int = field(default=0, init=False, repr=False, compare=False)
 
     def spell(self, flavor: str, k: int) -> str:
         """The geodesic word of flavor^k (vertex_group._geodesic_chars), spelled
@@ -184,15 +182,16 @@ class Diagram:
         unless the word freely reduces to the empty word: such a cell
         encloses nothing.  This is the only place a Cell is made.
 
-        A word is free-reduced and checked the first time it is stored;
-        later cells of that word share its boundary.
+        A word is free-reduced and checked only the first time it is seen;
+        later cells of that word share its boundary, or are left out again.
 
         The cells of a diagram hold at most MAX_LETTERS letters in all: a
         cell that would pass that raises ValueError before it is stored, so
         a short input cannot spell a diagram without bound.
         """
         boundary = self._words.get(word)
-        if boundary is None and not free_reduce(word):
+        if boundary is None and (word in self._words or not free_reduce(word)):
+            self._words[word] = None  # freely trivial: no cell, and no second reduction
             return
         letters = self._letters + len(word)
         if letters > MAX_LETTERS:
@@ -408,7 +407,7 @@ def fill_bigon(
         raise ValueError("fill_bigon needs a bigon")
     _validate_subdivision("side 0", subdivision, poly.exponents[0])
     cps = _corner_paths(params, poly)
-    diagram = Diagram(params, [])
+    diagram = Diagram(params)
     out = _bigon_cells(
         diagram, poly.corners[0], poly.flavors[0], subdivision,
         poly.corners[1], poly.exponents[1], cps[0].chars, cps[1].chars,
@@ -448,7 +447,7 @@ def _fill_polygon(
         geodesic_word_h(params, poly.side_end(params, i).inverse() * true.corners[(i + 1) % n]).chars
         for i in range(n)
     ]
-    diagram = Diagram(params, [])
+    diagram = Diagram(params)
     inbound: Sides = {}
     for i, exps in given.items():
         out = _bigon_cells(
@@ -645,7 +644,7 @@ def subdivide_snowflake(
     _check_depth(depth, "loop")
     if lam < 1:
         raise ValueError(f"subdivision constant must be >= 1, got {lam}")
-    diagram = Diagram(params, [])
+    diagram = Diagram(params)
     if depth == 1:
         diagram.add(snowflake_loop(params, 1).chars, HPoint.identity())
         return diagram

@@ -198,8 +198,8 @@ def enfilade_decompose(params: GroupParams, path: PathWord, R) -> EnfiladeDecomp
     epsilons: list[str] = []
     alphas: list[PathWord] = []
     betas: list[PathWord] = []
-    flavors: list[str] = [seg.flavor or "a"]
-    exponents: list[int] = [seg.exponent or 0]
+    flavors: list[str] = [seg.flavor]
+    exponents: list[int] = [seg.exponent]
 
     current = seg.word
     while True:
@@ -230,8 +230,8 @@ def enfilade_decompose(params: GroupParams, path: PathWord, R) -> EnfiladeDecomp
         nxt = candidates[0]
         alphas.append(PathWord(params, inner.chars[: nxt.start]))
         betas.append(PathWord(params, inner.chars[nxt.end :]))
-        flavors.append(nxt.flavor or "a")
-        exponents.append(nxt.exponent or 0)
+        flavors.append(nxt.flavor)
+        exponents.append(nxt.exponent)
         current = nxt.word
 
 
@@ -335,16 +335,16 @@ def verify_geodesic_loop(params: GroupParams, loop: PathWord) -> GeodesicLoopRep
     program along the Bass-Serre tree (hnn_group._tree_dist), to the cap
     h - 1, in the order of i; the first pair found within it is the
     witness.  The goal g_i^-1 g_(i+h) is the element spelled by the letters
-    i to i + h of the loop, so no vertex of the loop is stored.  The one
-    line table, for that cap, is built first.  A loop of length 2 retraces
-    its only edge, so it is not geodesic, though its two vertices are at
-    distance 1; it has no witness.  A table or layer of more than
-    hnn_group.MAX_POINTS points raises BudgetExceeded.
+    i to i + h of the loop, so no vertex of the loop is stored.  An open
+    loop or one with x/y edges is refused before the line table is built.
+    A loop of length 2 retraces its only edge, so it is not geodesic,
+    though its two vertices are at distance 1; it has no witness.  A table
+    or layer of more than hnn_group.MAX_POINTS points raises BudgetExceeded.
     """
     L = params.L
+    _check_closed(L, loop)
     half = len(loop.chars) // 2
     table = _line_table(L, half - 1)
-    _check_closed(L, loop)
     if half == 1:
         return GeodesicLoopReport(False)
     # the loop arc shows d <= half, so d <= half - 1 is all there is to rule out

@@ -10,7 +10,6 @@ a, s, t edges have length 1; x, y edges have length L.
 """
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from itertools import groupby
 from typing import TYPE_CHECKING
@@ -21,10 +20,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 GENERATORS = "astxy"
 _VALID = set("aAsStTxXyY")
+_INVERSE = dict(zip("aAsStTxXyY", "AaSsTtXxYy"))
 
 MAX_LETTERS = 10**7  # longest word parse_word (and the CLI) will spell out
-
-_CANCELLING = re.compile("|".join(ch + ch.swapcase() for ch in "aAsStTxXyY"))
 
 
 def invert_chars(chars: str) -> str:
@@ -33,14 +31,17 @@ def invert_chars(chars: str) -> str:
 
 
 def free_reduce(chars: str) -> str:
-    """The freely reduced word (no relators): each pass cancels every letter
-    next to its inverse, until a pass finds none.  A pass runs at regex
-    speed, which for the short words of filling cells beats a letter-by-
-    letter stack, though k nested pairs take k passes."""
-    n = 1
-    while n:
-        chars, n = _CANCELLING.subn("", chars)
-    return chars
+    """The freely reduced word (no relators), in one pass over a letter stack."""
+    out: list[str] = []
+    undo = ""  # the letter that would cancel the top of out
+    for ch in chars:
+        if ch == undo:
+            out.pop()
+            undo = _INVERSE[out[-1]] if out else ""
+        else:
+            out.append(ch)
+            undo = _INVERSE[ch]
+    return "".join(out)
 
 
 def char_for(gen: str, sign: int) -> str:

@@ -1,3 +1,4 @@
+import re
 from itertools import count
 from typing import Optional
 
@@ -108,16 +109,17 @@ def right_fold_key(L, chars):
     return out
 
 
+_CANCELLING = re.compile("|".join(ch + ch.swapcase() for ch in "aAsStTxXyY"))
+
+
 def reference_free_reduce(chars):
-    """The freely reduced word by a letter-by-letter stack: the reference for
-    words.free_reduce, which cancels pairs a pass at a time."""
-    out = []
-    for ch in chars:
-        if out and out[-1] == ch.swapcase():
-            out.pop()
-        else:
-            out.append(ch)
-    return "".join(out)
+    """The freely reduced word, cancelling every adjacent inverse pair a
+    regex pass at a time until a pass finds none: the reference for
+    words.free_reduce, which makes one pass over a letter stack."""
+    n = 1
+    while n:
+        chars, n = _CANCELLING.subn("", chars)
+    return chars
 
 
 def reference_neighbors(L, key):

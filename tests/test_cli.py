@@ -67,6 +67,25 @@ def test_verify_loop_length_two(capsys):
     assert (code, out, err) == (0, "geodesic: true\n", "")
 
 
+@pytest.mark.parametrize(
+    "word, err",
+    [
+        ("a^3000000", "error: path is not a closed loop\n"),
+        ("x^300000 a", "error: loop checks require an {a, s, t} word (x/y edges are weighted)\n"),
+    ],
+    ids=["open", "weighted"],
+)
+def test_verify_loop_refuses_bad_loop_before_its_table(capsys, monkeypatch, word, err):
+    # the line table for cap |loop|/2 - 1 would pass the state budget
+    from snowflake_groups import paths
+
+    def refuse(*args):
+        raise AssertionError("the line table was built for a loop that is refused")
+
+    monkeypatch.setattr(paths, "_line_table", refuse)
+    assert run_cli(capsys, "verify-loop", "--L", "6", "--word", word) == (2, "", err)
+
+
 def test_table_csv(capsys):
     code, out, _ = run_cli(capsys, "table", "--L", "10", "--m-max", "10")
     assert code == 0
@@ -333,7 +352,7 @@ def test_budget_exceeded_exit_2(capsys, monkeypatch, argv):
     assert err.startswith("error: state budget exceeded: ") and err.count("\n") == 1
 
 
-def _run_under_memory_limit(argv, megabytes):
+def _run_under_memory_limit(argv, megabytes, timeout=120):
     """The CLI in a subprocess whose address space is capped by RLIMIT_AS."""
     resource = pytest.importorskip("resource")
     import subprocess
@@ -347,7 +366,7 @@ def _run_under_memory_limit(argv, megabytes):
         text=True,
         env={"PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"), "PATH": "/usr/bin:/bin"},
         preexec_fn=limit,
-        timeout=120,
+        timeout=timeout,
     )
 
 
@@ -375,6 +394,17 @@ def test_fill_diagram_letters_bounded(tmp_path):
     proc = _run_under_memory_limit(["fill", "bigon", "--L", "6", "--input", str(path)], 400)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == "error: the diagram's cells would hold more than 10000000 letters\n"
+
+
+def test_fill_deeply_nested_corner_path(tmp_path):
+    # free reduction is one pass, so the corner path s^n s^-n, nested n
+    # deep, is cancelled in time linear in n
+    path = tmp_path / "bigon.json"
+    path.write_text(json.dumps({**_BIGON, "corners": [[0, 0], [6, 0]], "exponents": [6, -6], "D": 10**7,
+                                "subdivision": [6], "corner_paths": ["s^200000 s^-200000", "1"]}))
+    proc = _run_under_memory_limit(["fill", "bigon", "--L", "6", "--input", str(path)], 400, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["trivial"] is True
 
 
 def test_fill_snowflake_constant_refused_before_any_cell():

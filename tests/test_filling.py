@@ -36,7 +36,7 @@ from snowflake_groups.filling import (
     polygon_to_json,
 )
 from snowflake_groups import words
-from snowflake_groups.words import PathWord
+from snowflake_groups.words import PathWord, free_reduce
 
 from conftest import reference_free_reduce
 
@@ -472,29 +472,31 @@ def test_one_bad_cell_among_repeats_is_found(p6, where):
     # the triviality check reads each distinct word once; a single
     # non-trivial word among 100 copies of a trivial one still fails it
     unit = geodesic_word_h(p6, HPoint(0, 1)).chars + geodesic_word_h(p6, HPoint(6, -1)).chars + "A" * 6
-    diagram = filling.Diagram(p6, [])
+    diagram = filling.Diagram(p6)
     for i in range(101):
         diagram.add("a" if i == where else unit)
     assert diagram.area == 101
     assert not diagram.boundaries_trivial()
     assert diagram.mesh == len(unit)
-    good = filling.Diagram(p6, [c for c in diagram.cells if c.boundary.chars != "a"])
-    assert good.boundaries_trivial()
+    good = filling.Diagram(p6)
+    for c in diagram.cells:
+        if c.boundary.chars != "a":
+            good.add(c.boundary.chars, c.basepoint)
+    assert good.area == 100 and good.boundaries_trivial()
 
 
 def test_diagram_letters_bounded(p6, monkeypatch):
     # the cells hold at most MAX_LETTERS letters; a freely trivial word is
     # not stored and does not count, and a refused cell is not stored
     monkeypatch.setattr(filling, "MAX_LETTERS", 10)
-    diagram = filling.Diagram(p6, [])
+    diagram = filling.Diagram(p6)
     for word in ("aaaa", "aAsS" * 5, "ssss"):
         diagram.add(word)
     with pytest.raises(ValueError, match="more than 10 letters"):
         diagram.add("ttt")
     assert [c.boundary.chars for c in diagram.cells] == ["aaaa", "ssss"]
-    diagram.add("tt")
-    with pytest.raises(ValueError):  # cells given to a diagram count too
-        filling.Diagram(p6, list(diagram.cells)).add("a")
+    diagram.add("tt")  # exactly MAX_LETTERS letters
+    assert [c.boundary.chars for c in diagram.cells] == ["aaaa", "ssss", "tt"]
 
 
 def test_subdivide_snowflake_letters_bounded(p6, monkeypatch):
@@ -520,10 +522,15 @@ def _counting(calls, name, fn):
 @pytest.mark.parametrize("build", ["snowflake", "diamond"])
 def test_each_distinct_word_handled_once(p6, monkeypatch, build):
     # a diagram keeps one boundary per distinct word: it is free-reduced,
-    # checked and formatted once, and every cell of that word shares it
-    # (a freely trivial word is reduced each time and never stored)
-    calls = Counter()
-    monkeypatch.setattr(filling, "free_reduce", _counting(calls, "free_reduce", filling.free_reduce))
+    # checked and formatted once, and every cell of that word shares it;
+    # a freely trivial word is free-reduced once and makes no cell
+    calls, reduced = Counter(), Counter()
+
+    def reducing(word):
+        reduced[word] += 1
+        return free_reduce(word)
+
+    monkeypatch.setattr(filling, "free_reduce", reducing)
     monkeypatch.setattr(filling, "PathWord", _counting(calls, "PathWord", filling.PathWord))
     monkeypatch.setattr(words, "format_word", _counting(calls, "format_word", words.format_word))
     if build == "snowflake":
@@ -536,7 +543,11 @@ def test_each_distinct_word_handled_once(p6, monkeypatch, build):
     for c in diagram.cells:
         assert shared.setdefault(c.boundary.chars, c.boundary) is c.boundary
     assert diagram.area > len(shared) > 1
-    assert calls == {"free_reduce": len(shared), "PathWord": len(shared)}
+    assert set(reduced.values()) == {1}
+    trivial = [w for w in reduced if not reference_free_reduce(w)]
+    assert len(reduced) == len(shared) + len(trivial)
+    assert len(trivial) == (6 if build == "diamond" else 0)
+    assert calls == {"PathWord": len(shared)}
     texts = [cell["boundary"] for cell in diagram.to_json()["cells"]]
     assert calls["format_word"] == len(shared)
     assert texts == [str(c.boundary) for c in diagram.cells]
@@ -545,20 +556,12 @@ def test_each_distinct_word_handled_once(p6, monkeypatch, build):
     assert diagram.mesh == 500 and not diagram.boundaries_trivial()
 
 
-def test_given_freely_trivial_cell_is_not_shared(p6):
-    # a freely trivial cell given to a diagram stays, but its word is not
-    # taken up: the same word added later is still left out
-    diagram = filling.Diagram(p6, [filling.Cell(PathWord(p6, "aA")), filling.Cell(PathWord(p6, "ss"))])
-    diagram.add("aA")
-    diagram.add("ss")
-    assert [c.boundary.chars for c in diagram.cells] == ["aA", "ss", "ss"]
-    assert diagram.cells[2].boundary is diagram.cells[1].boundary
-
-
 def test_diagram_equality_ignores_spellings(p6):
     tri = ApproxPolygon("triangle", (HPoint(0, 0), HPoint(0, 2), HPoint(12, 0)), ("x", "y", "a"), (2, 2, -12), 0)
     filled = fill_triangle(p6, tri, [-6, -6])[0]
-    bare = filling.Diagram(p6, list(filled.cells))
+    bare = filling.Diagram(p6)
+    for c in filled.cells:
+        bare.add(c.boundary.chars, c.basepoint)
     assert filled == bare and repr(filled) == repr(bare)
     assert filled.to_json() == bare.to_json()
     assert bare.spell("x", 7) == geodesic_word_h(p6, HPoint(0, 7)).chars

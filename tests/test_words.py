@@ -59,11 +59,18 @@ def test_pathword_cross_params_guard(p6, p10):
         PathWord(p6, "a") + PathWord(p10, "a")
 
 
-def test_free_reduce_matches_stack():
-    # nested pairs need several passes
+def test_free_reduce_matches_reference():
+    # nested pairs, which the regex reference cancels a level per pass
     assert free_reduce("saSsAS") == "" and free_reduce("sssSSS") == ""
     assert free_reduce("saStaT") == "saStaT"
     rng = random.Random(7)
     for _ in range(3000):
         word = "".join(rng.choice("aAsStTxXyY"[: rng.choice((4, 10))]) for _ in range(rng.randrange(40)))
         assert free_reduce(word) == reference_free_reduce(word), word
+    # deep nests w w^-1, with a tail that survives
+    for n in (1, 7, 300):
+        word = "".join(rng.choice("aAsStTxXyY") for _ in range(n))
+        nest = word + invert_chars(word)
+        assert free_reduce(nest) == reference_free_reduce(nest) == ""
+        assert free_reduce(nest + "s" + nest) == reference_free_reduce(nest + "s" + nest) == "s"
+        assert free_reduce("t" + nest + "T") == ""
