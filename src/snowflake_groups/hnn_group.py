@@ -160,6 +160,31 @@ def prefix_keys(L: int, chars: str) -> list[Key]:
     return keys
 
 
+class _HVisits:
+    """A prefix sink for _fold that keeps (i, u, v) for each prefix i whose
+    key is the element a^u x^v of H, and drops every other key."""
+
+    __slots__ = ("i", "visits")
+
+    def __init__(self) -> None:
+        self.i = 0
+        self.visits = [(0, 0, 0)]
+
+    def append(self, key: Key) -> None:
+        self.i += 1
+        if len(key) == 2:
+            self.visits.append((self.i, *key))
+
+
+def h_visits(L: int, chars: str) -> list[tuple[int, int, int]]:
+    """(i, u, v) for each prefix i of chars that ends in H, at a^u x^v,
+    shortest first: one fold, holding no key outside H (prefix_keys holds
+    them all)."""
+    sink = _HVisits()
+    _fold(L, identity_key(), map(_letters(L).__getitem__, chars), sink)
+    return sink.visits
+
+
 def _key_parts(key: Key) -> Iterator[tuple[int, int, int]]:
     """Yield (code, u, v) for each syllable."""
     for i in range(2, len(key), 3):
@@ -357,20 +382,20 @@ def bfs_ball(params: GroupParams, radius: int) -> Ball:
 _CROSSING = {"s": ("x", "a"), "S": ("a", "x"), "t": ("y", "a"), "T": ("a", "y")}
 
 
-def _line_table(L: int, c: int) -> tuple[dict, list]:
-    """The table g: k -> |x^k| = |y^k| over Z0(c) = {0} u +-S(c - 2), and
-    its items (g, k) cheapest first: every power that a route of length
-    <= c in H can use.  It holds 2|S(c - 2)| - 1 points, refused with
-    BudgetExceeded above MAX_POINTS before they are stored."""
+def _line_table(L: int, c: int) -> tuple[dict, list, int]:
+    """The table g: k -> |x^k| = |y^k| over Z0(c) = {0} u +-S(c - 2), its
+    items (g, k) cheapest first, and its reach c: every power that a route
+    of length <= c in H can use.  It holds 2|S(c - 2)| - 1 points, refused
+    with BudgetExceeded above MAX_POINTS before they are stored."""
     s = _a_ball(L, c - 2, MAX_POINTS)
     if 2 * len(s) - 1 > MAX_POINTS:
         raise BudgetExceeded(frontier=2 * len(s) - 1, visited=len(s))
     g = {k: 2 + d for m, d in s.items() if m for k in (m, -m)}
     g[0] = 0
-    return g, sorted((d, k) for k, d in g.items())
+    return g, sorted((d, k) for k, d in g.items()), c
 
 
-def _line(L: int, table: tuple[dict, list], u: int, v: int, gen: str, b: int) -> dict[int, int]:
+def _line(L: int, table: tuple[dict, list, int], u: int, v: int, gen: str, b: int) -> dict[int, int]:
     """{k: |a^u x^v gen^k|} for every k where it is <= b, gen in a, x, y.
 
     b must not pass the c of the table.  |a^u x^v| is the shortest route
@@ -380,7 +405,7 @@ def _line(L: int, table: tuple[dict, list], u: int, v: int, gen: str, b: int) ->
     x-line y^q is fixed and x^(v+k+q) runs over it.  s <-> t fixes a and
     swaps x and y, so a y-line is the x-line through a^(u+Lv) x^-v.
     """
-    g, order = table
+    g, order, _ = table
     out: dict[int, int] = {}
     if gen == "a":
         for gq, q in order:
@@ -409,16 +434,19 @@ def _line(L: int, table: tuple[dict, list], u: int, v: int, gen: str, b: int) ->
     return out
 
 
-def _tree_dist(L: int, table: tuple[dict, list], key: Key, cap: int) -> Optional[int]:
+def _tree_dist(L: int, table: tuple[dict, list, int], key: Key, cap: int) -> Optional[int]:
     """Exact |key| if it is <= cap, else None, by the program of the module
     docstring.  A state is the landing exponent k_j of a crossing, with the
     least cost of reaching it.  A transition reads the exit line of the next
     crossing (_line) within the cap less that cost and the crossings to come,
     dropping states that cannot finish; one read of the landing line through
-    the tail ends it.  The table must cover c >= cap - n.  A layer of more
-    than MAX_POINTS states raises BudgetExceeded, checked after each line.
+    the tail ends it.  The table must reach c >= cap - n, or ValueError.  A
+    layer of more than MAX_POINTS states raises BudgetExceeded, checked
+    after each line.
     """
     n = (len(key) - 2) // 3
+    if table[2] < cap - n:
+        raise ValueError(f"line table reaches {table[2]}, below cap - n = {cap - n}")
     letters = _letters(L)
     layer, land = {0: 0}, "a"  # the state before the first crossing: 0 along any line
     for j in range(0, 3 * n, 3):

@@ -26,7 +26,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .hnn_group import _CROSSING, InvariantViolation, _line_table, _tree_dist, prefix_keys, reduce_chars
+from .hnn_group import (
+    _CROSSING,
+    InvariantViolation,
+    _line_table,
+    _tree_dist,
+    h_visits,
+    prefix_keys,
+    reduce_chars,
+)
 from .params import GroupParams
 from .vertex_group import HPoint, _expand_digits
 from .words import MAX_LETTERS, PathWord, invert_chars
@@ -94,38 +102,34 @@ def decompose_escapes(params: GroupParams, path: PathWord) -> list[PathSegment]:
     """Split a path with endpoints in the coset H into escapes and toral pieces.
 
     Maximal runs of toral edges are consolidated into single toral segments.
+    The path is folded once and only its visits to H are kept (h_visits).
     """
-    keys = path.vertex_keys()
-    if len(keys[-1]) != 2:
+    visits = h_visits(params.L, path.chars)
+    if visits[-1][0] != len(path.chars):
         raise ValueError("path endpoint leaves the coset H")
-    visits = [i for i, k in enumerate(keys) if len(k) == 2]
     segments: list[PathSegment] = []
-    toral_from: Optional[int] = None
+    toral_from: Optional[tuple[int, int, int]] = None
 
-    def flush_toral(upto: int) -> None:
+    def flush_toral(upto: tuple[int, int, int]) -> None:
         nonlocal toral_from
         if toral_from is None:
             return
-        word = PathWord(params, path.chars[toral_from:upto])
-        delta = HPoint(
-            keys[upto][0] - keys[toral_from][0], keys[upto][1] - keys[toral_from][1]
-        )
-        power = delta.as_power(params)
+        (a, au, av), (b, bu, bv) = toral_from, upto
+        power = HPoint(bu - au, bv - av).as_power(params)
         flavor, exponent = power if power else (None, None)
-        segments.append(PathSegment("toral", word, flavor, exponent, toral_from, upto))
+        segments.append(PathSegment("toral", PathWord(params, path.chars[a:b]), flavor, exponent, a, b))
         toral_from = None
 
-    for a, b in zip(visits, visits[1:]):
+    for here, there in zip(visits, visits[1:]):
+        (a, au, av), (b, bu, bv) = here, there
         if b == a + 1:  # a single toral edge
             if toral_from is None:
-                toral_from = a
+                toral_from = here
             continue
-        flush_toral(a)
+        flush_toral(here)
         word = PathWord(params, path.chars[a:b])
-        first = word.chars[0]
-        delta = HPoint(keys[b][0] - keys[a][0], keys[b][1] - keys[a][1])
-        power = delta.as_power(params)
-        flavor = _CROSSING[first][0]  # the power that leaves across the opening letter
+        power = HPoint(bu - au, bv - av).as_power(params)
+        flavor = _CROSSING[word.chars[0]][0]  # the power that leaves across the opening letter
         if power is None or (power[0] != flavor and power[1] != 0):
             raise ValueError(f"escape at offset {a} does not trace a {flavor}-power")
         segments.append(PathSegment(f"{flavor}-escape", word, flavor, power[1], a, b))

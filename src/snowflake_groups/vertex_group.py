@@ -129,14 +129,30 @@ def dist_a_power(params: GroupParams, m: int) -> int:
 
 
 def dist_table(params: GroupParams, m_max: int) -> list[int]:
-    """[|a^0|, |a^1|, ..., |a^m_max|] built iteratively (bulk scans)."""
+    """[|a^0|, |a^1|, ..., |a^m_max|], built a run of L lengths at a time.
+
+    The run of q holds |a^(qL + r)| = min(low + r, high - r), 0 <= r < L,
+    where (low, high) are the guard routes to a^(qL) (_routes): the first k
+    lengths climb from low, the rest fall from high - k, with
+    k = (high - low + 1) // 2.  For q >= 1, |a^(q+1)| - |a^q| = +-1 by
+    parity, so high - low = L -+ 2 and k = L/2 -+ 1; at q = 0, k = L/2 + 3.
+    So k <= L for every L >= 6, and a run is the two slices
+    pool[low : low + k] and pool[high - k : high - L : -1] of a local pool
+    with pool[n] == n.  Every entry is then one of the pool's ints, and no
+    Python code runs per entry: the 10^6 lengths of L = 6 take 1 243 int
+    objects, where one int per length would take 31 MB.
+    """
     L = params.L
     table: list[int] = []
+    pool: list[int] = []
     for q in range(m_max // L + 1):
-        # the routes to a^(qL + r) are r longer and r shorter than those to a^(qL)
         lo, hi = (table[q], table[q + 1]) if q else (0, 1)
         low, high = _routes(L, lo, hi, 0)
-        table += [low + r if low + r < high - r else high - r for r in range(L)]
+        if high >= len(pool):
+            pool += range(len(pool), 2 * high)
+        k = (high - low + 1) // 2
+        table += pool[low : low + k]
+        table += pool[high - k : high - L : -1]
     del table[m_max + 1 :]
     return table
 

@@ -20,7 +20,7 @@ from snowflake_groups import (
     mn_sequence,
     reverse_holder_check,
 )
-from snowflake_groups.distortion import distortion_rows, write_distortion_csv
+from snowflake_groups.distortion import DistortionRow, distortion_rows, write_distortion_csv
 
 
 def test_table_non_monotone_witness(p10):
@@ -54,6 +54,13 @@ def test_table_rows_match_reference(L):
         assert row.ratio == row.dist / params.root(m)
 
 
+@pytest.mark.parametrize("m_max", [1, 7, 1000])
+def test_rows_are_distortion_rows(p6, m_max):
+    rows = distortion_table(p6, m_max)
+    assert all(type(row) is DistortionRow for row in rows)
+    assert all(type(row) is DistortionRow for row in distortion_rows(p6, m_max))
+
+
 def test_rows_are_immutable_tuples(p6):
     row = distortion_table(p6, 3)[2]
     with pytest.raises(AttributeError):
@@ -77,11 +84,14 @@ def test_table_restores_gc_state(p6, monkeypatch, enabled):
         distortion_table(p6, 1000)
         assert gc.isenabled() is enabled
 
-        def broken_row(*fields):
-            raise RuntimeError("row")
+        def broken_table(params, m_max):
+            # a non-number late in the table: the row build fails part way
+            table = dist_table(params, m_max)
+            table[-10] = "broken"
+            return table
 
-        monkeypatch.setattr(distortion, "DistortionRow", broken_row)
-        with pytest.raises(RuntimeError):
+        monkeypatch.setattr(distortion, "dist_table", broken_table)
+        with pytest.raises(TypeError):
             distortion_table(p6, 1000)
         assert gc.isenabled() is enabled
     finally:

@@ -27,6 +27,7 @@ from snowflake_groups.hnn_group import (
     _line_table,
     _neighbors,
     _tree_dist,
+    h_visits,
     prefix_keys,
     reduce_chars,
 )
@@ -183,6 +184,8 @@ def test_fold_matches_reference_feed(L):
         key = reduce_chars(L, w, start)
         assert key == reference_reduce(L, w, start), (start, w)
         assert prefix_keys(L, w) == reference_prefix_keys(L, w), w
+        visits = [(i, *k) for i, k in enumerate(reference_prefix_keys(L, w)) if len(k) == 2]
+        assert h_visits(L, w) == visits, w
         other = _big_key(rng, L)
         assert _key_mul(L, key, other) == reference_mul(L, key, other), (key, other)
         assert _key_invert(L, key) == reference_invert(L, key), key
@@ -294,6 +297,17 @@ def test_tree_dist_layer_budget(p6, monkeypatch):
     with pytest.raises(BudgetExceeded) as info:
         _tree_dist(6, table, key, 20)
     assert info.value.frontier == len(_line(6, table, 0, 0, "y", 20 - 5)) == 49
+
+
+def test_tree_dist_refuses_a_short_table():
+    # |a^6| = 6: a table reaching 2 cannot read it within the cap 10
+    key = reduce_chars(6, "a" * 6)
+    with pytest.raises(ValueError, match="reaches 2, below cap - n = 10"):
+        _tree_dist(6, _line_table(6, 2), key, 10)
+    assert _tree_dist(6, _line_table(6, 10), key, 10) == 6
+    # n crossings lower the reach the table needs by n
+    key = reduce_chars(6, "sas")
+    assert _tree_dist(6, _line_table(6, 8), key, 10) == 3
 
 
 @pytest.mark.parametrize("L, R", [(6, 7), (8, 6)])

@@ -127,6 +127,36 @@ def test_decompose_mixed(p6):
     assert trace(segs[4]) == ("a", 2)
 
 
+def test_decompose_keeps_no_prefix_keys(p6, monkeypatch):
+    # one fold that keeps only the visits to H: the escapes f sigma_n f^-1
+    # of the benchmark and their insides, and the two-level escape
+    from snowflake_groups import paths
+
+    def refuse(*args):
+        raise AssertionError("decompose_escapes stored every prefix key")
+
+    monkeypatch.setattr(paths, "prefix_keys", refuse)
+    monkeypatch.setattr(PathWord, "vertex_keys", refuse)
+    fields = lambda segs: [(s.kind, s.flavor, s.exponent, s.start, s.end) for s in segs]  # noqa: E731
+    for n in range(4, 12):
+        for f, flavor, other in (("s", "x", "y"), ("t", "y", "x")):
+            sigma = snowflake_path(p6, n, f).chars
+            end, half = len(sigma), len(sigma) // 2
+            segs = decompose_escapes(p6, PathWord(p6, f + sigma + f.upper()))
+            assert fields(segs) == [(f"{flavor}-escape", flavor, 6**n, 0, end + 2)]
+            assert fields(decompose_escapes(p6, PathWord(p6, sigma))) == [
+                (f"{flavor}-escape", flavor, 6 ** (n - 1), 0, half),
+                (f"{other}-escape", other, 6 ** (n - 1), half, end),
+            ]
+    w = PathWord.from_str(p6, "s^-1 a s a^9 s^-1 a^-1 s")
+    assert fields(decompose_escapes(p6, w)) == [("a-escape", "a", 9, 0, 15)]
+    assert fields(decompose_escapes(p6, PathWord(p6, w.chars[1:-1]))) == [
+        ("toral", "a", 1, 0, 1),
+        ("x-escape", "x", 9, 1, 12),
+        ("toral", "a", -1, 12, 13),
+    ]
+
+
 def test_decompose_rejects_open_path(p6):
     with pytest.raises(ValueError):
         decompose_escapes(p6, PathWord(p6, "sa"))

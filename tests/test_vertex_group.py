@@ -23,7 +23,7 @@ from snowflake_groups import (
     xy_line_intersection,
 )
 from snowflake_groups import vertex_group
-from snowflake_groups.vertex_group import BudgetExceeded, _a_ball
+from snowflake_groups.vertex_group import BudgetExceeded, _a_ball, _dist_a
 
 
 def test_params_examples():
@@ -149,6 +149,22 @@ def test_dist_table_short(p6, p10):
     assert dist_table(p6, 0) == [0]
     assert dist_table(p6, 1) == [0, 1]
     assert dist_table(p10, 11) == [0, 1, 2, 3, 4, 5, 6, 7, 8, 7, 6, 7]
+
+
+@pytest.mark.parametrize("L", [6, 8, 12, 100])
+def test_dist_table_matches_dist_a_at_every_cut(L):
+    # each m_max of the first runs, then one that ends in the middle of a run
+    params = GroupParams(L)
+    for m_max in range(3 * L):
+        assert dist_table(params, m_max) == [_dist_a(L, m) for m in range(m_max + 1)], m_max
+    m_max = 3000 * L + L // 2
+    assert dist_table(params, m_max) == [_dist_a(L, m) for m in range(m_max + 1)]
+
+
+def test_dist_table_shares_its_lengths(p6):
+    # every entry is one of a pool of ints, one object per distinct length
+    table = dist_table(p6, 10**5)
+    assert len({id(d) for d in table}) <= max(table) + 1
 
 
 @pytest.mark.parametrize("L", [6, 8, 10, 12])
