@@ -8,7 +8,8 @@ budgets and exhausted memory.  No subcommand takes a budget option; the
 limits are fixed.  `ball` stores at most hnn_group.MAX_BALL_STATES =
 1.5 * 10^7 states, `verify-loop`'s distance program at most
 hnn_group.MAX_POINTS = 10^6 points in its table or one layer, and a
-`fill` diagram at most words.MAX_LETTERS = 10^7 letters.  Input files are
+`fill` diagram is given at most words.MAX_LETTERS = 10^7 letters, every
+cell word counting, a freely trivial or repeated one too.  Input files are
 read by _read_json, so a malformed or too deeply nested file is a usage
 error too.
 """

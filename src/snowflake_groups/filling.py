@@ -18,9 +18,11 @@ boundary word reduces to the identity; planarity is by construction and
 is not re-verified.  A cell whose word freely reduces to the empty word
 encloses nothing, so it is left out and does not count toward the area.
 Cells enter a diagram only through Diagram.add, which spells each
-(flavor, exponent) once and free-reduces each distinct word once: the
-cells of a word share one boundary, checked, measured and formatted once,
-and a freely trivial word is left out each time it comes back.
+(flavor, exponent) once and free-reduces each distinct cell word once:
+the cells of a word share one boundary, checked, measured and formatted
+once.  Every word a filling gives add counts toward the diagram's letter
+limit, a freely trivial or repeated one too, so a short input is refused
+whether or not its cells survive free reduction.
 """
 from __future__ import annotations
 
@@ -150,9 +152,9 @@ class Diagram:
 
     The geodesic words a filling spells while it builds the diagram are
     kept with it, so each (flavor, exponent) is spelled once per diagram.
-    It maps each word add has seen to the boundary all its cells share, or
-    to None if it freely reduces away, and counts its cells' letters.
-    None of these takes part in equality or repr.
+    It maps each stored cell word to the boundary all its cells share, and
+    counts the letters of every word add was given.  None of these takes
+    part in equality or repr.
     """
 
     params: GroupParams
@@ -160,7 +162,7 @@ class Diagram:
     _spelled: dict[tuple[str, int], str] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
-    _words: dict[str, Optional[PathWord]] = field(
+    _words: dict[str, PathWord] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
     _letters: int = field(default=0, init=False, repr=False, compare=False)
@@ -182,22 +184,20 @@ class Diagram:
         unless the word freely reduces to the empty word: such a cell
         encloses nothing.  This is the only place a Cell is made.
 
-        A word is free-reduced and checked only the first time it is seen;
-        later cells of that word share its boundary, or are left out again.
-
-        The cells of a diagram hold at most MAX_LETTERS letters in all: a
-        cell that would pass that raises ValueError before it is stored, so
-        a short input cannot spell a diagram without bound.
+        Every word given here counts toward MAX_LETTERS, repeated or freely
+        trivial: one that would pass it raises ValueError before it is
+        looked at, so a short input cannot spell a diagram without bound.
+        A stored word is free-reduced and checked once; later cells of that
+        word share its boundary.
         """
-        boundary = self._words.get(word)
-        if boundary is None and (word in self._words or not free_reduce(word)):
-            self._words[word] = None  # freely trivial: no cell, and no second reduction
-            return
         letters = self._letters + len(word)
         if letters > MAX_LETTERS:
             raise ValueError(f"the diagram's cells would hold more than {MAX_LETTERS} letters")
         self._letters = letters
+        boundary = self._words.get(word)
         if boundary is None:
+            if not free_reduce(word):
+                return
             boundary = self._words[word] = PathWord(self.params, word)
         self.cells.append(Cell(boundary, basepoint))
 

@@ -70,7 +70,7 @@ import json
 
 from .params import GroupParams
 from .vertex_group import BudgetExceeded, HPoint, _a_ball, _splits
-from .words import format_word, parse_word, power_chars
+from .words import parse_word, power_chars, power_token
 
 _LETTER = {1: "s", -1: "S", 3: "t", -3: "T"}
 
@@ -200,6 +200,30 @@ def _key_chars(key: Key) -> str:
     return "".join(out)
 
 
+def _key_text(key: Key) -> str:
+    """The token form of the element, format_word(_key_chars(key)), read off
+    its syllables without spelling a letter: a^u and x^v are one token
+    each, and a stable letter repeated with nothing between is one power."""
+    tokens = [power_token(gen, k) for gen, k in (("a", key[0]), ("x", key[1])) if k]
+    run = 0  # how often the stable letter tokens[-1] repeats; 0 if it is none
+    for i in range(2, len(key), 3):
+        code, u, v = key[i], key[i + 1], key[i + 2]
+        gen, sign = _LETTER[abs(code)], 1 if code > 0 else -1
+        if run and key[i - 3] == code:
+            run += 1
+            tokens[-1] = power_token(gen, sign * run)
+        else:
+            run = 1
+            tokens.append(power_token(gen, sign))
+        if u:
+            tokens.append(power_token("a", u))
+            run = 0
+        if v:
+            tokens.append(power_token("x", v))
+            run = 0
+    return " ".join(tokens) or "1"
+
+
 def _key_invert(L: int, key: Key) -> Key:
     steps = [(0, -key[-2], -key[-1])]
     for i in range(len(key) - 3, 1, -3):  # code positions, last syllable first
@@ -249,7 +273,7 @@ class GroupElement:
         return _key_chars(self.key)
 
     def __str__(self) -> str:
-        return format_word(self.word_chars())
+        return _key_text(self.key)
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         return GroupElement(self.params, _key_mul(self.params.L, self.key, other.key))
@@ -342,7 +366,7 @@ class Ball:
         """One JSON object {"normal_form": ..., "distance": ...} per line."""
         items = sorted(self.distances.items(), key=lambda kv: (kv[1], kv[0]))
         for key, d in items:
-            rec = {"normal_form": format_word(_key_chars(key)), "distance": d}
+            rec = {"normal_form": _key_text(key), "distance": d}
             fp.write(json.dumps(rec, sort_keys=True) + "\n")
 
 

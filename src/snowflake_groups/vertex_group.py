@@ -140,20 +140,25 @@ def dist_table(params: GroupParams, m_max: int) -> list[int]:
     pool[low : low + k] and pool[high - k : high - L : -1] of a local pool
     with pool[n] == n.  Every entry is then one of the pool's ints, and no
     Python code runs per entry: the 10^6 lengths of L = 6 take 1 243 int
-    objects, where one int per length would take 31 MB.
+    objects, where one int per length would take 31 MB.  The last run is
+    cut to its first m_max % L + 1 lengths, and the pool grows only to the
+    lengths the runs read, so neither grows with L: m_max = 2 at L = 10^30
+    reads three.
     """
     L = params.L
     table: list[int] = []
     pool: list[int] = []
-    for q in range(m_max // L + 1):
+    last = m_max // L
+    for q in range(last + 1):
         lo, hi = (table[q], table[q + 1]) if q else (0, 1)
         low, high = _routes(L, lo, hi, 0)
-        if high >= len(pool):
-            pool += range(len(pool), 2 * high)
         k = (high - low + 1) // 2
-        table += pool[low : low + k]
-        table += pool[high - k : high - L : -1]
-    del table[m_max + 1 :]
+        n = L if q < last else m_max % L + 1
+        top = high - k if n > k else low + n - 1  # the largest pool index the run reads
+        if top >= len(pool):
+            pool += range(len(pool), 2 * top + 2)
+        table += pool[low : low + min(k, n)]
+        table += pool[high - k : high - n : -1]
     return table
 
 
@@ -175,8 +180,11 @@ def _a_ball(L: int, r: int, max_points: int) -> dict[int, int]:
     |a^q| or |a^(q+1)|, and a route through a^(kL), k >= 1, is within r only
     if 4 + 2|a^k| <= r, that is k in S((r - 4) // 2).  So S(r) is read off
     the runs of L lengths whose q or q + 1 lies in the level below, as in
-    dist_table, a length missing there counting as r + 1.  A level past
-    max_points raises BudgetExceeded, checked after each run.
+    dist_table, a length missing there counting as r + 1.  Each run is its
+    climb low + i, i < k, and its fall high - i, i >= k, each cut to the
+    lengths <= r and stored as ranges, so a run costs the points it gives,
+    not L: verify-loop at L = 10^30 reads a few runs of a few points.  A
+    level past max_points raises BudgetExceeded, checked after each run.
     """
     if r < 0:
         return {}
@@ -185,10 +193,10 @@ def _a_ball(L: int, r: int, max_points: int) -> dict[int, int]:
     for q in sorted({0, *level, *(k - 1 for k in level if k)}):
         lo, hi = (level.get(q, r + 1), level.get(q + 1, r + 1)) if q else (0, 1)
         low, high = _routes(L, lo, hi, 0)
-        for i in range(L):
-            d = low + i if low + i < high - i else high - i
-            if d <= r:
-                out[q * L + i] = d
+        k = (high - low + 1) // 2
+        up, down = min(k, L, r - low + 1), max(k, high - r, 0)  # climb i < up, fall i >= down
+        out.update(zip(range(q * L, q * L + up), range(low, low + up)))
+        out.update(zip(range(q * L + down, q * L + L), range(high - down, high - L, -1)))
         if len(out) > max_points:
             raise BudgetExceeded(frontier=len(out), visited=len(level) + len(out))
     return out
@@ -248,9 +256,15 @@ class GeodesicExpression:
         return v
 
     def path_length(self) -> int:
-        """sum |digits[i]| 2^i + 4(2^j - 1), the length of the induced path."""
-        j = len(self.digits) - 1
-        return sum(abs(d) << i for i, d in enumerate(self.digits)) + 4 * ((1 << j) - 1)
+        """The length of the induced path (_digits_length)."""
+        return _digits_length(self.digits)
+
+
+def _digits_length(digits: tuple[int, ...]) -> int:
+    """sum |digits[i]| 2^i + 4(2^j - 1), j the top index: the length of
+    the path word _expand_digits spells from digits."""
+    j = len(digits) - 1
+    return sum(abs(d) << i for i, d in enumerate(digits)) + 4 * ((1 << j) - 1)
 
 
 def _expr_digits(L: int, m: int) -> list[int]:
@@ -298,12 +312,16 @@ def geodesic_expression(params: GroupParams, m: int) -> GeodesicExpression:
 
 
 def _expand_digits(digits: tuple[int, ...]) -> str:
-    """Path word realizing sum digits[i] L^i: recursively s w s^-1 t w t^-1 a^d,
-    refused with ValueError before a doubling would pass MAX_LETTERS letters."""
+    """Path word realizing sum digits[i] L^i: recursively s w s^-1 t w t^-1 a^d.
+
+    Refused with ValueError if it would be longer than MAX_LETTERS letters,
+    measured from the digits (_digits_length) before anything is spelled;
+    the top digit counts too.
+    """
+    if _digits_length(digits) > MAX_LETTERS:
+        raise ValueError(f"geodesic word longer than {MAX_LETTERS} letters")
     chars = power_chars("a", digits[-1])
     for d in reversed(digits[:-1]):
-        if 2 * len(chars) + 4 + abs(d) > MAX_LETTERS:
-            raise ValueError(f"geodesic word longer than {MAX_LETTERS} letters")
         chars = "s" + chars + "S" + "t" + chars + "T" + power_chars("a", d)
     return chars
 

@@ -84,6 +84,11 @@ def parse_word(text: str) -> str:
     return "".join(out)
 
 
+def power_token(gen: str, exponent: int) -> str:
+    """gen^exponent, exponent != 0, as one token: 'a', 'a^3', 'a^-1'."""
+    return gen if exponent == 1 else f"{gen}^{exponent}"
+
+
 def format_word(chars: str) -> str:
     """Token form with runs collapsed: 'saS' -> 's a s^-1'."""
     if not chars:
@@ -91,9 +96,7 @@ def format_word(chars: str) -> str:
     tokens = []
     for ch, grp in groupby(chars):
         n = len(list(grp))
-        gen = ch.lower()
-        exp = n if ch.islower() else -n
-        tokens.append(gen if exp == 1 else f"{gen}^{exp}")
+        tokens.append(power_token(ch.lower(), n if ch.islower() else -n))
     return " ".join(tokens)
 
 

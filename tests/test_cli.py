@@ -396,6 +396,43 @@ def test_fill_diagram_letters_bounded(tmp_path):
     assert proc.stderr == "error: the diagram's cells would hold more than 10000000 letters\n"
 
 
+def test_fill_freely_trivial_cells_letters_bounded(tmp_path):
+    # the corner paths s^(10^6) s^-(10^6) make every strip cell freely
+    # trivial, so no cell is stored; its 102 distinct words would spell
+    # 408 M letters, and the letters given to the diagram are counted
+    path = tmp_path / "bigon.json"
+    path.write_text(json.dumps({
+        **_BIGON, "corners": [[0, 0], [10104, 0]], "exponents": [10104, -10104], "D": 2 * 10**6,
+        "corner_paths": ["s^1000000 s^-1000000"] * 2, "subdivision": [1 + i % 102 for i in range(200)],
+    }))
+    proc = _run_under_memory_limit(["fill", "bigon", "--L", "200", "--input", str(path)], 400, timeout=10)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: the diagram's cells would hold more than 10000000 letters\n"
+
+
+@pytest.mark.parametrize(
+    "argv, code, out",
+    [
+        (("verify-loop", "--L", str(10**30), "--n", "1"), 0, "geodesic: true\n"),
+        (("table", "--L", str(10**30), "--m-max", "2"), 0, "m,dist,ratio\n1,1,1\n2,2,1.9861377243\n"),
+        (("ball", "--L", str(10**30), "--radius", "2"), 0, None),
+        (("word", "--L", "100000000", "--a-power", "20000000"), 2, ""),
+    ],
+)
+def test_huge_L_costs_nothing_in_L(argv, code, out):
+    # the a-ball of the distance program, the last run of the table and the
+    # normal forms of the ball are built from what they return, not from L;
+    # the one-digit word a^(2 * 10^7) is measured before it is spelled
+    proc = _run_under_memory_limit(list(argv), 400, timeout=30)
+    assert proc.returncode == code, proc.stderr
+    if argv[0] == "ball":
+        assert len(proc.stdout.splitlines()) == 37  # 1 + 6 + 30
+        assert f'"normal_form": "t^-1 a^-{10**30} x"' in proc.stdout  # a^-1 t^-1 = t^-1 y^-1
+    else:
+        assert proc.stdout == out
+    assert proc.stderr == ("" if code == 0 else "error: geodesic word longer than 10000000 letters\n")
+
+
 def test_fill_deeply_nested_corner_path(tmp_path):
     # free reduction is one pass, so the corner path s^n s^-n, nested n
     # deep, is cancelled in time linear in n

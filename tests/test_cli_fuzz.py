@@ -3,9 +3,10 @@
 Each run must end in exit 0, 1 or 2; on exit 1 or 2 stderr holds exactly
 one line besides argparse's usage lines, and never a traceback.  Sizes are
 bounded so that nothing large is built in-process: the refusals of large
-inputs have their own tests in test_cli.  Input files are mutated
-polygons and dual trees (some with an integer or a repeated node id), and
-now and then JSON nested too deeply for json.load.
+inputs have their own tests in test_cli.  --L is drawn up to 10^30 too, so
+that a subcommand whose time or memory grows with L shows.  Input files
+are mutated polygons and dual trees (some with an integer or a repeated
+node id), and now and then JSON nested too deeply for json.load.
 """
 
 import json
@@ -44,7 +45,7 @@ def _int(lo, hi):
 
 tokens = st.sampled_from(["a", "a^-1", "s", "s^-1", "t", "t^-1", "x", "y^2", "a^3", "1", "b", "a^x"])
 word = st.lists(tokens, max_size=8).map(" ".join)
-L = _rarely(st.sampled_from(["6", "6", "8", "10", "12", "5", "4", "-6"]), junk)
+L = _rarely(st.sampled_from(["6", "6", "8", "10", "12", "5", "4", "-6", "100000000", str(10**30)]), junk)
 h = st.tuples(_int(-999, 999), _int(-99, 99))
 flag = st.just(())
 

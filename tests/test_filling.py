@@ -486,17 +486,25 @@ def test_one_bad_cell_among_repeats_is_found(p6, where):
 
 
 def test_diagram_letters_bounded(p6, monkeypatch):
-    # the cells hold at most MAX_LETTERS letters; a freely trivial word is
-    # not stored and does not count, and a refused cell is not stored
+    # every word add is given counts toward MAX_LETTERS, a freely trivial or
+    # a repeated one too; a refused word leaves the diagram as it was
     monkeypatch.setattr(filling, "MAX_LETTERS", 10)
     diagram = filling.Diagram(p6)
-    for word in ("aaaa", "aAsS" * 5, "ssss"):
-        diagram.add(word)
     with pytest.raises(ValueError, match="more than 10 letters"):
-        diagram.add("ttt")
-    assert [c.boundary.chars for c in diagram.cells] == ["aaaa", "ssss"]
-    diagram.add("tt")  # exactly MAX_LETTERS letters
-    assert [c.boundary.chars for c in diagram.cells] == ["aaaa", "ssss", "tt"]
+        diagram.add("aAsS" * 5)  # freely trivial, 20 letters
+    assert (diagram.cells, diagram._words, diagram._letters) == ([], {}, 0)
+    diagram.add("aAsS")  # freely trivial: no cell, 4 letters
+    diagram.add("aaa")
+    diagram.add("aaa")  # the same word again: 3 more, exactly MAX_LETTERS
+    assert [c.boundary.chars for c in diagram.cells] == ["aaa", "aaa"]
+    assert (list(diagram._words), diagram._letters) == (["aaa"], 10)
+    for word in ("t", "aaa", "sS"):
+        with pytest.raises(ValueError, match="more than 10 letters"):
+            diagram.add(word)
+    assert [c.boundary.chars for c in diagram.cells] == ["aaa", "aaa"]
+    assert (list(diagram._words), diagram._letters) == (["aaa"], 10)
+    diagram.add("")  # no letter, no cell
+    assert diagram.area == 2
 
 
 def test_subdivide_snowflake_letters_bounded(p6, monkeypatch):
@@ -521,9 +529,9 @@ def _counting(calls, name, fn):
 
 @pytest.mark.parametrize("build", ["snowflake", "diamond"])
 def test_each_distinct_word_handled_once(p6, monkeypatch, build):
-    # a diagram keeps one boundary per distinct word: it is free-reduced,
-    # checked and formatted once, and every cell of that word shares it;
-    # a freely trivial word is free-reduced once and makes no cell
+    # a diagram keeps one boundary per distinct cell word: it is
+    # free-reduced, checked and formatted once, and every cell of that word
+    # shares it; a freely trivial word makes no cell and is not kept
     calls, reduced = Counter(), Counter()
 
     def reducing(word):
@@ -543,7 +551,8 @@ def test_each_distinct_word_handled_once(p6, monkeypatch, build):
     for c in diagram.cells:
         assert shared.setdefault(c.boundary.chars, c.boundary) is c.boundary
     assert diagram.area > len(shared) > 1
-    assert set(reduced.values()) == {1}
+    assert list(diagram._words) == list(shared)
+    assert all(reduced[w] == 1 for w in shared)
     trivial = [w for w in reduced if not reference_free_reduce(w)]
     assert len(reduced) == len(shared) + len(trivial)
     assert len(trivial) == (6 if build == "diamond" else 0)

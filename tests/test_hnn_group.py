@@ -31,7 +31,7 @@ from snowflake_groups.hnn_group import (
     prefix_keys,
     reduce_chars,
 )
-from snowflake_groups.words import invert_chars
+from snowflake_groups.words import format_word, invert_chars
 
 from conftest import (
     ball_dist,
@@ -235,6 +235,22 @@ def test_ball_jsonl_dump(p6):
     first = json.loads(lines[0])
     assert first == {"normal_form": "1", "distance": 0}
     assert all(set(json.loads(l)) == {"normal_form", "distance"} for l in lines)
+
+
+@pytest.mark.parametrize("L, R", [(6, 7), (8, 6), (10, 5)])
+def test_normal_form_text_matches_spelled_word(L, R):
+    # the token form read off the syllables is the spelled normal form with
+    # its runs collapsed, on every key of the ball
+    params = GroupParams(L)
+    ball = bfs_ball(params, R)
+    spelled = {key: format_word(_key_chars(key)) for key in ball.distances}
+    for key, text in spelled.items():
+        assert str(GroupElement(params, key)) == text, key
+    buf = io.StringIO()
+    ball.dump_jsonl(buf)
+    assert sorted(json.loads(line)["normal_form"] for line in buf.getvalue().splitlines()) == sorted(
+        spelled.values()
+    )
 
 
 def test_pair_dist_examples(p6):

@@ -23,7 +23,7 @@ from snowflake_groups import (
     xy_line_intersection,
 )
 from snowflake_groups import vertex_group
-from snowflake_groups.vertex_group import BudgetExceeded, _a_ball, _dist_a
+from snowflake_groups.vertex_group import BudgetExceeded, _a_ball, _dist_a, _routes
 
 
 def test_params_examples():
@@ -151,14 +151,17 @@ def test_dist_table_short(p6, p10):
     assert dist_table(p10, 11) == [0, 1, 2, 3, 4, 5, 6, 7, 8, 7, 6, 7]
 
 
-@pytest.mark.parametrize("L", [6, 8, 12, 100])
+@pytest.mark.parametrize("L", [6, 8, 12, 100, 10**6, 10**30])
 def test_dist_table_matches_dist_a_at_every_cut(L):
-    # each m_max of the first runs, then one that ends in the middle of a run
+    # each m_max of the first runs, then one that ends in the middle of a
+    # run; at L = 10^6 and 10^30 only the first lengths, which must cost
+    # nothing in L
     params = GroupParams(L)
-    for m_max in range(3 * L):
+    for m_max in range(min(3 * L, 40)):
         assert dist_table(params, m_max) == [_dist_a(L, m) for m in range(m_max + 1)], m_max
-    m_max = 3000 * L + L // 2
-    assert dist_table(params, m_max) == [_dist_a(L, m) for m in range(m_max + 1)]
+    if L <= 100:
+        m_max = 3000 * L + L // 2
+        assert dist_table(params, m_max) == [_dist_a(L, m) for m in range(m_max + 1)]
 
 
 def test_dist_table_shares_its_lengths(p6):
@@ -178,6 +181,48 @@ def test_a_ball_matches_dist_table(L):
     with pytest.raises(BudgetExceeded) as info:
         _a_ball(L, 39, 100)
     assert 100 < info.value.frontier <= 100 + 2 * L - 1
+
+
+def _a_ball_per_entry(L, r):
+    """S(r) as _a_ball reads it, one entry of each run of L at a time."""
+    if r < 0:
+        return {}
+    level = _a_ball_per_entry(L, (r - 4) // 2)
+    out = {}
+    for q in sorted({0, *level, *(k - 1 for k in level if k)}):
+        lo, hi = (level.get(q, r + 1), level.get(q + 1, r + 1)) if q else (0, 1)
+        low, high = _routes(L, lo, hi, 0)
+        for i in range(L):
+            d = low + i if low + i < high - i else high - i
+            if d <= r:
+                out[q * L + i] = d
+    return out
+
+
+@pytest.mark.parametrize("L", [6, 8, 12, 1000])
+def test_a_ball_matches_per_entry_reference(L):
+    for r in range(-1, 41):
+        assert list(_a_ball(L, r, 10**6).items()) == list(_a_ball_per_entry(L, r).items()), r
+
+
+def _rebase(m, L, base):
+    """m >= 0 with its balanced base-L digits (-L/2 < d <= L/2) read in base."""
+    out, place = 0, 1
+    while m:
+        d = m % L
+        d -= L if 2 * d > L else 0
+        out, place, m = out + d * place, place * base, (m - d) // L
+    return out
+
+
+def test_a_ball_at_huge_L():
+    # for L far above r, S(r) keeps its balanced digits as L grows: S(r) at
+    # L = 10^30, read in a few runs of a few points each, is S(r) at L = 1000
+    big = 10**30
+    for r in range(41):
+        ball = _a_ball(big, r, 10**6)
+        assert ball == {_rebase(m, 1000, big): d for m, d in _a_ball(1000, r, 10**6).items()}, r
+        assert all(_dist_a(big, m) == d for m, d in ball.items()), r
 
 
 def test_oracle_equivalence_small_ball(p6, ball6_r6):
@@ -289,7 +334,7 @@ def test_geodesic_word_a_power_examples(p6, p10):
 
 
 def test_geodesic_word_refused_past_max_letters(p6, monkeypatch):
-    # refused at the doubling that would pass the limit, before it is spelled
+    # refused from its length, before it is spelled
     with pytest.raises(ValueError, match="longer than 10000000 letters"):
         geodesic_word_a_power(p6, 10**21)  # |a^(10^21)| = 734426360
     with pytest.raises(ValueError, match="longer than 10000000 letters"):
@@ -300,10 +345,15 @@ def test_geodesic_word_refused_past_max_letters(p6, monkeypatch):
     assert dist_h(p6, h) == 11_210_084
     with pytest.raises(ValueError, match="longer than 10000000 letters"):
         geodesic_word_h(p6, h)
+    # a^(2 * 10^7) is one digit at L = 10^8: no doubling, its length is checked
+    with pytest.raises(ValueError, match="longer than 10000000 letters"):
+        geodesic_word_a_power(GroupParams(10**8), 2 * 10**7)
     monkeypatch.setattr(vertex_group, "MAX_LETTERS", 16)
     assert geodesic_word_a_power(p6, 36).length == 16  # at the limit
-    with pytest.raises(ValueError, match="longer than 16 letters"):
-        geodesic_word_a_power(p6, 37)  # |a^37| = 17
+    assert geodesic_word_a_power(GroupParams(100), 16).length == 16  # one digit
+    for params, m in ((p6, 37), (GroupParams(100), 17)):  # |a^m| = 17
+        with pytest.raises(ValueError, match="longer than 16 letters"):
+            geodesic_word_a_power(params, m)
 
 
 @pytest.mark.parametrize("L", [6, 10])
