@@ -205,22 +205,19 @@ def _key_text(key: Key) -> str:
     its syllables without spelling a letter: a^u and x^v are one token
     each, and a stable letter repeated with nothing between is one power."""
     tokens = [power_token(gen, k) for gen, k in (("a", key[0]), ("x", key[1])) if k]
-    run = 0  # how often the stable letter tokens[-1] repeats; 0 if it is none
-    for i in range(2, len(key), 3):
-        code, u, v = key[i], key[i + 1], key[i + 2]
-        gen, sign = _LETTER[abs(code)], 1 if code > 0 else -1
-        if run and key[i - 3] == code:
-            run += 1
-            tokens[-1] = power_token(gen, sign * run)
+    prev = n = 0  # tokens end in the stable letter prev, n times; prev = 0 if they end in a or x
+    for code, u, v in _key_parts(key):
+        n = n + 1 if code == prev else 1
+        token = power_token(_LETTER[abs(code)], n if code > 0 else -n)
+        if n > 1:
+            tokens[-1] = token
         else:
-            run = 1
-            tokens.append(power_token(gen, sign))
+            tokens.append(token)
+        prev = 0 if u or v else code
         if u:
             tokens.append(power_token("a", u))
-            run = 0
         if v:
             tokens.append(power_token("x", v))
-            run = 0
     return " ".join(tokens) or "1"
 
 

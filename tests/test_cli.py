@@ -423,7 +423,7 @@ def test_huge_L_costs_nothing_in_L(argv, code, out):
     # the a-ball of the distance program, the last run of the table and the
     # normal forms of the ball are built from what they return, not from L;
     # the one-digit word a^(2 * 10^7) is measured before it is spelled
-    proc = _run_under_memory_limit(list(argv), 400, timeout=30)
+    proc = _run_under_memory_limit(list(argv), 400, timeout=5)
     assert proc.returncode == code, proc.stderr
     if argv[0] == "ball":
         assert len(proc.stdout.splitlines()) == 37  # 1 + 6 + 30
