@@ -36,7 +36,6 @@ from .paths import (
     loop_bilip_constant,
     snowflake_loop,
     snowflake_path,
-    trace,
     verify_geodesic_loop,
 )
 from .filling import (

@@ -18,7 +18,7 @@ import gc
 import math
 import operator
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, repeat
 from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
@@ -148,9 +148,6 @@ class GapReport:
     gap_ok: bool
     holder_product: float | None  # (liminf/limsup) 2^(1-1/alpha) for L >= 10
     holder_below_one: bool | None
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def gap_checks(params: GroupParams) -> GapReport:

@@ -78,6 +78,14 @@ def _json_rows(rows, name: str, size: int):
     return rows
 
 
+def _json_strings(values, name: str) -> tuple[str, ...]:
+    """values (the JSON field `name`) as a tuple if it is a list of strings,
+    else TypeError naming the field: a string would be read letter by letter."""
+    if not isinstance(values, (list, tuple)) or not all(type(v) is str for v in values):
+        raise TypeError(f"{name} must be a list of strings")
+    return tuple(values)
+
+
 def _cell_word(diagram: "Diagram", *pieces: tuple[str, int]) -> str:
     """The geodesic words of the (flavor, exponent) pieces, one after another."""
     return "".join(diagram.spell(flavor, k) for flavor, k in pieces)
@@ -234,16 +242,6 @@ class Subdivision:
     start: HPoint
     flavor: str
     exponents: tuple[int, ...]
-
-    @property
-    def total(self) -> int:
-        return sum(self.exponents)
-
-    def points(self, params: GroupParams) -> list[HPoint]:
-        pts = [self.start]
-        for e in self.exponents:
-            pts.append(pts[-1] * HPoint.generator(params, self.flavor, e))
-        return pts
 
     def max_exponent(self) -> int:
         return max((abs(e) for e in self.exponents), default=0)
@@ -702,7 +700,6 @@ class HnnDualTree:
 
     arcs: dict[str, tuple[int, ...]]
     edges: list[tuple[str, str, int]]
-    kinds: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         nodes = set(self.arcs)
@@ -718,17 +715,13 @@ class HnnDualTree:
         if sum(1 for _ in self._walk()) != len(self.edges):
             raise ValueError("not a tree: disconnected")
 
-    def adjacency(self) -> dict[str, list[tuple[str, int]]]:
+    def _walk(self) -> Iterator[tuple[str, str, int]]:
+        """The corridors (v, w, length) reached by a depth-first walk from the
+        first node, each in the order and direction it is first crossed."""
         adj: dict[str, list[tuple[str, int]]] = {v: [] for v in self.arcs}
         for a, b, length in self.edges:
             adj[a].append((b, length))
             adj[b].append((a, length))
-        return adj
-
-    def _walk(self) -> Iterator[tuple[str, str, int]]:
-        """The corridors (v, w, length) reached by a depth-first walk from the
-        first node, each in the order and direction it is first crossed."""
-        adj = self.adjacency()
         root = next(iter(self.arcs))
         stack = [root]
         seen = {root}
@@ -744,19 +737,11 @@ class HnnDualTree:
     def boundary_length(self) -> int:
         return sum(sum(a) for a in self.arcs.values()) + 2 * sum(l for _, _, l in self.edges)
 
-    def to_json(self) -> dict:
-        return {
-            "nodes": [
-                {"id": v, "arcs": list(a), "kind": self.kinds.get(v, "")}
-                for v, a in sorted(self.arcs.items())
-            ],
-            "edges": [[a, b, l] for a, b, l in self.edges],
-        }
-
     @classmethod
     def from_json(cls, data: dict) -> "HnnDualTree":
         """The tree of a dual-tree file.  Node ids must be distinct JSON
-        strings; any other id is refused with ValueError naming it."""
+        strings; any other id is refused with ValueError naming it.  A
+        node's "kind" is ignored."""
         with _json_fields("dual tree JSON"):
             arcs: dict[str, tuple[int, ...]] = {}
             for n in data["nodes"]:
@@ -766,9 +751,8 @@ class HnnDualTree:
                 if node in arcs:
                     raise ValueError(f"dual tree JSON: node id {node!r} is repeated")
                 arcs[node] = tuple(map(_json_int, n.get("arcs", ())))
-            kinds = {n["id"]: n["kind"] for n in data["nodes"] if n.get("kind")}
             edges = [(a, b, _json_int(l)) for a, b, l in _json_rows(data["edges"], "edges", 3)]
-            return cls(arcs, edges, kinds)
+            return cls(arcs, edges)
 
     def to_dot(self) -> str:
         """The tree in Graphviz DOT, every id and label a quoted string."""
@@ -797,21 +781,20 @@ def snowflake_hnn_tree(params: GroupParams, depth: int) -> HnnDualTree:
     """
     _check_depth(depth, "loop")
     arcs: dict[str, tuple[int, ...]] = {"center": ()}
-    kinds = {"center": "central-diamond"}
     edges: list[tuple[str, str, int]] = []
 
     def grow(parent: str, node: str, level: int) -> None:
         edges.append((parent, node, 1))
         if level >= depth:
-            arcs[node], kinds[node] = (1,), "leaf"
+            arcs[node] = (1,)
             return
-        arcs[node], kinds[node] = (), "triangle"
+        arcs[node] = ()
         for tag in ("0", "1"):
             grow(node, f"{node}.{tag}", level + 1)
 
     for branch in ("b0", "b1", "b2", "b3"):
         grow("center", branch, 1)
-    return HnnDualTree(arcs, edges, kinds)
+    return HnnDualTree(arcs, edges)
 
 
 @dataclass(frozen=True)
@@ -917,30 +900,18 @@ def area_budget(central: int, enfilade: int, branching: int, shells: int) -> int
 # JSON interchange for polygons
 
 
-def polygon_to_json(poly: ApproxPolygon) -> dict:
-    data = {
-        "kind": poly.kind,
-        "corners": [[c.u, c.v] for c in poly.corners],
-        "flavors": list(poly.flavors),
-        "exponents": list(poly.exponents),
-        "D": poly.D,
-    }
-    if poly.corner_paths is not None:
-        data["corner_paths"] = [str(cp) for cp in poly.corner_paths]
-    return data
-
-
 def polygon_from_json(params: GroupParams, data: dict) -> ApproxPolygon:
+    """The polygon of a polygon file.  flavors and corner_paths must be lists
+    of strings; anything else is refused with ValueError naming the field."""
     with _json_fields("polygon JSON"):
         corner_paths = None
         if data.get("corner_paths") is not None:
-            corner_paths = tuple(
-                PathWord(params, parse_word(w)) for w in data["corner_paths"]
-            )
+            words = _json_strings(data["corner_paths"], "corner_paths")
+            corner_paths = tuple(PathWord(params, parse_word(w)) for w in words)
         return ApproxPolygon(
             data["kind"],
             tuple(HPoint(_json_int(u), _json_int(v)) for u, v in _json_rows(data["corners"], "corners", 2)),
-            tuple(data["flavors"]),
+            _json_strings(data["flavors"], "flavors"),
             tuple(map(_json_int, data["exponents"])),
             _json_int(data["D"]),
             corner_paths,

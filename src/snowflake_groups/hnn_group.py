@@ -29,10 +29,10 @@ every dict the searches keep.)  All helpers taking such "keys" are pure;
 the module has no mutable state, so everything here is safe to share
 across threads.
 
-Reduction, multiplication, inversion and s <-> t all fold letters or
-syllables into a key held as a list stack (_fold), so each letter costs
-O(1).  The crossing rules above live in _fold and once more in the BFS
-step _neighbors, which applies all six letters to a key in one pass.
+Reduction, multiplication and inversion all fold letters or syllables
+into a key held as a list stack (_fold), so each letter costs O(1).  The
+crossing rules above live in _fold and once more in the BFS step
+_neighbors, which applies all six letters to a key in one pass.
 
 Distances in the {a, s, t} Cayley graph come from a min-plus program along
 the Bass-Serre tree (_tree_dist).  The key h_0 e_1 h_1 ... e_n h_n of g
@@ -70,7 +70,7 @@ import json
 
 from .params import GroupParams
 from .vertex_group import BudgetExceeded, HPoint, _a_ball, _splits
-from .words import parse_word, power_chars, power_token
+from .words import parse_word, power_token
 
 _LETTER = {1: "s", -1: "S", 3: "t", -3: "T"}
 
@@ -191,19 +191,11 @@ def _key_parts(key: Key) -> Iterator[tuple[int, int, int]]:
         yield key[i], key[i + 1], key[i + 2]
 
 
-def _key_chars(key: Key) -> str:
-    """A word (in normal form order) spelling the element."""
-    out = [power_chars("a", key[0]) + power_chars("x", key[1])]
-    for code, u, v in _key_parts(key):
-        out.append(_LETTER[code])
-        out.append(power_chars("a", u) + power_chars("x", v))
-    return "".join(out)
-
-
 def _key_text(key: Key) -> str:
-    """The token form of the element, format_word(_key_chars(key)), read off
-    its syllables without spelling a letter: a^u and x^v are one token
-    each, and a stable letter repeated with nothing between is one power."""
+    """The token form of the element's normal form, read off its syllables
+    without spelling a letter: a^u and x^v are one token each, and a stable
+    letter repeated with nothing between is one power.  It is what
+    format_word gives for the word that spells the normal form."""
     tokens = [power_token(gen, k) for gen, k in (("a", key[0]), ("x", key[1])) if k]
     prev = n = 0  # tokens end in the stable letter prev, n times; prev = 0 if they end in a or x
     for code, u, v in _key_parts(key):
@@ -239,22 +231,6 @@ class GroupElement:
     params: GroupParams
     key: Key
 
-    @classmethod
-    def identity(cls, params: GroupParams) -> "GroupElement":
-        return cls(params, identity_key())
-
-    @property
-    def head(self) -> HPoint:
-        return HPoint(self.key[0], self.key[1])
-
-    @property
-    def syllables(self) -> tuple[tuple[str, HPoint], ...]:
-        return tuple((_LETTER[c], HPoint(u, v)) for c, u, v in _key_parts(self.key))
-
-    @property
-    def tail(self) -> HPoint:
-        return HPoint(self.key[-2], self.key[-1])
-
     def is_identity(self) -> bool:
         return self.key == (0, 0)
 
@@ -264,10 +240,11 @@ class GroupElement:
     def h_point(self) -> HPoint:
         if not self.in_vertex_group():
             raise ValueError(f"{self} is not in the vertex group")
-        return self.head
+        return HPoint(*self.key)
 
     def word_chars(self) -> str:
-        return _key_chars(self.key)
+        """The normal form spelled out; ValueError past MAX_LETTERS letters."""
+        return parse_word(_key_text(self.key))
 
     def __str__(self) -> str:
         return _key_text(self.key)
@@ -340,13 +317,6 @@ class Ball:
 
     def __len__(self) -> int:
         return len(self.distances)
-
-    def distance(self, g: GroupElement) -> Optional[int]:
-        return self.distances.get(g.key)
-
-    def elements(self) -> Iterator[tuple[GroupElement, int]]:
-        for key, d in self.distances.items():
-            yield GroupElement(self.params, key), d
 
     def h_elements(self) -> Iterator[tuple[HPoint, int]]:
         for key, d in self.distances.items():

@@ -85,7 +85,11 @@ def snowflake_loop(params: GroupParams, n: int) -> PathWord:
 
 @dataclass(frozen=True)
 class PathSegment:
-    """A toral subpath or an escape of a decomposed path."""
+    """A toral subpath or an escape of a decomposed path.
+
+    An escape's trace, the toral path between its endpoints, is
+    (flavor, exponent).
+    """
 
     kind: str  # 'toral' | 'a-escape' | 'x-escape' | 'y-escape'
     word: PathWord
@@ -135,13 +139,6 @@ def decompose_escapes(params: GroupParams, path: PathWord) -> list[PathSegment]:
         segments.append(PathSegment(f"{flavor}-escape", word, flavor, power[1], a, b))
     flush_toral(visits[-1])
     return segments
-
-
-def trace(segment: PathSegment) -> tuple[str, int]:
-    """(flavor, exponent) of an escape: the toral path between its endpoints."""
-    if not segment.is_escape():
-        raise ValueError("trace is only defined for escapes")
-    return segment.flavor, segment.exponent
 
 
 # ---------------------------------------------------------------------------
@@ -258,9 +255,6 @@ class BilipReport:
     constant: Optional[Fraction]
     witness: Optional[tuple[int, int]]
     repeated_at: Optional[tuple[int, int]] = None
-
-    def is_geodesic_loop(self) -> bool:
-        return self.embedded and self.complete and self.constant == 1
 
 
 def _check_closed(L: int, loop: PathWord) -> None:

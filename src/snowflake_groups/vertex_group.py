@@ -67,9 +67,6 @@ class HPoint(NamedTuple):
     def inverse(self) -> "HPoint":
         return HPoint(-self.u, -self.v)
 
-    def is_identity(self) -> bool:
-        return self.u == 0 and self.v == 0
-
     def as_power(self, params: GroupParams) -> tuple[str, int] | None:
         """(gen, k) if this is a pure power of a, x or y; None otherwise."""
         if self.v == 0:
@@ -79,9 +76,6 @@ class HPoint(NamedTuple):
         if self.u == -self.v * params.L:
             return ("y", -self.v)
         return None
-
-    def word_chars(self) -> str:
-        return power_chars("a", self.u) + power_chars("x", self.v)
 
 
 # ---------------------------------------------------------------------------

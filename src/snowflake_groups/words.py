@@ -44,17 +44,11 @@ def free_reduce(chars: str) -> str:
     return "".join(out)
 
 
-def char_for(gen: str, sign: int) -> str:
-    if gen not in GENERATORS or sign not in (1, -1):
-        raise ValueError(f"bad letter {gen!r}^{sign}")
-    return gen if sign == 1 else gen.upper()
-
-
 def power_chars(gen: str, exponent: int) -> str:
-    """gen^exponent as a character run."""
-    if exponent == 0:
-        return ""
-    return char_for(gen, 1 if exponent > 0 else -1) * abs(exponent)
+    """gen^exponent as a character run; ValueError for a gen outside GENERATORS."""
+    if gen not in GENERATORS:
+        raise ValueError(f"bad letter {gen!r}")
+    return gen * exponent if exponent >= 0 else gen.upper() * -exponent
 
 
 def parse_word(text: str) -> str:
@@ -112,20 +106,11 @@ class PathWord:
         if bad:
             raise ValueError(f"invalid letters {sorted(bad)!r}")
 
-    @classmethod
-    def from_str(cls, params: "GroupParams", text: str) -> "PathWord":
-        return cls(params, parse_word(text))
-
     def __str__(self) -> str:
         return format_word(self.chars)
 
     def __len__(self) -> int:
         return len(self.chars)
-
-    def __add__(self, other: "PathWord") -> "PathWord":
-        if other.params.L != self.params.L:
-            raise ValueError("cannot concatenate paths over different groups")
-        return PathWord(self.params, self.chars + other.chars)
 
     @property
     def length(self) -> int:
@@ -133,16 +118,10 @@ class PathWord:
         heavy = sum(self.chars.count(c) for c in "xXyY")
         return len(self.chars) + (self.params.L - 1) * heavy
 
-    def reverse(self) -> "PathWord":
-        return PathWord(self.params, invert_chars(self.chars))
-
     def endpoint(self) -> "GroupElement":
         from .hnn_group import reduce_word
 
         return reduce_word(self.params, self.chars)
-
-    def is_closed(self) -> bool:
-        return self.endpoint().is_identity()
 
     def vertex_keys(self) -> list[tuple]:
         """Normal-form keys of all vertices visited, in order (length+1 entries)."""

@@ -63,6 +63,23 @@ def reference_reduce(L, chars, key=(0, 0)):
     return key
 
 
+_LETTERS = {code: ch for ch, code in _CODES.items()}
+
+
+def _power_chars(gen, k):
+    return (gen if k > 0 else gen.upper()) * abs(k)
+
+
+def reference_key_chars(key):
+    """The word of the normal form `key`, in normal-form order, every letter
+    spelled out: the reference for GroupElement.word_chars and
+    hnn_group._key_text."""
+    out = [_power_chars("a", key[0]) + _power_chars("x", key[1])]
+    for i in range(2, len(key), 3):
+        out.append(_LETTERS[key[i]] + _power_chars("a", key[i + 1]) + _power_chars("x", key[i + 2]))
+    return "".join(out)
+
+
 def reference_prefix_keys(L, chars):
     """The keys of all prefixes of chars: the reference for prefix_keys."""
     keys = [(0, 0)]

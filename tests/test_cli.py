@@ -504,6 +504,24 @@ def test_input_files_take_json_integers_only(tmp_path, capsys, argv, payload, er
 
 
 @pytest.mark.parametrize(
+    "change",
+    [
+        # "aa" iterates as the flavors a and a
+        {"flavors": "aa"},
+        # "11" iterates as two empty corner paths, which close a bigon whose corners meet
+        {"corners": [[0, 0], [12, 0]], "corner_paths": "11"},
+    ],
+    ids=["flavors", "corner_paths"],
+)
+def test_polygon_text_fields_take_lists_only(tmp_path, capsys, change):
+    (field,) = set(change) - {"corners"}
+    path = tmp_path / "bigon.json"
+    path.write_text(json.dumps({**_BIGON, **change}))
+    err = f"error: polygon JSON: malformed field: {field} must be a list of strings\n"
+    assert run_cli(capsys, "fill", "bigon", "--L", "6", "--input", str(path)) == (2, "", err)
+
+
+@pytest.mark.parametrize(
     "argv, payload, err",
     [
         (("fill", "bigon"), {**_BIGON, "corners": [[0], [12, 1]]},

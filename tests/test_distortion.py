@@ -1,5 +1,6 @@
 """Distortion tables, the slow witness sequence, and the limit checks."""
 
+import dataclasses
 import gc
 import io
 import math
@@ -143,7 +144,7 @@ def test_gap_checks(L):
     assert report.gap_ratio > (L + 6) / 10
     if L >= 10:
         assert report.holder_below_one
-    data = report.as_dict()
+    data = dataclasses.asdict(report)
     assert data["L"] == L and data["gap_ok"] is True
 
 

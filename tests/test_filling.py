@@ -1,7 +1,6 @@
 """Snapping, the primitive fillings, snowflake subdivision, dual trees."""
 
 import hashlib
-import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -33,7 +32,6 @@ from snowflake_groups.filling import (
     f_at_edge_point,
     f_at_vertex,
     polygon_from_json,
-    polygon_to_json,
 )
 from snowflake_groups import words
 from snowflake_groups.words import PathWord, free_reduce
@@ -126,9 +124,8 @@ def random_diamond(params, rng, max_exp, max_parts, jitters):
 
 
 def subdivision_ok(params, sub, poly_side_start, poly_side_end):
-    pts = sub.points(params)
-    assert pts[0] == poly_side_start
-    assert pts[-1] == poly_side_end
+    assert sub.start == poly_side_start
+    assert sub.start * HPoint.generator(params, sub.flavor, sum(sub.exponents)) == poly_side_end
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +212,7 @@ def test_fill_bigon_parallel_a_lines(p6):
     C, a = p6.C, p6.alpha
     assert diagram.mesh <= 2 * (2 * C + 1) * poly.D + 2 * C * 6 ** (1 / a)
     assert diagram.boundaries_trivial()
-    assert sub.total == -12
+    assert sum(sub.exponents) == -12
     assert sub.max_exponent() <= 6 + p6.L * poly.D**a
     subdivision_ok(p6, sub, poly.corners[1], poly.corners[1] * HPoint(-12, 0))
 
@@ -268,7 +265,7 @@ def test_fill_triangle_lambda_two_area(p6):
     diagram, sx, sy = fill_triangle(p6, tri, [-6, -6])
     assert diagram.area <= (2**2 + 9 * 2 + 6) // 2  # 14
     assert diagram.boundaries_trivial()
-    assert sx.total == 2 and sy.total == 2
+    assert sum(sx.exponents) == 2 and sum(sy.exponents) == 2
 
 
 def test_fill_triangle_grid_counts(p6):
@@ -306,7 +303,7 @@ def test_fill_diamond_true_grid(p6):
     diagram, s2, s3 = fill_diamond(p6, dia, [1, 1], [1, 1])
     assert diagram.area <= 2**2 + 4 * 2 + 4  # 16
     assert diagram.boundaries_trivial()
-    assert s2.total == -2 and s3.total == -2
+    assert sum(s2.exponents) == -2 and sum(s3.exponents) == -2
     # the interior is exactly 2 x 2 unit diamonds
     gw = lambda k, f: geodesic_word_h(p6, fpoint(p6, f, k)).chars
     unit = gw(1, "x") + gw(1, "y") + gw(-1, "x") + gw(-1, "y")
@@ -391,7 +388,7 @@ def test_fill_with_explicit_corner_paths(p6):
     poly = ApproxPolygon("bigon", (g0, g1), ("a", "a"), (12, -12), 3, (cp0, cp1))
     diagram, sub = fill_bigon(p6, poly, [6, 6])
     assert diagram.boundaries_trivial()
-    assert sub.total == -12
+    assert sum(sub.exponents) == -12
 
 
 def test_fill_rejects_wrong_corner_path(p6):
@@ -402,10 +399,14 @@ def test_fill_rejects_wrong_corner_path(p6):
 
 
 def test_polygon_json_roundtrip(p6):
-    poly = ApproxPolygon("triangle", (HPoint(0, 0), HPoint(0, 2), HPoint(12, 0)), ("x", "y", "a"), (2, 2, -12), 1)
-    data = polygon_to_json(poly)
-    back = polygon_from_json(p6, json.loads(json.dumps(data)))
-    assert back == poly
+    corners = (HPoint(0, 0), HPoint(0, 2), HPoint(12, 0))
+    poly = ApproxPolygon("triangle", corners, ("x", "y", "a"), (2, 2, -12), 1)
+    data = {"kind": "triangle", "corners": [[0, 0], [0, 2], [12, 0]], "flavors": ["x", "y", "a"],
+            "exponents": [2, 2, -12], "D": 1}
+    assert polygon_from_json(p6, data) == poly
+    data["corner_paths"] = ["x^-2 s s^-1", "a^12 x^-2", "1"]
+    paths = tuple(PathWord(p6, c) for c in ("XXsS", "a" * 12 + "XX", ""))
+    assert polygon_from_json(p6, data) == ApproxPolygon("triangle", corners, ("x", "y", "a"), (2, 2, -12), 1, paths)
 
 
 # ---------------------------------------------------------------------------
@@ -673,7 +674,7 @@ def test_snowflake_tree_shape(p6):
         tree = snowflake_hnn_tree(p6, p)
         assert tree.boundary_length == 2 * (5 * 2**p - 4)
         assert len(tree.arcs) == 2 ** (p + 2) - 3  # stable closed form
-        leaves = [v for v, k in tree.kinds.items() if k == "leaf"]
+        leaves = [v for v, arcs in tree.arcs.items() if arcs == (1,)]
         assert len(leaves) == 4 * 2 ** (p - 1)
 
 
@@ -764,11 +765,20 @@ def test_tree_validation():
 
 
 def test_tree_json_and_dot(p6):
-    tree = snowflake_hnn_tree(p6, 2)
-    back = HnnDualTree.from_json(json.loads(json.dumps(tree.to_json())))
-    assert back.arcs == tree.arcs
-    assert sorted(back.edges) == sorted(tree.edges)
-    dot = tree.to_dot()
+    data = {
+        "nodes": [
+            {"id": "center", "arcs": [], "kind": "central-diamond"},
+            {"id": "b0", "arcs": [1], "kind": "leaf"},
+            {"id": "b1", "arcs": [2, 3]},
+        ],
+        "edges": [["center", "b0", 1], ["center", "b1", 2]],
+    }
+    tree = HnnDualTree({"center": (), "b0": (1,), "b1": (2, 3)}, [("center", "b0", 1), ("center", "b1", 2)])
+    assert HnnDualTree.from_json(data) == tree
+    for node in data["nodes"]:  # a node's kind is ignored
+        node.pop("kind", None)
+    assert HnnDualTree.from_json(data) == tree
+    dot = snowflake_hnn_tree(p6, 2).to_dot()
     assert dot.startswith("graph") and '"center"' in dot
 
 

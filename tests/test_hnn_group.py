@@ -20,10 +20,10 @@ from snowflake_groups import (
 )
 from snowflake_groups import hnn_group
 from snowflake_groups.hnn_group import (
-    _key_chars,
     _key_invert,
     _key_mul,
     _line,
+    _key_text,
     _line_table,
     _neighbors,
     _tree_dist,
@@ -40,6 +40,7 @@ from conftest import (
     goal_distances,
     key_swap_st,
     reference_invert,
+    reference_key_chars,
     reference_mul,
     reference_neighbors,
     reference_prefix_keys,
@@ -63,10 +64,7 @@ def test_reduce_is_britton_reduced(p6):
     # the inner t a t^-1 pinches to y; the outer s pair survives because
     # a^4 y = a^10 x^-1 is not an a-power
     g = reduce_word(p6, "s a^3 t a t^-1 a s^-1")
-    assert [letter for letter, _ in g.syllables] == ["s", "S"]
-    assert g.head == HPoint(0, 0)
-    assert g.syllables[0][1] == HPoint(0, -1)
-    assert g.tail == HPoint(0, 10)
+    assert g.key == (0, 0, 1, 0, -1, -1, 0, 10)  # 1, s, x^-1, s^-1, tail x^10
     assert reduce_word(p6, "s x^-1 s^-1 x^10").key == g.key
 
 
@@ -75,20 +73,17 @@ def test_canonical_coset_representatives(p6):
     rng = random.Random(7)
     for _ in range(300):
         w = "".join(rng.choice("aAsStTxXyY") for _ in range(rng.randint(0, 25)))
-        g = reduce_word(p6, w)
-        parts = [("head", g.head)] + [(l, h) for l, h in g.syllables]
-        for (_, h), (nxt, _) in zip(parts, parts[1:]):
-            if nxt in ("s", "t"):
-                assert h.v == 0, (w, str(g))
-            else:
-                assert h.u == 0, (w, str(g))
+        key = reduce_word(p6, w).key
+        for i in range(2, len(key), 3):  # key[i] is a stable letter, key[i-2:i] the H part before it
+            u, v = key[i - 2], key[i - 1]
+            assert (v if key[i] > 0 else u) == 0, (w, key)
 
 
 def test_multiply_invert_examples(p6):
     x = reduce_word(p6, "s a s^-1")
     y = reduce_word(p6, "t a t^-1")
     assert (x * y).h_point() == HPoint(6, 0)  # a^L = x y
-    assert GroupElement.identity(p6).inverse().is_identity()
+    assert reduce_word(p6, "1").inverse().is_identity()
     xinv = reduce_word(p6, "s a^-1 s^-1")
     assert (x * xinv).is_identity()
 
@@ -142,6 +137,18 @@ def test_normal_form_string_roundtrip(p6):
         g = reduce_word(p6, w)
         assert reduce_word(p6, g.word_chars()).key == g.key
         assert reduce_word(p6, str(g)).key == g.key
+
+
+def test_word_chars_refused_past_max_letters(monkeypatch):
+    # the spelled normal form is refused from its syllables, before a letter
+    # is written: t^-1 a^(10^30) x^-1 would take 10^30 letters
+    with pytest.raises(ValueError, match="word longer than 10000000 letters"):
+        reduce_word(GroupParams(10**30), "aT").word_chars()
+    monkeypatch.setattr("snowflake_groups.words.MAX_LETTERS", 17)
+    p6 = GroupParams(6)
+    assert GroupElement(p6, (8, 0, 1, 0, -8)).word_chars() == "a" * 8 + "s" + "X" * 8
+    with pytest.raises(ValueError, match="word longer than 17 letters"):
+        GroupElement(p6, (8, 0, 1, 0, -9)).word_chars()
 
 
 def test_reduce_word_rejects_bad_letters(p6):
@@ -202,18 +209,16 @@ def test_ball_radius_one(p6):
 
 
 def test_ball_contains_known_distances(p6, ball6_r6):
-    a6 = reduce_word(p6, "a^6")
-    assert ball6_r6.distance(a6) == 6
-    ball9 = bfs_ball(p6, 9)
-    a11 = reduce_word(p6, "a^11")
-    assert ball9.distance(a11) == 9
+    assert ball6_r6.distances[reduce_word(p6, "a^6").key] == 6
+    assert bfs_ball(p6, 9).distances[reduce_word(p6, "a^11").key] == 9
+    assert reduce_word(p6, "a^11").key not in ball6_r6.distances
 
 
 def test_ball_oracle_and_parity(p6, ball6_r6):
     for h, d in ball6_r6.h_elements():
         assert dist_h(p6, h) == d
-    for g, d in ball6_r6.elements():
-        assert g.parity() == d % 2
+    for key, d in ball6_r6.distances.items():
+        assert GroupElement(p6, key).parity() == d % 2
 
 
 def test_ball_budget_error(p6, monkeypatch):
@@ -240,12 +245,15 @@ def test_ball_jsonl_dump(p6):
 @pytest.mark.parametrize("L, R", [(6, 7), (8, 6), (10, 5)])
 def test_normal_form_text_matches_spelled_word(L, R):
     # the token form read off the syllables is the spelled normal form with
-    # its runs collapsed, on every key of the ball
+    # its runs collapsed, and word_chars spells it back, on every key of the ball
     params = GroupParams(L)
     ball = bfs_ball(params, R)
-    spelled = {key: format_word(_key_chars(key)) for key in ball.distances}
-    for key, text in spelled.items():
-        assert str(GroupElement(params, key)) == text, key
+    spelled = {}
+    for key in ball.distances:
+        chars = reference_key_chars(key)
+        spelled[key] = format_word(chars)
+        assert _key_text(key) == spelled[key], key
+        assert GroupElement(params, key).word_chars() == chars, key
     buf = io.StringIO()
     ball.dump_jsonl(buf)
     assert sorted(json.loads(line)["normal_form"] for line in buf.getvalue().splitlines()) == sorted(
@@ -254,7 +262,7 @@ def test_normal_form_text_matches_spelled_word(L, R):
 
 
 def test_pair_dist_examples(p6):
-    one = GroupElement.identity(p6)
+    one = reduce_word(p6, "1")
     a6 = reduce_word(p6, "a^6")
     assert pair_dist(p6, one, a6, 10) == 6
     g = reduce_word(p6, "s a^2 t a^-1 t^-1")
@@ -266,7 +274,7 @@ def test_pair_dist_examples(p6):
 
 
 def test_pair_dist_matches_ball(p6, ball6_r6):
-    one = GroupElement.identity(p6)
+    one = reduce_word(p6, "1")
     rng = random.Random(5)
     keys = list(ball6_r6.distances)
     for key in rng.sample(keys, 40):
@@ -280,14 +288,14 @@ def test_pair_dist_matches_ball(p6, ball6_r6):
 
 
 def test_pair_dist_cap(p6):
-    one = GroupElement.identity(p6)
+    one = reduce_word(p6, "1")
     a36 = reduce_word(p6, "a^36")  # distance 16
     assert pair_dist(p6, one, a36, 10) is None
     assert pair_dist(p6, one, a36, 16) == 16
 
 
 def test_pair_dist_budget(p6, monkeypatch):
-    one = GroupElement.identity(p6)
+    one = reduce_word(p6, "1")
     a36 = reduce_word(p6, "a^36")  # distance 16: the line table for cap 16 holds 55 points
     monkeypatch.setattr(hnn_group, "MAX_POINTS", 55)
     assert pair_dist(p6, one, a36, 16) == 16
@@ -446,7 +454,7 @@ def test_canonical_keeps_distance(L):
     for key, d in ball.distances.items():
         canon = canonical_key(L, key)
         assert ball.distances[canon] == d, key
-        assert canon == min(reduce_chars(L, w) for w in _word_images(_key_chars(key))), key
+        assert canon == min(reduce_chars(L, w) for w in _word_images(reference_key_chars(key))), key
 
 
 @pytest.mark.parametrize("L", [6, 8])
@@ -473,5 +481,5 @@ def test_goal_distances_over_isometry_classes(L):
 
 def test_pair_dist_far_goal_is_never_spelled(p6):
     # the classes are computed on keys: spelling a^(10^9) out would take 1 GB
-    one = GroupElement.identity(p6)
+    one = reduce_word(p6, "1")
     assert pair_dist(p6, one, GroupElement(p6, (10**9, 0)), 4) is None

@@ -17,12 +17,11 @@ from snowflake_groups import (
     loop_bilip_constant,
     snowflake_loop,
     snowflake_path,
-    trace,
     verify_geodesic_loop,
 )
 from snowflake_groups import hnn_group
 from snowflake_groups.paths import _check_depth
-from snowflake_groups.words import invert_chars
+from snowflake_groups.words import invert_chars, parse_word
 
 from conftest import bidirectional_dist
 
@@ -85,7 +84,7 @@ def test_snowflake_loop_examples(p6):
     assert snowflake_loop(p6, 1).length == 12
     assert snowflake_loop(p6, 2).length == 32
     for n in (1, 2, 3, 6):
-        assert snowflake_loop(p6, n).is_closed()
+        assert snowflake_loop(p6, n).endpoint().is_identity()
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +94,7 @@ def test_snowflake_loop_examples(p6):
 def test_decompose_sigma1(p6):
     segs = decompose_escapes(p6, snowflake_path(p6, 1, "s"))
     assert [s.kind for s in segs] == ["x-escape", "y-escape"]
-    assert [trace(s) for s in segs] == [("x", 1), ("y", 1)]
+    assert [(s.flavor, s.exponent) for s in segs] == [("x", 1), ("y", 1)]
 
 
 def test_decompose_toral(p6):
@@ -105,26 +104,24 @@ def test_decompose_toral(p6):
 
 
 def test_trace_single_escapes(p6):
-    segs = decompose_escapes(p6, PathWord.from_str(p6, "s a^5 s^-1"))
-    assert trace(segs[0]) == ("x", 5)
-    segs = decompose_escapes(p6, PathWord.from_str(p6, "t a^-2 t^-1"))
-    assert trace(segs[0]) == ("y", -2)
+    segs = decompose_escapes(p6, PathWord(p6, parse_word("s a^5 s^-1")))
+    assert (segs[0].flavor, segs[0].exponent) == ("x", 5)
+    segs = decompose_escapes(p6, PathWord(p6, parse_word("t a^-2 t^-1")))
+    assert (segs[0].flavor, segs[0].exponent) == ("y", -2)
 
 
 def test_decompose_sigma2(p6):
     segs = decompose_escapes(p6, snowflake_path(p6, 2, "s"))
-    assert [trace(s) for s in segs] == [("x", 6), ("y", 6)]
+    assert [(s.flavor, s.exponent) for s in segs] == [("x", 6), ("y", 6)]
 
 
 def test_decompose_mixed(p6):
     # a-escapes come in two shapes: t^-1 (y-path) t and s^-1 (x-path) s
-    w = PathWord.from_str(p6, "a a s a^5 s^-1 a^-1 t^-1 y t s^-1 x^2 s")
+    w = PathWord(p6, parse_word("a a s a^5 s^-1 a^-1 t^-1 y t s^-1 x^2 s"))
     segs = decompose_escapes(p6, w)
     kinds = [s.kind for s in segs]
     assert kinds == ["toral", "x-escape", "toral", "a-escape", "a-escape"]
-    assert trace(segs[1]) == ("x", 5)
-    assert trace(segs[3]) == ("a", 1)
-    assert trace(segs[4]) == ("a", 2)
+    assert [(segs[i].flavor, segs[i].exponent) for i in (1, 3, 4)] == [("x", 5), ("a", 1), ("a", 2)]
 
 
 def test_decompose_keeps_no_prefix_keys(p6, monkeypatch):
@@ -148,7 +145,7 @@ def test_decompose_keeps_no_prefix_keys(p6, monkeypatch):
                 (f"{flavor}-escape", flavor, 6 ** (n - 1), 0, half),
                 (f"{other}-escape", other, 6 ** (n - 1), half, end),
             ]
-    w = PathWord.from_str(p6, "s^-1 a s a^9 s^-1 a^-1 s")
+    w = PathWord(p6, parse_word("s^-1 a s a^9 s^-1 a^-1 s"))
     assert fields(decompose_escapes(p6, w)) == [("a-escape", "a", 9, 0, 15)]
     assert fields(decompose_escapes(p6, PathWord(p6, w.chars[1:-1]))) == [
         ("toral", "a", 1, 0, 1),
@@ -163,9 +160,9 @@ def test_decompose_rejects_open_path(p6):
 
 
 def test_trace_rejects_toral(p6):
+    # only an escape has a trace: a toral piece is none
     segs = decompose_escapes(p6, PathWord(p6, "a"))
-    with pytest.raises(ValueError):
-        trace(segs[0])
+    assert segs[0].kind == "toral" and not segs[0].is_escape()
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +170,7 @@ def test_trace_rejects_toral(p6):
 
 
 def test_enfilade_flat_escape(p6):
-    dec = enfilade_decompose(p6, PathWord.from_str(p6, "s a^5 s^-1"), 4)
+    dec = enfilade_decompose(p6, PathWord(p6, parse_word("s a^5 s^-1")), 4)
     assert dec.depth == 0
     assert str(dec.end) == "a^5"
     assert dec.exponents == (5,)
@@ -192,7 +189,7 @@ def test_enfilade_snowflake_interior_too_short(p6):
 def test_enfilade_two_levels(p6):
     # s^-1 a (s a^9 s^-1) a^-1 s is an a-escape whose core x-escape
     # dominates: 11 >= (3/4) * 13
-    w = PathWord.from_str(p6, "s^-1 a s a^9 s^-1 a^-1 s")
+    w = PathWord(p6, parse_word("s^-1 a s a^9 s^-1 a^-1 s"))
     dec = enfilade_decompose(p6, w, 4)
     assert dec.depth == 1
     assert dec.epsilons == ("S", "s")
@@ -221,8 +218,8 @@ def test_enfilade_end_dominance(p6):
     from fractions import Fraction
 
     cases = [
-        PathWord.from_str(p6, "s a^5 s^-1"),
-        PathWord.from_str(p6, "s^-1 a s a^9 s^-1 a^-1 s"),
+        PathWord(p6, parse_word("s a^5 s^-1")),
+        PathWord(p6, parse_word("s^-1 a s a^9 s^-1 a^-1 s")),
         PathWord(p6, "s" + snowflake_path(p6, 2, "s").chars + "S"),
     ]
     for R in (Fraction(4), Fraction(7, 2), Fraction(5)):
@@ -235,7 +232,7 @@ def test_enfilade_rejects_bad_inputs(p6):
     with pytest.raises(ValueError):
         enfilade_decompose(p6, PathWord(p6, "aaa"), 4)  # toral, not an escape
     with pytest.raises(ValueError):
-        enfilade_decompose(p6, PathWord.from_str(p6, "s a^5 s^-1"), 2)  # R <= 2
+        enfilade_decompose(p6, PathWord(p6, parse_word("s a^5 s^-1")), 2)  # R <= 2
     with pytest.raises(ValueError):
         # two escapes, not one
         enfilade_decompose(p6, snowflake_path(p6, 1, "s"), 4)
@@ -268,7 +265,7 @@ def test_length_two_loop_is_not_geodesic(p6):
 
 def test_non_geodesic_loop_stops_early(p6):
     # |a^20| = 12: found at the first antipodal pair
-    loop = PathWord.from_str(p6, "a^20 a^-20")
+    loop = PathWord(p6, parse_word("a^20 a^-20"))
     report = verify_geodesic_loop(p6, loop)
     assert not report
     assert report.witness == (0, 20) and report.distance == 12
@@ -316,7 +313,6 @@ def test_loop_bilip_snowflake(p6):
     report = loop_bilip_constant(p6, snowflake_loop(p6, 1), 12)
     assert report.embedded and report.complete
     assert report.constant == Fraction(1)
-    assert report.is_geodesic_loop()
 
 
 def test_loop_bilip_mixed_geodesic_loop(p6):
@@ -335,7 +331,7 @@ def test_loop_bilip_nontrivial_constant(p6):
     # a^12 against the length-8 geodesic for a^12: the worst pair is a^6
     # against a^12 t a^-1 (loop distance 8, graph distance 4: a^6 t a^-1
     # rewrites to s a s^-1 t)
-    geo = PathWord.from_str(p6, "s a^2 s^-1 t a^2 t^-1")
+    geo = PathWord(p6, parse_word("s a^2 s^-1 t a^2 t^-1"))
     loop = PathWord(p6, "a" * 12 + invert_chars(geo.chars))
     report = loop_bilip_constant(p6, loop, 10)
     assert report.embedded and report.complete
@@ -380,7 +376,7 @@ def _reference_bilip(params, loop, cap):
 )
 def test_loop_bilip_matches_pair_dist_scan(p6, word):
     # the same loop rotated, reversed and with s <-> t swapped
-    chars = PathWord.from_str(p6, word).chars
+    chars = parse_word(word)
     swapped = chars.translate(str.maketrans("sStT", "tTsS"))
     for variant in (chars, chars[5:] + chars[:5], invert_chars(chars), swapped):
         loop = PathWord(p6, variant)

@@ -87,6 +87,72 @@ def test_no_functools_cache_in_package():
     assert found == []
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+# public names with no caller that stay: each states a result of the paper,
+# checked by the unit tests
+PAPER_STATEMENTS = {
+    "closest_points_on_a_line": "the two closest points of <a> to h are equidistant from it",
+    "project_to_x_line": "x^(p/L) is the unique closest point of <x> to a^p",
+    "from_xyz": "the H-length formula is stated for a^l x^m y^n",
+    "reverse_holder_check": "the reverse Hoelder inequalities behind the distortion bounds",
+}
+
+
+def _defined_names(tree):
+    """The name of every top-level def and class and of every method of a
+    top-level class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        if isinstance(node, ast.ClassDef):
+            yield from (item.name for item in node.body if isinstance(item, ast.FunctionDef))
+
+
+def _used_names(tree):
+    """Every Name id, Attribute attr and dotted segment of a string
+    constant (the benchmark's ENTRY_POINTS name methods as "Class.method")."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield from node.value.split(".")
+
+
+def _uncalled(defining, using):
+    """The public names the `defining` sources define that no `using` source
+    names, by name only: a name that anything else shares (a local, a
+    field, a method of another class) counts as used."""
+    used = {name for source in using for name in _used_names(ast.parse(source))}
+    return sorted(
+        name
+        for source in defining
+        for name in _defined_names(ast.parse(source))
+        if not name.startswith("_") and name not in used
+    )
+
+
+def test_public_names_check_flags_an_unused_def():
+    defining = "class A:\n    def m(self): pass\n    def _p(self): pass\ndef f(): pass\ndef g(): pass\n"
+    using = "A().m()\nx = 'mod.f'\n"
+    assert _uncalled([defining], [using]) == ["g"]
+
+
+def test_public_names_have_callers():
+    # public API earns its place by a caller in the package, the benchmark
+    # or the acceptance tests, or by stating a result of the paper.  The
+    # scan matches names, not objects: a name that something else shares
+    # passes it with no caller of its own, as trace, head, total, reverse,
+    # identity and to_json did, so such names still need reading.
+    package = [path for path in SOURCES if path.name != "__init__.py"]
+    using = [*package, *sorted((ROOT / "perfbench").glob("*.py")), ROOT / "tests" / "test_acceptance.py"]
+    uncalled = _uncalled([p.read_text() for p in package], [p.read_text() for p in using])
+    found = [name for name in uncalled if name not in PAPER_STATEMENTS]
+    assert found == [], f"public names with no caller: {', '.join(found)}"
+
+
 def test_benchmark_entry_points_resolve():
     # the benchmark's tracer wraps these (module, attribute) pairs at
     # install(); each must still name something in the package.  The
