@@ -19,6 +19,8 @@ and its trace is the toral path between its endpoints.
 
 The loop checks measure g_i^-1 g_j, the element spelled by the letters i
 to j of the loop, on the distance program of hnn_group._tree_dist.
+loop_bilip_constant searches each pair only as far as it could still
+raise the constant found so far.
 """
 from __future__ import annotations
 
@@ -268,12 +270,23 @@ def _check_closed(L: int, loop: PathWord) -> None:
 def loop_bilip_constant(params: GroupParams, loop: PathWord, cap: int) -> BilipReport:
     """Max distortion ratio d_loop / d_X over vertex pairs of an embedded loop.
 
-    d(g_i, g_j) = |g_i^-1 g_j| is found to c = min(cap, d_loop) by the
-    program along the Bass-Serre tree (hnn_group._tree_dist), with one line
-    table built for the largest c.  g_i^-1 g_j is spelled by the letters i
-    to j of the loop, so the goals from g_i are the prefix keys of the loop
-    read from i.  A table or layer of more than hnn_group.MAX_POINTS points
+    d(g_i, g_j) = |g_i^-1 g_j| is searched to at most c = min(cap, d_loop)
+    by the program along the Bass-Serre tree (hnn_group._tree_dist), with
+    one line table built for the largest c.  g_i^-1 g_j is spelled by the
+    letters i to j of the loop, so the goals from g_i are the prefix keys
+    of the loop read from i.  A table or layer of more than hnn_group.MAX_POINTS points
     raises BudgetExceeded.
+
+    The scan is a branch and bound.  Both arcs of the loop are {a, s, t}
+    paths from g_i to g_j, so d <= d_loop: with cap >= d_loop a pair is
+    always within its cap.  Once the constant so far is num/den, such a
+    pair raises it (strictly, d_loop / d > num/den) only if
+    d <= (d_loop den - 1) // num, so it is searched only that far, and
+    skipped when that is below 1; a None there only says it cannot raise
+    the constant.  A pair with cap < d_loop is searched to cap, and a None
+    there makes the report incomplete.  So every field of the report, the
+    first witness of the largest ratio included, is that of searching
+    each pair to min(cap, d_loop).
     """
     L = params.L
     _check_closed(L, loop)
@@ -298,9 +311,12 @@ def loop_bilip_constant(params: GroupParams, loop: PathWord, cap: int) -> BilipR
             d_loop = min(j - i, n - (j - i))
             if d_loop <= 1:
                 continue
-            d = _tree_dist(L, table, goals[j - i], min(cap, d_loop))
+            c = min(cap, d_loop)
+            if cap >= d_loop and witness is not None:  # d <= d_loop: only d <= c raises best
+                c = (d_loop * best.denominator - 1) // best.numerator
+            d = _tree_dist(L, table, goals[j - i], c) if c >= 1 else None
             if d is None:
-                complete = False
+                complete = complete and cap >= d_loop
             elif Fraction(d_loop, d) > best:
                 best, witness = Fraction(d_loop, d), (i, j)
     if witness is None:

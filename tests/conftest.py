@@ -1,20 +1,10 @@
 import re
-from itertools import count
 from typing import Optional
 
 import pytest
 
 from snowflake_groups import GroupParams, bfs_ball
-from snowflake_groups.hnn_group import (
-    Ball,
-    BudgetExceeded,
-    GroupElement,
-    _fold,
-    _key_invert,
-    _key_parts,
-    _neighbors,
-    identity_key,
-)
+from snowflake_groups.hnn_group import Ball, BudgetExceeded, _neighbors
 
 # ---------------------------------------------------------------------------
 # the letter-at-a-time reference feed: a key is rebuilt as a tuple at every
@@ -106,15 +96,6 @@ def reference_invert(L, key):
     return out
 
 
-def reference_swap_st(L, key):
-    """The key of the image under s <-> t: the reference for key_swap_st."""
-    out = (key[0] + L * key[1], -key[1])
-    for i in range(2, len(key), 3):
-        out = _feed_stable(L, out, {1: 3, 3: 1, -1: -3, -3: -1}[key[i]])
-        out = _feed_h(out, key[i + 1] + L * key[i + 2], -key[i + 2])
-    return out
-
-
 def right_fold_key(L, chars):
     """Normal-form key of chars folded in from the right, one letter at a time.
 
@@ -190,42 +171,11 @@ def bidirectional_dist(L, goal, cap):
 
 
 # ---------------------------------------------------------------------------
-# the BFS search oracles: one ball B(1, r) around the identity, grown a layer
-# at a time, and one-sided searches from each goal into it, with goals that
-# an isometry fixing the identity maps onto each other searched once
+# the BFS search oracle: one-sided searches from a goal into an exact ball
+# B(1, R) around the identity
 
 
-SWAP_CODES = {1: 3, 3: 1, -1: -3, -3: -1}
-MAX_STATES = 10_000_000  # the oracles' default budget on one stored search layer
-
-
-def key_swap_st(L, key):
-    """Image under the automorphism s <-> t (so x <-> y), fixing a.
-
-    a^u x^v maps to a^u y^v = a^(u + L v) x^-v; a representative before
-    s^-1 (a pure x-power) maps to a y-power before t^-1, which the fold
-    brings back to normal form.
-    """
-    steps = [(0, key[0] + L * key[1], -key[1])]
-    steps += ((SWAP_CODES[code], u + L * v, -v) for code, u, v in _key_parts(key))
-    return _fold(L, identity_key(), steps)
-
-
-def key_negate_a(key):
-    """Image under the automorphism a -> a^-1 (so x -> x^-1, y -> y^-1)."""
-    return tuple(c if i % 3 == 2 else -c for i, c in enumerate(key))
-
-
-def canonical_key(L, key):
-    """The least key among the images of key under inversion, s <-> t and
-    a -> a^-1.  These fix {a, s, t}^(+-1) and the identity, so the 8 images
-    have one length |g|, and each maps B(1, R) onto itself."""
-    images = []
-    for k in (key, key_swap_st(L, key)):
-        for k2 in (k, _key_invert(L, k)):
-            images += (k2, key_negate_a(k2))
-    return min(images)
-
+MAX_STATES = 10_000_000  # the default budget of ball_dist on one stored search layer
 
 
 def ball_dist(
@@ -268,55 +218,6 @@ def ball_dist(
                 if nb in dist:
                     return cap
     return None
-
-
-def goal_distances(
-    params: GroupParams,
-    goals: list[tuple[tuple, int]],
-    max_states: int = MAX_STATES,
-    first_only: bool = False,
-) -> dict[int, Optional[int]]:
-    """{index: |goal| if it is <= cap, else None} for the (goal, cap) pairs.
-
-    Goals are grouped by isometry class (canonical_key) and cap, and each
-    group is searched once; every member index gets its group's result.
-    A ball B(1, r) is built by bfs_ball (within its own fixed limit,
-    hnn_group.MAX_BALL_STATES) for r = 0, 1, 2, ...  At each r, every
-    group not yet settled is searched with ball_dist to min(cap, 2r - p),
-    p the parity of the goal (= |goal| mod 2, so a cap of the other parity
-    is lowered by one); a group is settled once its distance is found or
-    the search reached its cap.  A goal at distance d is settled at radius
-    ceil(d / 2) and the balls go only as far as the farthest unsettled
-    goal needs.  Building and searching again at each radius costs a
-    geometric series, about a quarter more than at the last radius alone
-    (spheres of G_6 grow about 4.9x per layer).
-
-    Groups are searched in the order of their lowest member index.  With
-    first_only, only the lowest index within its cap matters: once a group
-    is found, the groups after it are dropped (and left out of the
-    result), and the search stops once no group before it is unsettled.
-    """
-    groups: dict[tuple[tuple, int], list[int]] = {}
-    for i, (goal, cap) in enumerate(goals):
-        cap -= (cap - GroupElement(params, goal).parity()) % 2
-        groups.setdefault((canonical_key(params.L, goal), cap), []).append(i)
-    pending = [(members, goal, cap) for (goal, cap), members in groups.items()]
-    out: dict[int, Optional[int]] = {}
-    for r in count():
-        ball = bfs_ball(params, r)
-        rest = []
-        for members, goal, cap in pending:
-            c = min(cap, 2 * ball.radius - cap % 2)  # cap has the parity of |goal|
-            d = ball_dist(ball, goal, c, max_states)
-            if d is None and c < cap:
-                rest.append((members, goal, cap))
-                continue
-            out.update(dict.fromkeys(members, d))
-            if first_only and d is not None:
-                break
-        pending = rest
-        if not pending:
-            return out
 
 
 @pytest.fixture(scope="session")

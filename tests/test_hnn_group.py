@@ -15,6 +15,7 @@ from snowflake_groups import (
     HPoint,
     bfs_ball,
     dist_h,
+    geodesic_word_h,
     pair_dist,
     reduce_word,
 )
@@ -31,21 +32,17 @@ from snowflake_groups.hnn_group import (
     prefix_keys,
     reduce_chars,
 )
-from snowflake_groups.words import format_word, invert_chars
+from snowflake_groups.words import format_word
 
 from conftest import (
     ball_dist,
     bidirectional_dist,
-    canonical_key,
-    goal_distances,
-    key_swap_st,
     reference_invert,
     reference_key_chars,
     reference_mul,
     reference_neighbors,
     reference_prefix_keys,
     reference_reduce,
-    reference_swap_st,
     right_fold_key,
 )
 
@@ -196,7 +193,6 @@ def test_fold_matches_reference_feed(L):
         other = _big_key(rng, L)
         assert _key_mul(L, key, other) == reference_mul(L, key, other), (key, other)
         assert _key_invert(L, key) == reference_invert(L, key), key
-        assert key_swap_st(L, key) == reference_swap_st(L, key), key
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +341,50 @@ def test_tree_dist_matches_ball(L, R):
         assert d == 0 or _tree_dist(L, table, key, d - 1) is None, key
 
 
+def test_tree_dist_matches_bfs_to_distance_16(p6):
+    # the program at cap 16 against one-sided BFS into B(1, 8), on seeded H
+    # points and {a, s, t} words, every distance from 11 to 16 among them:
+    # exact within the cap, None just below the distance
+    ball = bfs_ball(p6, 8)
+    table = _line_table(6, 16)
+    rng = random.Random(3)
+    goals = [reduce_chars(6, "a" * 36)]  # distance 16
+    goals += [(rng.randrange(-40, 41), rng.randrange(-3, 4)) for _ in range(12)]
+    words = ("".join(rng.choice("aAsStT") for _ in range(rng.randrange(16, 24))) for _ in range(12))
+    goals += [reduce_chars(6, w) for w in words]
+    found = set()
+    for key in goals:
+        d = ball_dist(ball, key, 16)
+        assert _tree_dist(6, table, key, 16) == d, key
+        if d is not None:
+            assert d == 0 or _tree_dist(6, table, key, d - 1) is None, key
+            if len(key) == 2:
+                assert dist_h(p6, HPoint(*key)) == d, key
+            found.add(d)
+    assert set(range(11, 17)) <= found
+
+
+@pytest.mark.parametrize("L", [6, 8, 12])
+def test_tree_dist_local_certificate(L):
+    # past any BFS oracle: the six neighbours of g are at |g| +- 1 (the Cayley
+    # graph is bipartite for even L) and one of them at |g| - 1, so a wrong
+    # distance breaks this at g or at a neighbour.  Seeded H points up to
+    # about 140 and elements with stable letters up to about 45, each first
+    # read within the length of the word that spells it
+    params = GroupParams(L)
+    rng = random.Random(L)
+    points = (HPoint(rng.randrange(-3 * L**4, 3 * L**4), rng.randrange(-8, 9)) for _ in range(12))
+    words = [geodesic_word_h(params, h).chars for h in points]
+    words += ["".join(rng.choice("aAsStT") for _ in range(rng.randrange(30, 60))) for _ in range(12)]
+    table = _line_table(L, max(map(len, words)) + 1)
+    for w in words:
+        key = reduce_chars(L, w)
+        d = _tree_dist(L, table, key, len(w))
+        assert d is not None, w
+        near = [_tree_dist(L, table, nb, d + 1) for nb in _neighbors(L, key)]
+        assert set(near) <= {d - 1, d + 1} and d - 1 in near, (w, d, near)
+
+
 @pytest.mark.parametrize("L", [6, 8, 12])
 def test_line_reads_match_dist_h(L):
     # every point of a line within b, and no other, with its dist_h
@@ -389,24 +429,6 @@ def test_ball_dist_budget(p6):
     assert 149 < info.value.frontier <= 149 + 6
 
 
-@pytest.mark.parametrize("L", [6, 8])
-def test_goal_distances_match_pair_dist(L):
-    # the growing ball against the bidirectional oracle, caps of both parities
-    params = GroupParams(L)
-    rng = random.Random(L)
-    goals = []
-    for _ in range(60):
-        word = "".join(rng.choice("aAsStT") for _ in range(rng.randrange(13)))
-        goals.append((reduce_word(params, word).key, rng.randrange(9)))
-    expected = {i: bidirectional_dist(L, g, cap) for i, (g, cap) in enumerate(goals)}
-    assert goal_distances(params, goals) == expected
-    # first_only settles every goal up to the lowest one within its cap
-    first = min(i for i, d in expected.items() if d is not None)
-    got = goal_distances(params, goals, first_only=True)
-    assert set(range(first + 1)) <= set(got)
-    assert all(got[i] == expected[i] for i in got)
-
-
 def test_bfs_ball_rejects_negative_radius(p6):
     with pytest.raises(ValueError, match="radius"):
         bfs_ball(p6, -1)
@@ -433,50 +455,6 @@ def test_neighbors_match_reference_on_random_words(L):
         assert nbs == reference_neighbors(L, key), word
         pinches.update(i for i in (2, 3, 4, 5) if len(nbs[i]) < len(key))
     assert pinches == {2, 3, 4, 5}
-
-
-# the isometries on words: a -> a^-1 (x -> x^-1, y -> y^-1) and s <-> t (x <-> y)
-_NEGATE_A = str.maketrans("aAxXyY", "AaXxYy")
-_SWAP_ST = str.maketrans("sStTxXyY", "tTsSyYxX")
-
-
-def _word_images(chars):
-    images = []
-    for w in (chars, chars.translate(_SWAP_ST)):
-        for w2 in (w, invert_chars(w)):
-            images += (w2, w2.translate(_NEGATE_A))
-    return images
-
-
-@pytest.mark.parametrize("L", [6, 8])
-def test_canonical_keeps_distance(L):
-    ball = bfs_ball(GroupParams(L), 6)
-    for key, d in ball.distances.items():
-        canon = canonical_key(L, key)
-        assert ball.distances[canon] == d, key
-        assert canon == min(reduce_chars(L, w) for w in _word_images(reference_key_chars(key))), key
-
-
-@pytest.mark.parametrize("L", [6, 8])
-def test_goal_distances_over_isometry_classes(L):
-    # goals repeated and moved by the isometries, with mixed caps: every
-    # member of a class gets the oracle's answer for its own cap
-    params = GroupParams(L)
-    rng = random.Random(100 + L)
-    goals = []
-    for _ in range(25):
-        word = "".join(rng.choice("aAsStT") for _ in range(rng.randrange(12)))
-        for image in rng.sample(_word_images(word), 3) + [word]:
-            goals.append((reduce_chars(L, image), rng.randrange(9)))
-    rng.shuffle(goals)
-    expected = {i: bidirectional_dist(L, g, cap) for i, (g, cap) in enumerate(goals)}
-    assert len({(canonical_key(L, g), cap) for g, cap in goals}) < len(goals)
-    assert goal_distances(params, goals) == expected
-    first = min(i for i, d in expected.items() if d is not None)
-    got = goal_distances(params, goals, first_only=True)
-    assert set(range(first + 1)) <= set(got)
-    assert all(got[i] == expected[i] for i in got)
-    assert min(i for i, d in got.items() if d is not None) == first
 
 
 def test_pair_dist_far_goal_is_never_spelled(p6):

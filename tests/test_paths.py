@@ -20,6 +20,7 @@ from snowflake_groups import (
     verify_geodesic_loop,
 )
 from snowflake_groups import hnn_group
+from snowflake_groups.hnn_group import reduce_chars
 from snowflake_groups.paths import _check_depth
 from snowflake_groups.words import invert_chars, parse_word
 
@@ -344,11 +345,16 @@ def test_loop_bilip_incomplete_under_cap(p6):
     report = loop_bilip_constant(p6, loop, 3)
     assert not report.complete
     assert report.constant >= 1  # certified lower bound
+    # a geodesic loop one below half: only the antipodal pairs pass the cap
+    report = loop_bilip_constant(p6, snowflake_loop(p6, 1), 5)
+    assert report == BilipReport(True, False, Fraction(1), (0, 2))
 
 
-def _reference_bilip(params, loop, cap):
-    """loop_bilip_constant's scan of an embedded loop, one bidirectional search
-    of g_i^-1 g_j per pair."""
+def _reference_bilip(params, loop, cap, exact):
+    """loop_bilip_constant's scan of an embedded loop, searching every pair
+    to min(cap, d_loop).  |g_i^-1 g_j| comes from one bidirectional search
+    per distinct goal, memoized in `exact`; it runs to d_loop and never
+    fails, as both arcs of the loop join g_i to g_j."""
     keys = loop.vertex_keys()[:-1]
     n = len(keys)
     best, witness, complete = Fraction(0), None, True
@@ -357,9 +363,12 @@ def _reference_bilip(params, loop, cap):
             d_loop = min(j - i, n - (j - i))
             if d_loop <= 1:
                 continue
-            goal = GroupElement(params, keys[i]).inverse() * GroupElement(params, keys[j])
-            d = bidirectional_dist(params.L, goal.key, min(cap, d_loop))
-            if d is None:
+            goal = (GroupElement(params, keys[i]).inverse() * GroupElement(params, keys[j])).key
+            if goal not in exact:
+                exact[goal] = bidirectional_dist(params.L, goal, d_loop)
+            d = exact[goal]
+            assert d is not None and d <= d_loop, (i, j)
+            if d > cap:
                 complete = False
             elif Fraction(d_loop, d) > best:
                 best, witness = Fraction(d_loop, d), (i, j)
@@ -372,15 +381,51 @@ def _reference_bilip(params, loop, cap):
         "a^12 t a^-2 t^-1 s a^-2 s^-1",
         "s a^2 s^-1 t a^2 t^-1 s a^-2 s^-1 t a^-2 t^-1",
         "s a s^-1 t a t^-1 a t a^-1 t^-1 s a^-1 s^-1 a^-1",
+        "a^18 t a^-3 t^-1 s a^-3 s^-1",
+        "s a^2 s^-1 t a^2 t^-1 a t a^-2 t^-1 s a^-2 s^-1 a^-1",
+        "s a s^-1 t a t^-1 a^2 t a^-1 t^-1 s a^-1 s^-1 a^-2",
     ],
 )
 def test_loop_bilip_matches_pair_dist_scan(p6, word):
     # the same loop rotated, reversed and with s <-> t swapped
     chars = parse_word(word)
     swapped = chars.translate(str.maketrans("sStT", "tTsS"))
+    exact = {}
     for variant in (chars, chars[5:] + chars[:5], invert_chars(chars), swapped):
         loop = PathWord(p6, variant)
         half = len(variant) // 2
         for cap in (3, half - 2, half):
-            expected = _reference_bilip(p6, loop, cap)
+            expected = _reference_bilip(p6, loop, cap, exact)
             assert loop_bilip_constant(p6, loop, cap) == expected, (variant, cap)
+
+
+def test_loop_bilip_searches_a_pair_only_while_it_could_raise_the_constant(p6, monkeypatch):
+    # with cap >= d_loop every pair is within its cap (both arcs join it, so
+    # d <= d_loop); once best = num/den is set, a pair raises it only if
+    # d <= (d_loop den - 1) // num, and it is searched no further than that
+    from snowflake_groups import paths
+
+    tree_dist, calls = paths._tree_dist, []
+
+    def record(L, table, key, cap):
+        d = tree_dist(L, table, key, cap)
+        calls.append((key, cap, d))
+        return d
+
+    monkeypatch.setattr(paths, "_tree_dist", record)
+    loop = PathWord(p6, parse_word("a^12 t a^-2 t^-1 s a^-2 s^-1"))
+    report = loop_bilip_constant(p6, loop, 10)
+    assert report == BilipReport(True, True, Fraction(2), (6, 14))
+    n, best, searched = len(loop.chars), Fraction(0), iter(calls)
+    for i in range(n):
+        for j in range(i + 1, n):
+            d_loop = min(j - i, n - (j - i))
+            bound = d_loop if best == 0 else (d_loop * best.denominator - 1) // best.numerator
+            if d_loop <= 1 or bound < 1:
+                continue
+            key, cap, d = next(searched)
+            assert key == reduce_chars(6, loop.chars[i:j]) and cap <= bound, (i, j, cap, bound)
+            if d is not None:
+                best = max(best, Fraction(d_loop, d))
+    assert next(searched, None) is None
+    assert sum(cap for _, cap, _ in calls) <= 567  # 980 when every pair runs to d_loop
