@@ -198,19 +198,19 @@ def ag_ratio_scan(params: GroupParams, bound: int) -> AgRatioScan:
     """max over |ell|, |m| <= bound of (|a^ell| + |x^m|) / |a^ell x^m|.
 
     Finite by the splitting inequality for a-and-x products; ratios are 1
-    whenever ell = 0 or m = 0.
+    whenever ell = 0 or m = 0.  The first strict maximum in scan order wins,
+    compared in ints.
     """
     if bound < 1:
         raise ValueError("scan bound must be >= 1")
-    best = Fraction(1)
-    arg = (0, 1)
+    best_n, best_d, arg = 1, 1, (0, 1)
     for ell in range(-bound, bound + 1):
+        a = dist_a_power(params, ell)
         for m in range(-bound, bound + 1):
             if ell == 0 and m == 0:
                 continue
-            num = dist_a_power(params, ell) + dist_power(params, "x", m)
+            num = a + dist_power(params, "x", m)
             den = dist_h(params, HPoint(ell, m))
-            r = Fraction(num, den)
-            if r > best:
-                best, arg = r, (ell, m)
-    return AgRatioScan(best, arg)
+            if num * best_d > best_n * den:
+                best_n, best_d, arg = num, den, (ell, m)
+    return AgRatioScan(Fraction(best_n, best_d), arg)

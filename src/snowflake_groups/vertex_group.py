@@ -16,20 +16,26 @@ and |a^-m| = |a^m|.  Lengths of general H elements reduce to this via
     |a^l x^m y^n| = min over decompositions l = qL + r, |r| < L, of
         |r| + |x^(m+q)| + |y^(n+q)|
 
-where |g^k| = 2 + |a^k| for g in {x, y}, k != 0.  The sign convention of r
-is not pinned down; we minimize over every valid decomposition (r = l mod L
-and r - L), which is safe and is validated against the breadth-first-search
-oracle.
+where |g^k| = 2 + |a^k| for g in {x, y}, k != 0, over both decompositions
+(r = l mod L and r - L, _splits), as validated against the BFS oracle.
 
-The guard routes to a^(qL+r) need only |a^q| and |a^(q+1)|, and _routes is
-their one home: |a^m| is one pass down the base-L digits of m carrying that
-pair, in O(log_L m) steps, and dist_table and the sets S(r) of _a_ball are
-built up from them a run of L lengths at a time.  All functions are pure
-and the module keeps no state.
+The guard routes to a^(qL+r) need only lo = |a^q| and hi = |a^(q+1)|, and
+_routes is their one home.  For q >= 1, hi = lo + e, e = +-1 by parity, so
+they are 4 + 2lo + r and 4 + 2lo + 2e + L - r, the first no longer iff
+r < L/2 + e, and those to a^(qL+r+1) are one longer and one shorter.  So
+|a^m| is a two-state scan down the base-L digits of m (_scan): with
+c = L/2 + e, a digit r takes (lo, c) to (2lo + 4 + r, L/2 + 1) if r < c,
+else to (2lo + 4 + 2c - r, L/2 - 1), from (t, L/2 + 1) at the top digit t
+if t <= L/2 + 2, else from (6 + L - t, L/2 - 1) (q = 0, first route t).
+dist_table and _a_ball build on the routes a run of L lengths at a time.
+All functions are pure and the module keeps no state.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import islice, pairwise
+from operator import iadd
 from typing import NamedTuple
 
 from .params import GroupParams
@@ -92,29 +98,40 @@ def _routes(L: int, lo: int, hi: int, r: int) -> tuple[int, int]:
     return (4 + 2 * lo if lo else 0) + r, 4 + 2 * hi + L - r
 
 
-def _prefix_pairs(L: int, m: int) -> list[tuple[int, int]]:
-    """[(|a^p|, |a^(p+1)|) for p = m, m // L, m // L^2, ..., 0], for m >= 0.
-
-    One pass down the base-L digits of m: the pair of p = qL + r follows
-    from the pair of q by the guard routes, starting from (|a^0|, |a^1|).
-    """
+def _scan(L: int, m: int) -> tuple[list[int], list[int], int]:
+    """(digits, cuts, |a^m|) for m >= 0 (module docstring): the base-L digits
+    of m, lowest first, and the c of each prefix, top first, m's last."""
     digits = []
     while m:
         m, r = divmod(m, L)
         digits.append(r)
-    lo, hi = 0, 1
-    pairs = [(lo, hi)]
-    for r in reversed(digits):
-        low, high = _routes(L, lo, hi, r)  # those to a^(p+1) are 1 longer and 1 shorter
-        lo, hi = (low if low < high else high), (low + 1 if low + 1 < high - 1 else high - 1)
-        pairs.append((lo, hi))
-    pairs.reverse()
-    return pairs
+    if not digits:
+        return digits, [], 0
+    up, down = L // 2 + 1, L // 2 - 1
+    t = digits[-1]
+    lo, c = (t, up) if t <= up + 1 else (6 + L - t, down)
+    cuts = [c]
+    push = cuts.append
+    for r in islice(reversed(digits), 1, None):
+        if r < c:
+            lo, c = (lo << 1) + (4 + r), up
+        else:
+            lo, c = (lo << 1) + (4 + c + c - r), down
+        push(c)
+    return digits, cuts, lo
 
 
 def _dist_a(L: int, m: int) -> int:
     """|a^m| for m >= 0."""
-    return _prefix_pairs(L, m)[0][0]
+    return _scan(L, m)[2]
+
+
+def _pair(L: int, k: int) -> tuple[int, int]:
+    """(|a^k|, |a^(k+1)|) for any k, from one scan (of -k - 1 for k < 0)."""
+    if k < 0:
+        return _pair(L, -k - 1)[::-1]
+    _, cuts, lo = _scan(L, k)
+    return lo, lo + cuts[-1] - L // 2 if cuts else 1
 
 
 def dist_a_power(params: GroupParams, m: int) -> int:
@@ -122,37 +139,46 @@ def dist_a_power(params: GroupParams, m: int) -> int:
     return _dist_a(params.L, abs(m))
 
 
+def _run(pool: list[int], L: int, lo: int, hi: int, n: int) -> list[int]:
+    """The first n <= L of |a^(qL + r)| = min(low + r, high - r), (low, high)
+    the routes to a^(qL), as two slices of pool (pool[i] == i): the first
+    k climb, the rest fall, and k <= L (L/2 -+ 1 by parity, L/2 + 3 at q = 0)."""
+    low, high = _routes(L, lo, hi, 0)
+    k = (high - low + 1) // 2
+    top = high - k if n > k else low + n - 1  # the largest pool index the run reads
+    if top >= len(pool):
+        pool += range(len(pool), 2 * top + 2)
+    return pool[low : low + min(k, n)] + pool[high - k : high - n : -1]
+
+
 def dist_table(params: GroupParams, m_max: int) -> list[int]:
     """[|a^0|, |a^1|, ..., |a^m_max|], built a run of L lengths at a time.
 
-    The run of q holds |a^(qL + r)| = min(low + r, high - r), 0 <= r < L,
-    where (low, high) are the guard routes to a^(qL) (_routes): the first k
-    lengths climb from low, the rest fall from high - k, with
-    k = (high - low + 1) // 2.  For q >= 1, |a^(q+1)| - |a^q| = +-1 by
-    parity, so high - low = L -+ 2 and k = L/2 -+ 1; at q = 0, k = L/2 + 3.
-    So k <= L for every L >= 6, and a run is the two slices
-    pool[low : low + k] and pool[high - k : high - L : -1] of a local pool
-    with pool[n] == n.  Every entry is then one of the pool's ints, and no
-    Python code runs per entry: the 10^6 lengths of L = 6 take 1 243 int
-    objects, where one int per length would take 31 MB.  The last run is
-    cut to its first m_max % L + 1 lengths, and the pool grows only to the
-    lengths the runs read, so neither grows with L: m_max = 2 at L = 10^30
-    reads three.
+    The run of q depends only on (|a^q|, |a^(q+1)|), so each distinct run is
+    built once (_run), in a dict local to the call that is emptied when it
+    holds more runs than a step.  A step adds at most 2^16 lengths, the runs
+    of the pairs in a short slice of the table, by C-level reduce/map/pairwise
+    with no Python code per q.  Entries are the pool's ints: the 10^6 lengths
+    of L = 6 take 1 243 int objects, not 31 MB.  The last run is cut to
+    m_max % L + 1 lengths, so m_max = 2 at L = 10^30 reads three.
     """
     L = params.L
-    table: list[int] = []
+    last, n = divmod(m_max, L)
     pool: list[int] = []
-    last = m_max // L
-    for q in range(last + 1):
-        lo, hi = (table[q], table[q + 1]) if q else (0, 1)
-        low, high = _routes(L, lo, hi, 0)
-        k = (high - low + 1) // 2
-        n = L if q < last else m_max % L + 1
-        top = high - k if n > k else low + n - 1  # the largest pool index the run reads
-        if top >= len(pool):
-            pool += range(len(pool), 2 * top + 2)
-        table += pool[low : low + min(k, n)]
-        table += pool[high - k : high - n : -1]
+    runs: dict[tuple[int, int], list[int]] = {}
+    table = _run(pool, L, 0, 1, L if last else n + 1)
+    q, step = 1, max(1, 2**16 // L)
+    while q < last:
+        end = min(last, len(table) - 1, q + step)
+        lens = table[q : end + 1]  # the runs q .. end - 1 read these
+        if len(runs) > step:
+            runs.clear()
+        for lo, hi in set(pairwise(lens)).difference(runs):
+            runs[lo, hi] = _run(pool, L, lo, hi, L)
+        reduce(iadd, map(runs.__getitem__, pairwise(lens)), table)  # table += each run
+        q = end
+    if last:
+        table += _run(pool, L, table[last], table[last + 1], n + 1)
     return table
 
 
@@ -170,15 +196,13 @@ class BudgetExceeded(RuntimeError):
 def _a_ball(L: int, r: int, max_points: int) -> dict[int, int]:
     """{m: |a^m|} for every m >= 0 with |a^m| <= r: the set S(r), exactly.
 
-    |a^(qL + i)|, 0 <= i < L, is the shorter guard route (_routes) through
-    |a^q| or |a^(q+1)|, and a route through a^(kL), k >= 1, is within r only
-    if 4 + 2|a^k| <= r, that is k in S((r - 4) // 2).  So S(r) is read off
-    the runs of L lengths whose q or q + 1 lies in the level below, as in
-    dist_table, a length missing there counting as r + 1.  Each run is its
-    climb low + i, i < k, and its fall high - i, i >= k, each cut to the
-    lengths <= r and stored as ranges, so a run costs the points it gives,
-    not L: verify-loop at L = 10^30 reads a few runs of a few points.  A
-    level past max_points raises BudgetExceeded, checked after each run.
+    A guard route through a^(kL), k >= 1, is within r only if
+    4 + 2|a^k| <= r, that is k in S((r - 4) // 2).  So S(r) is read off the
+    runs of q (_run) with q or q + 1 in the level below, a length missing
+    there counting as r + 1.  The climb and the fall of a run are each cut
+    to the lengths <= r and stored as ranges, so a run costs the points it
+    gives, not L: verify-loop at L = 10^30 reads a few runs of a few points.
+    A level past max_points raises BudgetExceeded, checked after each run.
     """
     if r < 0:
         return {}
@@ -196,9 +220,9 @@ def _a_ball(L: int, r: int, max_points: int) -> dict[int, int]:
     return out
 
 
-def _gpow(L: int, k: int) -> int:
-    """|x^k| = |y^k| = 2 + |a^k| for k != 0, else 0."""
-    return 0 if k == 0 else 2 + _dist_a(L, abs(k))
+def _gpow(d: int) -> int:
+    """|x^k| = |y^k| = 2 + |a^k| for k != 0, else 0, from d = |a^k|."""
+    return d + 2 if d else 0
 
 
 def dist_power(params: GroupParams, gen: str, m: int) -> int:
@@ -206,7 +230,7 @@ def dist_power(params: GroupParams, gen: str, m: int) -> int:
     if gen == "a":
         return _dist_a(params.L, abs(m))
     if gen in ("x", "y"):
-        return _gpow(params.L, m)
+        return _gpow(_dist_a(params.L, abs(m)))
     raise ValueError(f"not an H generator: {gen!r}")
 
 
@@ -219,8 +243,12 @@ def _splits(L: int, u: int) -> tuple[tuple[int, int], ...]:
 
 def _h_route(L: int, u: int, v: int) -> tuple[int, int, int]:
     """(|a^u x^v|, q, p) for the shortest route x^(v+q) y^q a^p to a^u x^v,
-    over both decompositions of _splits; ties go to the first."""
-    return min((abs(p) + _gpow(L, v + q) + _gpow(L, q), q, p) for q, p in _splits(L, u))
+    over both decompositions of _splits; ties go to the first.  Their q
+    are q0 and q0 + 1, so two scans (_pair) give all four powers."""
+    splits = _splits(L, u)
+    q0 = splits[0][0]
+    xs, ys = _pair(L, v + q0), _pair(L, q0)
+    return min((abs(p) + _gpow(xs[q - q0]) + _gpow(ys[q - q0]), q, p) for q, p in splits)
 
 
 def dist_h(params: GroupParams, h: HPoint) -> int:
@@ -261,48 +289,27 @@ def _digits_length(digits: tuple[int, ...]) -> int:
     return sum(abs(d) << i for i, d in enumerate(digits)) + 4 * ((1 << j) - 1)
 
 
-def _expr_digits(L: int, m: int) -> list[int]:
-    """Digit list (low to high) for m > 0.
-
-    At level i the value c still to expand is m // L^i or one more, and
-    (lo, hi) is the prefix pair of p = m // L^(i+1).  With c = qL + r,
-    q = p except when c = (p + 1)L: then r = 0, and the route through
-    a^(qL) is the shorter one, so neither route needs |a^(p+2)|.
-    """
-    digits = []
-    c, above = m, False  # above: c = m // L^i + 1
-    for lo, hi in _prefix_pairs(L, m)[1:]:
-        if c <= L // 2 + 2:
-            break
-        q, r = divmod(c, L)
-        if above and not r:
-            digits.append(0)
-            c = q
-            continue
-        low, high = _routes(L, lo, hi, r)
-        if low < high or (low == high and r <= L // 2):
-            digits.append(r)
-            c, above = q, False
-        else:
-            digits.append(r - L)
-            c, above = q + 1, True
-    digits.append(c)
-    return digits
-
-
 def geodesic_expression(params: GroupParams, m: int) -> GeodesicExpression:
     """A geodesic expression of m != 0 with the standard digit bounds.
 
-    Ties between the two guard routes are broken through qL when the
-    residue r satisfies r <= L/2, through (q+1)L otherwise; this is what
-    keeps every digit within the stated bounds.
+    Level i of |m| takes r, its base-L digit plus the carry, and the c of
+    the prefix above it (_scan).  Ties of the guard routes go through qL iff
+    r <= L/2, which keeps the bounds: r is kept iff r < c at c = L/2 + 1, iff
+    r <= c at c = L/2 - 1, and the top r iff r <= L/2 + 2; else the digit is
+    r - L and the carry 1 (r = L: the digit 0).
     """
     if m == 0:
         raise ValueError("m must be nonzero")
-    digits = _expr_digits(params.L, abs(m))
-    if m < 0:
-        digits = [-d for d in digits]
-    return GeodesicExpression(tuple(digits), params.L)
+    L = params.L
+    digits, cuts, _ = _scan(L, abs(m))
+    out, carry = [], 0
+    for r, c in zip(digits, islice(reversed(cuts), 1, None)):
+        r += carry
+        carry = r > c or r == c > L // 2
+        out.append(r - L if carry else r)
+    top = digits[-1] + carry
+    out += [top] if top <= L // 2 + 2 else [top - L, 1]
+    return GeodesicExpression(tuple(out) if m > 0 else tuple(-d for d in out), L)
 
 
 def _expand_digits(digits: tuple[int, ...]) -> str:
@@ -362,21 +369,14 @@ def closest_points_on_a_line(params: GroupParams, h: HPoint) -> tuple[HPoint, HP
 def _min_residue(L: int, target: int) -> int:
     """The representative of target mod L with |value| <= L/2, ties positive."""
     r = target % L
-    if r == 0:
-        return 0
-    if 2 * r < L:
-        return r
-    if 2 * r > L:
-        return r - L
-    return L // 2
+    return r - L if 2 * r > L else r
 
 
 def xy_line_intersection(params: GroupParams, h: HPoint) -> tuple[int, HPoint]:
     """The ell with |ell| <= L/2 making <x> meet h a^ell <y>, and the meeting point."""
     L = params.L
     ell = _min_residue(L, -h.u)
-    point = HPoint(0, h.v + (h.u + ell) // L)
-    return ell, point
+    return ell, HPoint(0, h.v + (h.u + ell) // L)
 
 
 def project_to_x_line(params: GroupParams, p: int) -> HPoint:

@@ -194,6 +194,13 @@ def test_ag_ratio_scan_small(p6):
     assert scan.max_ratio == num / dist_h(p6, HPoint(*scan.at))
 
 
+@pytest.mark.parametrize("L, at", [(6, (-30, 5)), (8, (-24, 3)), (10, (-30, 3)), (12, (-24, 2))])
+def test_ag_ratio_scan_pins_the_first_maximum(L, at):
+    # the benchmark's answers: the ratio and the first (ell, m) in scan order reaching it
+    scan = ag_ratio_scan(GroupParams(L), 30)
+    assert (scan.max_ratio, scan.at) == (3, at)
+
+
 def test_ag_ratio_scan_regression(p6):
     # frozen regression value for the exhaustive [-200, 200]^2 scan
     scan = ag_ratio_scan(p6, 200)

@@ -23,7 +23,17 @@ from snowflake_groups import (
     xy_line_intersection,
 )
 from snowflake_groups import vertex_group
-from snowflake_groups.vertex_group import BudgetExceeded, _a_ball, _dist_a, _routes
+from snowflake_groups.vertex_group import (
+    BudgetExceeded,
+    _a_ball,
+    _dist_a,
+    _geodesic_chars,
+    _h_route,
+    _routes,
+    _scan,
+    _splits,
+)
+from snowflake_groups.words import power_chars
 
 
 def test_params_examples():
@@ -143,6 +153,63 @@ def test_dist_a_power_matches_table_and_reference(L):
         assert dist_a_power(params, m) == table[m] == dist(m), m
     for m in range(1, 30_000):
         assert geodesic_expression(params, m).digits == tuple(expr_digits(m)), m
+
+
+@pytest.mark.parametrize("L", [6, 8, 10, 12, 14, 10**30])
+def test_scan_step_is_the_guard_routes(L):
+    # one step of _scan from the prefix p to m = pL + r is the specialisation
+    # of _routes at hi = lo + e: the shorter route, and the e of m
+    dist, _ = _reference_dist_a(L)
+    if L < 100:
+        prefixes, residues = range(1, 4 * L), range(L)
+    else:
+        prefixes = [1, 2, 7, L // 2, L // 2 + 3, L // 2 + 4, L - 5, L - 1, L, L + 1, 3 * L + 7, L * L - 1]
+        rng = random.Random("scan-step")
+        residues = sorted({0, 1, L // 2 - 2, L // 2 - 1, L // 2, L // 2 + 1, L // 2 + 2, L - 1, *(rng.randrange(L) for _ in range(200))})
+    steps = set()
+    for p in prefixes:
+        lo, e = dist(p), dist(p + 1) - dist(p)
+        steps.add(e)
+        for r in residues:
+            low, high = _routes(L, lo, lo + e, r)
+            _, cuts, got = _scan(L, p * L + r)
+            assert (got, cuts[-1] - L // 2) == (min(low, high), min(low + 1, high - 1) - min(low, high)), (p, r)
+    assert steps == {1, -1}
+
+
+@pytest.mark.parametrize("L", [6, 8, 10, 12, 14])
+def test_dist_a_and_expression_match_reference_below_L_cubed(L):
+    # every top digit on both sides of L/2 + 2, and every carry into r = L
+    params = GroupParams(L)
+    dist, expr_digits = _reference_dist_a(L)
+    assert dist_a_power(params, 0) == 0
+    for m in range(1, L**3 + 2 * L):
+        assert dist_a_power(params, m) == dist_a_power(params, -m) == dist(m), m
+        assert geodesic_expression(params, m).digits == tuple(expr_digits(m)), m
+
+
+@pytest.mark.parametrize("L", [6, 12])
+def test_h_route_matches_brute_minimum_near_zero(L):
+    # |a^u x^v| and the route (d, q, p) that geodesic_word_h spells, against
+    # a brute minimum over _splits; mixed signs put q = -1 and v + q in {-1, 0}
+    params = GroupParams(L)
+    dist, _ = _reference_dist_a(L)
+
+    def g(k):
+        return 2 + dist(abs(k)) if k else 0
+
+    corners = ties = 0
+    for u in range(-3 * L, L + 1):
+        for v in range(-3, 4):
+            routes = [(abs(p) + g(v + q) + g(q), q, p) for q, p in _splits(L, u)]
+            d, q, p = min(routes)
+            assert _h_route(L, u, v) == (d, q, p), (u, v)
+            assert dist_h(params, HPoint(u, v)) == d
+            spelled = _geodesic_chars(params, "x", v + q) + _geodesic_chars(params, "y", q) + power_chars("a", p)
+            assert geodesic_word_h(params, HPoint(u, v)).chars == spelled, (u, v)
+            corners += q == -1 and v + q in (-1, 0)
+            ties += len(routes) == 2 and routes[0][0] == routes[1][0]
+    assert corners and ties
 
 
 def test_dist_table_short(p6, p10):
