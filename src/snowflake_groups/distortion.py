@@ -199,17 +199,19 @@ def ag_ratio_scan(params: GroupParams, bound: int) -> AgRatioScan:
 
     Finite by the splitting inequality for a-and-x products; ratios are 1
     whenever ell = 0 or m = 0.  The first strict maximum in scan order wins,
-    compared in ints.
+    compared in ints.  Each |a^ell| and |x^m| is computed once.
     """
     if bound < 1:
         raise ValueError("scan bound must be >= 1")
     best_n, best_d, arg = 1, 1, (0, 1)
-    for ell in range(-bound, bound + 1):
+    exps = range(-bound, bound + 1)
+    x_lengths = [dist_power(params, "x", m) for m in exps]
+    for ell in exps:
         a = dist_a_power(params, ell)
-        for m in range(-bound, bound + 1):
+        for m, x in zip(exps, x_lengths):
             if ell == 0 and m == 0:
                 continue
-            num = a + dist_power(params, "x", m)
+            num = a + x
             den = dist_h(params, HPoint(ell, m))
             if num * best_d > best_n * den:
                 best_n, best_d, arg = num, den, (ell, m)

@@ -9,7 +9,9 @@ subdivisions across bigon strips onto it, fill its interior by a grid of
 small cells, carry the induced subdivisions of the other sides back
 across bigon strips, and close each corner with one cell.  A given
 subdivision may have any number of segments of any size, as long as it
-sums to its side's exponent; area (cell count) and mesh (longest cell
+sums to its side's exponent; a triangle's a-side subdivision must also
+have no two segments of opposite signs, as its points are rounded to
+multiples of L one by one.  Area (cell count) and mesh (longest cell
 boundary) follow from it as the docstrings state.
 
 Diagrams here are combinatorial: a diagram is its list of cells, each a
@@ -538,10 +540,15 @@ def fill_triangle(
     Returns the diagram (area <= (n^2 + 9n + 6)/2, mesh <= 4C + (6C+2) D +
     2C E^(1/alpha), E the largest segment |exponent|) plus induced
     subdivisions of the x-side and y-side, with at most n segments
-    bounded by 1 + E/L + D^alpha.
+    bounded by 1 + E/L + D^alpha.  The a-side's points are rounded to
+    multiples of L one by one, so they must run one way: a subdivision with
+    segments of both signs raises ValueError before any cell is made.
     """
     if poly.kind != "triangle":
         raise ValueError("fill_triangle needs a triangle")
+    _validate_subdivision("a-side", a_subdivision, poly.exponents[2])  # a wrong sum is named first
+    if min(a_subdivision, default=0) < 0 < max(a_subdivision, default=0):
+        raise ValueError("a-side subdivision has segments of both signs")
     return _fill_polygon(params, poly, snap_triangle, {2: a_subdivision}, _triangle_interior)
 
 

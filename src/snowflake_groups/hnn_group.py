@@ -51,11 +51,14 @@ upper bound.  So, with entry_0 = exit_(n+1) = 0,
     |g| = n + min over k_1..k_n of sum_j dist_h(h_j - entry_j(k_j) + exit_(j+1)(k_(j+1))).
 
 Each term, the last too, is one read along a line of H (_line).  It
-trusts dist_h on all of H, which acceptance 2 checks against BFS only to
-radius 10.  Its line table and each layer hold at most MAX_POINTS points,
-or it raises BudgetExceeded.  pair_dist and the loop checks of paths run
-on it; bfs_ball grows B(1, r) by BFS, holding at most MAX_BALL_STATES
-states, and the tests keep the BFS searches as oracles.
+trusts dist_h on all of H: acceptance 2 checks dist_h against BFS to
+radius 10, and the tests check the program against BFS to distance 16
+on seeded goals in G_6 and, past any BFS, that seeded elements' six
+neighbours lie at |g| +- 1, one at |g| - 1.  Its line table and each
+layer hold at most MAX_POINTS points, or it raises BudgetExceeded.
+pair_dist and the loop checks of paths run on it; bfs_ball grows B(1, r)
+by BFS, holding at most MAX_BALL_STATES states, and the tests keep the
+BFS searches as oracles.
 
 The two limits are fixed, not options: each is read at call time, and
 only the tests set other values.
@@ -63,8 +66,8 @@ only the tests set other values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
-from typing import Iterable, Iterator, Optional, TextIO
+from itertools import chain, count
+from typing import Callable, Iterable, Iterator, Optional, TextIO
 
 import json
 
@@ -107,7 +110,7 @@ def _letters(L: int) -> dict[str, tuple[int, int, int]]:
 
 
 def _fold(
-    L: int, key: Key, steps: Iterable[tuple[int, int, int]], prefixes: Optional[list] = None
+    L: int, key: Key, steps: Iterable[tuple[int, int, int]], sink: Optional[Callable[[Key], None]] = None
 ) -> Key:
     """Key of the element `key` times the steps, folded in left to right.
 
@@ -119,7 +122,7 @@ def _fold(
     triple or, in a pinch, deletes the top one, so a letter costs O(1)
     instead of a copy of the key.  These are the crossing rules of the
     normal form; the BFS step _neighbors writes them out once more for its
-    six letters.  With `prefixes`, the key after each step is appended to it.
+    six letters.  With a `sink`, it is called with the key after each step.
     """
     stack = list(key[:-2])
     u, v = key[-2], key[-1]
@@ -143,8 +146,8 @@ def _fold(
             else:
                 stack += (ru, rv, code)
                 u, v = cu + du, cv + dv
-        if prefixes is not None:
-            prefixes.append((*stack, u, v))
+        if sink is not None:
+            sink((*stack, u, v))
     return (*stack, u, v)
 
 
@@ -156,33 +159,23 @@ def reduce_chars(L: int, chars: str, key: Key = (0, 0)) -> Key:
 def prefix_keys(L: int, chars: str) -> list[Key]:
     """The keys of all prefixes of chars, shortest first (len(chars) + 1 keys)."""
     keys = [identity_key()]
-    _fold(L, identity_key(), map(_letters(L).__getitem__, chars), keys)
+    _fold(L, identity_key(), map(_letters(L).__getitem__, chars), keys.append)
     return keys
-
-
-class _HVisits:
-    """A prefix sink for _fold that keeps (i, u, v) for each prefix i whose
-    key is the element a^u x^v of H, and drops every other key."""
-
-    __slots__ = ("i", "visits")
-
-    def __init__(self) -> None:
-        self.i = 0
-        self.visits = [(0, 0, 0)]
-
-    def append(self, key: Key) -> None:
-        self.i += 1
-        if len(key) == 2:
-            self.visits.append((self.i, *key))
 
 
 def h_visits(L: int, chars: str) -> list[tuple[int, int, int]]:
     """(i, u, v) for each prefix i of chars that ends in H, at a^u x^v,
-    shortest first: one fold, holding no key outside H (prefix_keys holds
-    them all)."""
-    sink = _HVisits()
-    _fold(L, identity_key(), map(_letters(L).__getitem__, chars), sink)
-    return sink.visits
+    shortest first: one fold whose sink numbers every prefix and keeps only
+    those in H, so no key outside H is held (prefix_keys holds them all)."""
+    visits, steps = [(0, 0, 0)], count(1)
+
+    def keep(key: Key) -> None:
+        i = next(steps)
+        if len(key) == 2:
+            visits.append((i, *key))
+
+    _fold(L, identity_key(), map(_letters(L).__getitem__, chars), keep)
+    return visits
 
 
 def _key_parts(key: Key) -> Iterator[tuple[int, int, int]]:

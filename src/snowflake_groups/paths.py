@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby, pairwise
 from typing import Optional
 
 from .hnn_group import (
@@ -107,39 +108,28 @@ class PathSegment:
 def decompose_escapes(params: GroupParams, path: PathWord) -> list[PathSegment]:
     """Split a path with endpoints in the coset H into escapes and toral pieces.
 
-    Maximal runs of toral edges are consolidated into single toral segments.
     The path is folded once and only its visits to H are kept (h_visits).
+    A maximal run of single toral edges is one toral segment; every other
+    pair of successive visits is one escape.
     """
     visits = h_visits(params.L, path.chars)
     if visits[-1][0] != len(path.chars):
         raise ValueError("path endpoint leaves the coset H")
     segments: list[PathSegment] = []
-    toral_from: Optional[tuple[int, int, int]] = None
-
-    def flush_toral(upto: tuple[int, int, int]) -> None:
-        nonlocal toral_from
-        if toral_from is None:
-            return
-        (a, au, av), (b, bu, bv) = toral_from, upto
-        power = HPoint(bu - au, bv - av).as_power(params)
-        flavor, exponent = power if power else (None, None)
-        segments.append(PathSegment("toral", PathWord(params, path.chars[a:b]), flavor, exponent, a, b))
-        toral_from = None
-
-    for here, there in zip(visits, visits[1:]):
-        (a, au, av), (b, bu, bv) = here, there
-        if b == a + 1:  # a single toral edge
-            if toral_from is None:
-                toral_from = here
+    for toral, pairs in groupby(pairwise(visits), lambda pair: pair[1][0] == pair[0][0] + 1):
+        if toral:  # one segment, from the run's first visit to its last
+            run = list(pairs)
+            (a, au, av), (b, bu, bv) = run[0][0], run[-1][1]
+            flavor, exponent = HPoint(bu - au, bv - av).as_power(params) or (None, None)
+            segments.append(PathSegment("toral", PathWord(params, path.chars[a:b]), flavor, exponent, a, b))
             continue
-        flush_toral(here)
-        word = PathWord(params, path.chars[a:b])
-        power = HPoint(bu - au, bv - av).as_power(params)
-        flavor = _CROSSING[word.chars[0]][0]  # the power that leaves across the opening letter
-        if power is None or (power[0] != flavor and power[1] != 0):
-            raise ValueError(f"escape at offset {a} does not trace a {flavor}-power")
-        segments.append(PathSegment(f"{flavor}-escape", word, flavor, power[1], a, b))
-    flush_toral(visits[-1])
+        for (a, au, av), (b, bu, bv) in pairs:
+            word = PathWord(params, path.chars[a:b])
+            power = HPoint(bu - au, bv - av).as_power(params)
+            flavor = _CROSSING[word.chars[0]][0]  # the power that leaves across the opening letter
+            if power is None or (power[0] != flavor and power[1] != 0):
+                raise ValueError(f"escape at offset {a} does not trace a {flavor}-power")
+            segments.append(PathSegment(f"{flavor}-escape", word, flavor, power[1], a, b))
     return segments
 
 

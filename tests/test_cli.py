@@ -539,6 +539,43 @@ def test_input_rows_of_the_wrong_size(tmp_path, capsys, argv, payload, err):
     assert run_cli(capsys, *argv, "--L", "6", "--input", str(path)) == (2, "", f"error: {err}\n")
 
 
+_TRIANGLE = {"kind": "triangle", "corners": [[0, 0], [0, 2], [12, 0]], "flavors": ["x", "y", "a"],
+             "exponents": [2, 2, -12], "D": 0, "subdivision": [-6, -6]}
+_DIAMOND = {"kind": "diamond", "corners": [[0, 0], [1, 2], [12, 0], [12, -2]],
+            "flavors": ["x", "y", "x", "y"], "exponents": [2, 2, -2, -2], "D": 1,
+            "subdivision": [1, 1], "subdivision2": [1, 1]}
+
+
+@pytest.mark.parametrize(
+    "shape, payload, err",
+    [
+        ("bigon", {**_BIGON, "kind": "pentagon"}, "unknown polygon kind 'pentagon'"),
+        ("bigon", {**_BIGON, "corners": [[0, 0], [12, 1], [0, 0]]}, "bigon needs 2 corners/flavors/exponents"),
+        ("bigon", {**_BIGON, "flavors": ["a"]}, "bigon needs 2 corners/flavors/exponents"),
+        ("triangle", {**_TRIANGLE, "exponents": [2, 2]}, "triangle needs 3 corners/flavors/exponents"),
+        ("triangle", {**_TRIANGLE, "flavors": ["y", "x", "a"]},
+         "triangle sides must have flavors ('x', 'y', 'a')"),
+        ("diamond", {**_DIAMOND, "flavors": ["x", "y", "y", "x"]},
+         "diamond sides must have flavors ('x', 'y', 'x', 'y')"),
+        ("bigon", {**_BIGON, "flavors": ["a", "x"]}, "bigon sides must share one flavor"),
+        ("bigon", {**_BIGON, "corner_paths": ["1"]}, "need one corner path per side"),
+        ("bigon", {**_BIGON, "corners": [[0, 0], [0, 0]], "exponents": [0, 0], "subdivision": []},
+         "subdivision must have at least one segment"),
+        ("bigon", {**_BIGON, "flavors": ["s", "s"]}, "not an H generator: 's'"),
+        # the a-side's points are rounded to multiples of L one by one, so its
+        # segments must share one sign; the sum is checked first
+        ("triangle", {**_TRIANGLE, "subdivision": [16, -28]}, "a-side subdivision has segments of both signs"),
+        ("triangle", {**_TRIANGLE, "subdivision": [-15, 1, 2]}, "a-side subdivision has segments of both signs"),
+        ("triangle", {**_TRIANGLE, "subdivision": [16, -27]}, "a-side subdivision sums to -11, expected -12"),
+    ],
+    ids=["kind", "corners", "flavors", "exponents", "triangle-flavors", "diamond-flavors",
+         "bigon-flavors", "corner-paths", "empty-subdivision", "stable-flavor",
+         "mixed-a-side", "mixed-a-side-that-filled", "mixed-a-side-sum"],
+)
+def test_polygon_refusals(tmp_path, capsys, shape, payload, err):
+    assert fill_file(tmp_path, capsys, shape, payload) == (2, "", f"error: {err}\n")
+
+
 def test_fill_exit_1_when_a_spelling_is_wrong(tmp_path, capsys, monkeypatch):
     # nothing is trusted from the speller: one wrong piece makes cells that
     # are not trivial, and fill says so with exit 1

@@ -1,11 +1,11 @@
 """Fuzzed command lines and input files for all twelve subcommands.
 
-Each run must end in exit 0, 1 or 2; on exit 1 or 2 stderr holds exactly
-one line besides argparse's usage lines, and never a traceback.  Sizes are
-bounded so that nothing large is built in-process: the refusals of large
-inputs have their own tests in test_cli.  --L is drawn up to 10^30 too, so
-that a subcommand whose time or memory grows with L shows.  Input files
-are mutated polygons and dual trees (some with an integer or a repeated
+Each run must end in exit 0, 1 or 2, and a polygon file in exit 0 or 2;
+on exit 1 or 2 stderr holds exactly one line besides argparse's usage
+lines, and never a traceback.  Sizes are bounded so that nothing large is
+built in-process: the refusals of large inputs have their own tests in
+test_cli.  --L is drawn up to 10^30 too, so that a subcommand whose time
+or memory grows with L shows.  Input files are mutated polygons and dual trees (some with an integer or a repeated
 node id), and now and then JSON nested too deeply for json.load.
 """
 
@@ -108,12 +108,15 @@ any_json = st.recursive(
     max_leaves=6,
 )
 
-# polygons that fill at L = 6, as in test_cli, and a small dual tree
+# polygons that fill at L = 6, as in test_cli, one that is refused, and a small dual tree
 POLYGONS = [
     {"kind": "bigon", "corners": [[0, 0], [12, 1]], "flavors": ["a", "a"],
      "exponents": [12, -12], "D": 3, "subdivision": [6, 6]},
     {"kind": "triangle", "corners": [[1, 0], [0, 2], [12, 1]], "flavors": ["x", "y", "a"],
      "exponents": [2, 2, -12], "D": 4, "subdivision": [-6, -6]},
+    # an a-side whose segments mix signs, refused (its points must run one way)
+    {"kind": "triangle", "corners": [[0, 0], [0, 2], [12, 0]], "flavors": ["x", "y", "a"],
+     "exponents": [2, 2, -12], "D": 0, "subdivision": [16, -28]},
     {"kind": "diamond", "corners": [[0, 0], [1, 2], [12, 0], [12, -2]],
      "flavors": ["x", "y", "x", "y"], "exponents": [2, 2, -2, -2], "D": 1,
      "subdivision": [1, 1], "subdivision2": [1, 1], "corner_paths": ["1", "a^-1", "1", "1"]},
@@ -191,6 +194,7 @@ def _run(capsys, argv):
     if code:
         lines = [line for line in err.splitlines() if not line.startswith(("usage:", " "))]
         assert len(lines) == 1, (argv, err)
+    return code, err
 
 
 @settings(FUZZ, max_examples=400)
@@ -214,7 +218,9 @@ def test_fuzzed_polygon_files(tmp_path, capsys, polygon, own_kind, shape, deep):
         shape = polygon["kind"]
     path = tmp_path / "polygon.json"
     path.write_text(json.dumps(polygon) if deep is None else deep)
-    _run(capsys, ["fill", shape, "--L", "6", "--input", str(path)])
+    # a polygon file is input: it fills or is refused, never a failed check
+    code, err = _run(capsys, ["fill", shape, "--L", "6", "--input", str(path)])
+    assert code in (0, 2), (polygon, err)
 
 
 @FUZZ

@@ -155,6 +155,21 @@ def test_decompose_keeps_no_prefix_keys(p6, monkeypatch):
     ]
 
 
+@pytest.mark.parametrize(
+    "word, expected",
+    [
+        # toral runs at both ends, one of them no pure power
+        ("a x s a s^-1 y", [("toral", None, None, 0, 2), ("x-escape", "x", 1, 2, 5), ("toral", "y", 1, 5, 6)]),
+        # a toral run between two escapes
+        ("s a s^-1 a x t a t^-1",
+         [("x-escape", "x", 1, 0, 3), ("toral", None, None, 3, 5), ("y-escape", "y", 1, 5, 8)]),
+    ],
+)
+def test_decompose_toral_runs_between_escapes(p6, word, expected):
+    segs = decompose_escapes(p6, PathWord(p6, parse_word(word)))
+    assert [(s.kind, s.flavor, s.exponent, s.start, s.end) for s in segs] == expected
+
+
 def test_decompose_rejects_open_path(p6):
     with pytest.raises(ValueError):
         decompose_escapes(p6, PathWord(p6, "sa"))
@@ -326,6 +341,11 @@ def test_loop_bilip_degenerate(p6):
     report = loop_bilip_constant(p6, PathWord(p6, "sS"), 2)
     assert not report.embedded
     assert report.repeated_at == (1, 0)  # edge 1 retraces edge 0
+    # snowflake loop 1 read twice is back at vertex 0 after its 12 letters
+    report = loop_bilip_constant(p6, PathWord(p6, snowflake_loop(p6, 1).chars * 2), 12)
+    assert report == BilipReport(False, True, None, None, repeated_at=(0, 12))
+    # the empty loop has no pair to measure: constant 1, with no witness
+    assert loop_bilip_constant(p6, PathWord(p6, ""), 3) == BilipReport(True, True, Fraction(1), None)
 
 
 def test_loop_bilip_nontrivial_constant(p6):
@@ -348,6 +368,9 @@ def test_loop_bilip_incomplete_under_cap(p6):
     # a geodesic loop one below half: only the antipodal pairs pass the cap
     report = loop_bilip_constant(p6, snowflake_loop(p6, 1), 5)
     assert report == BilipReport(True, False, Fraction(1), (0, 2))
+    # at cap 1 every pair (loop distance >= 2) is past the cap: no witness
+    report = loop_bilip_constant(p6, snowflake_loop(p6, 1), 1)
+    assert report == BilipReport(True, False, Fraction(1), None)
 
 
 def _reference_bilip(params, loop, cap, exact):

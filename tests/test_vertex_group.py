@@ -218,16 +218,17 @@ def test_dist_table_short(p6, p10):
     assert dist_table(p10, 11) == [0, 1, 2, 3, 4, 5, 6, 7, 8, 7, 6, 7]
 
 
-@pytest.mark.parametrize("L", [6, 8, 12, 100, 10**6, 10**30])
+@pytest.mark.parametrize("L", [6, 8, 12, 100, 1000, 10**6, 10**30])
 def test_dist_table_matches_dist_a_at_every_cut(L):
     # each m_max of the first runs, then one that ends in the middle of a
-    # run; at L = 10^6 and 10^30 only the first 40 lengths, which must cost
-    # nothing in L
+    # run; at L = 1000 one of 200 runs, whose distinct runs outgrow a step
+    # (65 runs), so the run dict is emptied once; at L = 10^6 and 10^30
+    # only the first 40 lengths, which must cost nothing in L
     params = GroupParams(L)
     for m_max in range(3 * L if L <= 100 else 40):
         assert dist_table(params, m_max) == [_dist_a(L, m) for m in range(m_max + 1)], m_max
-    if L <= 100:
-        m_max = 3000 * L + L // 2
+    if L <= 1000:
+        m_max = 3000 * L + L // 2 if L <= 100 else 200 * L
         assert dist_table(params, m_max) == [_dist_a(L, m) for m in range(m_max + 1)]
 
 
