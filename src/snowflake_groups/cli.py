@@ -204,26 +204,23 @@ def _cmd_fill(args) -> int:
     params = _params(args)
     if args.shape == "snowflake":
         diagram = filling.subdivide_snowflake(params, args.p, args.subdivision_constant)
-        print(json.dumps(diagram.to_json(), sort_keys=True))
-        return 0
-    data = _read_json(args.input)
-    poly = filling.polygon_from_json(params, data)
-    if args.shape == "bigon":
-        diagram, out = filling.fill_bigon(params, poly, _subdivision(data, "subdivision"))
-        subdivisions = [list(out.exponents)]
-    elif args.shape == "triangle":
-        diagram, sx, sy = filling.fill_triangle(params, poly, _subdivision(data, "subdivision"))
-        subdivisions = [list(sx.exponents), list(sy.exponents)]
+        payload = diagram.to_json()
     else:
-        diagram, s2, s3 = filling.fill_diamond(
-            params, poly, _subdivision(data, "subdivision"), _subdivision(data, "subdivision2")
-        )
-        subdivisions = [list(s2.exponents), list(s3.exponents)]
-    payload = diagram.to_json()
-    payload["subdivisions"] = subdivisions
-    payload["trivial"] = diagram.boundaries_trivial()
+        data = _read_json(args.input)
+        poly = filling.polygon_from_json(params, data)
+        names = ("subdivision", "subdivision2") if args.shape == "diamond" else ("subdivision",)
+        fill = getattr(filling, f"fill_{args.shape}")
+        diagram, *sides = fill(params, poly, *[_subdivision(data, name) for name in names])
+        payload = diagram.to_json()
+        payload["subdivisions"] = [list(side.exponents) for side in sides]
+    failure = diagram.first_nontrivial_cell()
+    payload["trivial"] = failure is None
     print(json.dumps(payload, sort_keys=True))
-    return 0 if payload["trivial"] else 1
+    if failure is None:
+        return 0
+    i, normal_form = failure
+    print(f"counterexample: cell {i} reduces to {normal_form}, not 1", file=sys.stderr)
+    return 1
 
 
 def _cmd_central(args) -> int:

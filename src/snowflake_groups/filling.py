@@ -14,7 +14,7 @@ have no two segments of opposite signs, as its points are rounded to
 multiples of L one by one.  Area (cell count) and mesh (longest cell
 boundary) follow from it as the docstrings state.
 
-Diagrams here are combinatorial: a diagram is its list of cells, each a
+Diagrams here are combinatorial: a diagram is its tuple of cells, each a
 closed boundary word with the point it is read from.  Every produced
 boundary word reduces to the identity; planarity is by construction and
 is not re-verified.  A cell whose word freely reduces to the empty word
@@ -22,7 +22,7 @@ encloses nothing, so it is left out and does not count toward the area.
 Cells enter a diagram only through Diagram.add, which spells each
 (flavor, exponent) once and free-reduces each distinct cell word once:
 the cells of a word share one boundary, checked, measured and formatted
-once.  Every word a filling gives add counts toward the diagram's letter
+once, and the first cell whose word is not trivial is named.  Every word a filling gives add counts toward the diagram's letter
 limit, a freely trivial or repeated one too, so a short input is refused
 whether or not its cells survive free reduction.
 """
@@ -32,9 +32,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
-from .hnn_group import InvariantViolation, reduce_chars
+from .hnn_group import GroupElement, InvariantViolation, reduce_chars
 from .params import GroupParams
 from .paths import _check_depth, snowflake_loop, snowflake_path
 from .vertex_group import (
@@ -160,15 +160,15 @@ class Cell:
 class Diagram:
     """A combinatorial van Kampen diagram: its cells, each made by add.
 
-    The geodesic words a filling spells while it builds the diagram are
-    kept with it, so each (flavor, exponent) is spelled once per diagram.
-    It maps each stored cell word to the boundary all its cells share, and
-    counts the letters of every word add was given.  None of these takes
-    part in equality or repr.
+    cells is a tuple, so add is the only way in, and mesh, the checks and
+    to_json read one map from each stored cell word, in order of first
+    appearance, to the boundary its cells share.  Each (flavor, k) a
+    filling spells is kept, and add counts the letters of every word it
+    is given.  Only the cells take part in equality and repr.
     """
 
     params: GroupParams
-    cells: list[Cell] = field(default_factory=list, init=False)
+    _cells: list[Cell] = field(default_factory=list, init=False)
     _spelled: dict[tuple[str, int], str] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -186,8 +186,13 @@ class Diagram:
         return word
 
     @property
+    def cells(self) -> tuple[Cell, ...]:
+        """The cells in the order add made them."""
+        return tuple(self._cells)
+
+    @property
     def area(self) -> int:
-        return len(self.cells)
+        return len(self._cells)
 
     def add(self, word: str, basepoint: Optional[HPoint] = None) -> None:
         """Append the cell with boundary word `word` read from `basepoint`,
@@ -209,31 +214,37 @@ class Diagram:
             if not free_reduce(word):
                 return
             boundary = self._words[word] = PathWord(self.params, word)
-        self.cells.append(Cell(boundary, basepoint))
-
-    def _distinct_boundaries(self) -> Iterable[PathWord]:
-        """One boundary per distinct word, in the order of first appearance."""
-        return {c.boundary.chars: c.boundary for c in self.cells}.values()
+        self._cells.append(Cell(boundary, basepoint))
 
     @property
     def mesh(self) -> int:
         """The longest cell boundary, measured once per distinct word."""
-        return max((b.length for b in self._distinct_boundaries()), default=0)
+        return max((b.length for b in self._words.values()), default=0)
+
+    def first_nontrivial_cell(self) -> Optional[tuple[int, GroupElement]]:
+        """(i, g): cells[i] is the first cell whose word does not reduce to
+        the identity, g that word's normal form; None if there is none.
+        Each distinct word is Britton-reduced once, in full."""
+        L = self.params.L
+        for boundary in self._words.values():
+            key = reduce_chars(L, boundary.chars)
+            if key != (0, 0):
+                i = next(i for i, c in enumerate(self._cells) if c.boundary is boundary)
+                return i, GroupElement(self.params, key)
+        return None
 
     def boundaries_trivial(self) -> bool:
-        """Whether every cell word Britton-reduces to the identity; each
-        distinct word is reduced once, in full."""
-        L = self.params.L
-        return all(reduce_chars(L, b.chars) == (0, 0) for b in self._distinct_boundaries())
+        """Whether every cell word Britton-reduces to the identity."""
+        return self.first_nontrivial_cell() is None
 
     def to_json(self) -> dict:
         """Area, mesh and the cells' words in token form, each distinct word
         formatted once."""
-        text = {b.chars: str(b) for b in self._distinct_boundaries()}
+        text = {chars: str(b) for chars, b in self._words.items()}
         return {
             "area": self.area,
             "mesh": self.mesh,
-            "cells": [{"boundary": text[c.boundary.chars]} for c in self.cells],
+            "cells": [{"boundary": text[c.boundary.chars]} for c in self._cells],
         }
 
 

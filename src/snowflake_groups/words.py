@@ -18,7 +18,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from .hnn_group import GroupElement
     from .params import GroupParams
 
-GENERATORS = "astxy"
+GENERATORS = frozenset("astxy")
 _VALID = set("aAsStTxXyY")
 _INVERSE = dict(zip("aAsStTxXyY", "AaSsTtXxYy"))
 

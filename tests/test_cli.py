@@ -159,11 +159,13 @@ def test_enfilade(capsys):
 
 
 def test_fill_snowflake(capsys):
+    # every cell word is Britton-reduced, as for the polygons
     code, out, _ = run_cli(capsys, "fill", "snowflake", "--L", "6", "--p", "2")
     assert code == 0
     data = json.loads(out)
     assert data["area"] == 40
     assert data["mesh"] <= 16
+    assert data["trivial"] is True
 
 
 @pytest.mark.parametrize(
@@ -576,19 +578,34 @@ def test_polygon_refusals(tmp_path, capsys, shape, payload, err):
     assert fill_file(tmp_path, capsys, shape, payload) == (2, "", f"error: {err}\n")
 
 
-def test_fill_exit_1_when_a_spelling_is_wrong(tmp_path, capsys, monkeypatch):
-    # nothing is trusted from the speller: one wrong piece makes cells that
-    # are not trivial, and fill says so with exit 1
+def _wrong_speller(monkeypatch, piece):
+    """Make filling spell `piece` with one letter a too many."""
     spell = filling._geodesic_chars
 
     def wrong(params, flavor, k):
-        return spell(params, flavor, k) + ("a" if (flavor, k) == ("a", 6) else "")
+        return spell(params, flavor, k) + ("a" if (flavor, k) == piece else "")
 
     monkeypatch.setattr(filling, "_geodesic_chars", wrong)
+
+
+def test_fill_exit_1_when_a_spelling_is_wrong(tmp_path, capsys, monkeypatch):
+    # nothing is trusted from the speller: one wrong piece makes cells that
+    # are not trivial, and fill says so with exit 1 and names the first one
+    _wrong_speller(monkeypatch, ("a", 6))
     code, out, err = fill_file(tmp_path, capsys, "bigon", _BIGON)
-    assert (code, err) == (1, "")
+    assert (code, err) == (1, "counterexample: cell 0 reduces to a, not 1\n")
     data = json.loads(out)
     assert data["trivial"] is False and data["area"] == 2
+
+
+def test_fill_snowflake_exit_1_when_a_spelling_is_wrong(capsys, monkeypatch):
+    # the snowflake's cells are checked as the polygons' are: the caps read
+    # a^1 backward lam = 6 times, so with a^1 spelled wrong they reduce to a^-6
+    _wrong_speller(monkeypatch, ("a", 1))
+    code, out, err = run_cli(capsys, "fill", "snowflake", "--L", "6", "--p", "3")
+    assert (code, err) == (1, "counterexample: cell 120 reduces to a^-6, not 1\n")
+    data = json.loads(out)
+    assert data["trivial"] is False and data["area"] == 128
 
 
 def test_central_from_file(tmp_path, capsys):
@@ -683,6 +700,22 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as info:
         main(["dist", "--L", "6"])  # neither --a-power nor --h
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (("fill", "snowflake", "--L", "6"), "fill snowflake requires --p"),
+        (("fill", "bigon", "--L", "6", "--p", "2"), "fill bigon requires --input"),
+    ],
+    ids=["snowflake-without-p", "bigon-without-input"],
+)
+def test_fill_needs_its_source(capsys, argv, err):
+    with pytest.raises(SystemExit) as info:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert (info.value.code, captured.out) == (2, "")
+    assert captured.err.splitlines()[-1] == f"snowflake-groups: error: {err}"
 
 
 def test_budget_only_on_searches(capsys):

@@ -201,6 +201,13 @@ def test_ag_ratio_scan_pins_the_first_maximum(L, at):
     assert (scan.max_ratio, scan.at) == (3, at)
 
 
+@pytest.mark.parametrize("bound", [0, -3])
+def test_ag_ratio_scan_refuses_bound_below_one(p6, bound):
+    with pytest.raises(ValueError) as info:
+        ag_ratio_scan(p6, bound)
+    assert str(info.value) == "scan bound must be >= 1"
+
+
 def test_ag_ratio_scan_regression(p6):
     # frozen regression value for the exhaustive [-200, 200]^2 scan
     scan = ag_ratio_scan(p6, 200)

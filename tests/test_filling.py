@@ -197,6 +197,27 @@ def test_snap_zero_diamond(p6):
     assert snapped.exponents == (0, 0, 0, 0)
 
 
+_TRIANGLE = ApproxPolygon("triangle", (HPoint(0, 0), HPoint(0, 2), HPoint(12, 0)), ("x", "y", "a"), (2, 2, -12), 0)
+_DIAMOND = ApproxPolygon(
+    "diamond", (HPoint(0, 0), HPoint(0, 2), HPoint(12, 0), HPoint(12, -2)), ("x", "y", "x", "y"), (2, 2, -2, -2), 0
+)
+
+
+@pytest.mark.parametrize(
+    "call, err",
+    [
+        (lambda p: snap_triangle(p, _DIAMOND), "snap_triangle needs a triangle"),
+        (lambda p: snap_diamond(p, _TRIANGLE), "snap_diamond needs a diamond"),
+        (lambda p: fill_diamond(p, _TRIANGLE, [2], [2]), "fill_diamond needs a diamond"),
+    ],
+    ids=["snap_triangle", "snap_diamond", "fill_diamond"],
+)
+def test_wrong_kind_refused(p6, call, err):
+    with pytest.raises(ValueError) as info:
+        call(p6)
+    assert str(info.value) == err
+
+
 # ---------------------------------------------------------------------------
 # worked filling instances
 
@@ -493,7 +514,7 @@ def test_diagram_letters_bounded(p6, monkeypatch):
     diagram = filling.Diagram(p6)
     with pytest.raises(ValueError, match="more than 10 letters"):
         diagram.add("aAsS" * 5)  # freely trivial, 20 letters
-    assert (diagram.cells, diagram._words, diagram._letters) == ([], {}, 0)
+    assert (diagram.cells, diagram._words, diagram._letters) == ((), {}, 0)
     diagram.add("aAsS")  # freely trivial: no cell, 4 letters
     diagram.add("aaa")
     diagram.add("aaa")  # the same word again: 3 more, exactly MAX_LETTERS
@@ -509,8 +530,10 @@ def test_diagram_letters_bounded(p6, monkeypatch):
 
 
 def test_subdivide_snowflake_letters_bounded(p6, monkeypatch):
-    # a diagram with exactly MAX_LETTERS letters is made, one more is refused
-    total = sum(len(c.boundary) for c in subdivide_snowflake(p6, 5).cells)
+    # a diagram given exactly MAX_LETTERS letters is made, one more is
+    # refused; the limit counts every word add was given, not only the
+    # words of the cells it kept
+    total = subdivide_snowflake(p6, 5)._letters
     monkeypatch.setattr(filling, "MAX_LETTERS", total)
     assert subdivide_snowflake(p6, 5).area == 128
     monkeypatch.setattr(filling, "MAX_LETTERS", total - 1)
@@ -561,9 +584,12 @@ def test_each_distinct_word_handled_once(p6, monkeypatch, build):
     texts = [cell["boundary"] for cell in diagram.to_json()["cells"]]
     assert calls["format_word"] == len(shared)
     assert texts == [str(c.boundary) for c in diagram.cells]
-    # a cell put into the list by hand is still measured and checked
-    diagram.cells.append(filling.Cell(PathWord(p6, "a" * 500)))
-    assert diagram.mesh == 500 and not diagram.boundaries_trivial()
+    # add is the only way in: the cells are a tuple, so none can be put in by hand
+    with pytest.raises(AttributeError):
+        diagram.cells.append(filling.Cell(PathWord(p6, "a" * 500)))
+    with pytest.raises(AttributeError):
+        diagram.cells = [filling.Cell(PathWord(p6, "a" * 500))]
+    assert diagram.mesh < 500 and diagram.boundaries_trivial()
 
 
 def test_diagram_equality_ignores_spellings(p6):

@@ -153,6 +153,14 @@ def test_reduce_word_rejects_bad_letters(p6):
         reduce_word(p6, "abc")
 
 
+@pytest.mark.parametrize("word", ["s", "a s^-1 x", "t a t^-1 s"])
+def test_h_point_outside_h_refused(p6, word):
+    g = reduce_word(p6, word)
+    with pytest.raises(ValueError) as info:
+        g.h_point()
+    assert str(info.value) == f"{g} is not in the vertex group"
+
+
 def _random_word(rng, max_len):
     return "".join(rng.choice("aAsStTxXyY") for _ in range(rng.randrange(max_len)))
 
@@ -364,23 +372,39 @@ def test_tree_dist_matches_bfs_to_distance_16(p6):
     assert set(range(11, 17)) <= found
 
 
+def _joined(params, rng, stable):
+    """The H-geodesic words of stable + 1 seeded points of H, joined by
+    seeded letters s and t: no pinch cancels a positive stable letter, so
+    the element has exactly `stable` of them."""
+    points = [HPoint(rng.randrange(-500, 500), rng.randrange(-8, 9)) for _ in range(stable + 1)]
+    letters = [rng.choice("st") for _ in range(stable)]
+    return "".join(geodesic_word_h(params, h).chars + c for h, c in zip(points, [*letters, ""]))
+
+
+# (stable letters, seed) of the elements near distance 100 checked at L = 6
+_FAR = {6: ((2, 2), (2, 5), (3, 3), (3, 7))}
+
+
 @pytest.mark.parametrize("L", [6, 8, 12])
 def test_tree_dist_local_certificate(L):
     # past any BFS oracle: the six neighbours of g are at |g| +- 1 (the Cayley
     # graph is bipartite for even L) and one of them at |g| - 1, so a wrong
     # distance breaks this at g or at a neighbour.  Seeded H points up to
-    # about 140 and elements with stable letters up to about 45, each first
-    # read within the length of the word that spells it
+    # about 140, elements with stable letters up to about 45 and, at L = 6,
+    # elements with 2 and 3 stable letters near 100, each first read within
+    # the length of the word that spells it
     params = GroupParams(L)
     rng = random.Random(L)
     points = (HPoint(rng.randrange(-3 * L**4, 3 * L**4), rng.randrange(-8, 9)) for _ in range(12))
     words = [geodesic_word_h(params, h).chars for h in points]
     words += ["".join(rng.choice("aAsStT") for _ in range(rng.randrange(30, 60))) for _ in range(12)]
-    table = _line_table(L, max(map(len, words)) + 1)
-    for w in words:
+    far = [_joined(params, random.Random(seed), stable) for stable, seed in _FAR.get(L, ())]
+    assert [len(reduce_chars(L, w)) for w in far] == [2 + 3 * stable for stable, _ in _FAR.get(L, ())]
+    table = _line_table(L, max(map(len, words + far)) + 1)
+    for w in words + far:
         key = reduce_chars(L, w)
         d = _tree_dist(L, table, key, len(w))
-        assert d is not None, w
+        assert d is not None and (w not in far or d >= 85), w
         near = [_tree_dist(L, table, nb, d + 1) for nb in _neighbors(L, key)]
         assert set(near) <= {d - 1, d + 1} and d - 1 in near, (w, d, near)
 

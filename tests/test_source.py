@@ -87,6 +87,38 @@ def test_no_functools_cache_in_package():
     assert found == []
 
 
+def _rebinding_statements(tree):
+    """(lineno, keyword) of every global and nonlocal statement."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Global, ast.Nonlocal)):
+            yield node.lineno, type(node).__name__.lower()
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        ("n = 0\ndef f():\n    global n\n    n += 1\n", [(3, "global")]),
+        ("def f():\n    n = 0\n    def g():\n        nonlocal n\n        n += 1\n", [(4, "nonlocal")]),
+        ("class A:\n    def f(self):\n        global x, y\n", [(3, "global")]),
+        ("def f():\n    n = [0]\n    def g():\n        n[0] += 1\n", []),
+    ],
+)
+def test_rebinding_check_sees_global_and_nonlocal(source, found):
+    assert sorted(_rebinding_statements(ast.parse(source))) == found
+
+
+def test_no_global_or_nonlocal_in_package():
+    # state lives with the object or call that owns it: no function rebinds
+    # a name of its module or of an enclosing function
+    assert SOURCES
+    found = [
+        f"{path.name}:{lineno} {keyword}"
+        for path in SOURCES
+        for lineno, keyword in _rebinding_statements(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert found == []
+
+
 ROOT = Path(__file__).resolve().parents[1]
 
 # public names with no caller that stay: each states a result of the paper,

@@ -51,6 +51,13 @@ def test_params_rejects_bad_l(bad):
         GroupParams(bad)
 
 
+@pytest.mark.parametrize("gen", ["s", "t", "A", ""])
+def test_dist_power_refuses_other_generators(p6, gen):
+    with pytest.raises(ValueError) as info:
+        dist_power(p6, gen, 3)
+    assert str(info.value) == f"not an H generator: {gen!r}"
+
+
 def test_dist_a_power_examples(p6, p10):
     assert dist_a_power(p10, 9) == 7  # 6 + L - 9
     assert dist_a_power(p10, 20) == 8  # 4 + 2|a^2|

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from snowflake_groups import GroupParams, PathWord
-from snowflake_groups.words import format_word, free_reduce, invert_chars, parse_word
+from snowflake_groups.words import format_word, free_reduce, invert_chars, parse_word, power_chars
 
 from conftest import reference_free_reduce
 
@@ -68,3 +68,20 @@ def test_free_reduce_matches_reference():
         assert free_reduce(nest) == reference_free_reduce(nest) == ""
         assert free_reduce(nest + "s" + nest) == reference_free_reduce(nest + "s" + nest) == "s"
         assert free_reduce("t" + nest + "T") == ""
+
+
+@pytest.mark.parametrize("gen", ["b", "A", "", "as", "astxy"])
+def test_power_chars_refuses_bad_letter(gen):
+    # one generator only: a run of them, or none, is not a letter
+    with pytest.raises(ValueError) as info:
+        power_chars(gen, 2)
+    assert str(info.value) == f"bad letter {gen!r}"
+
+
+@pytest.mark.parametrize("token", ["as^2", "^2", "astxy^9999999"])
+def test_parse_word_refuses_runs_of_generators(token):
+    # a token names one generator: "as^2" is not read as "asas", so the
+    # letter count a word is checked against is the count it spells
+    with pytest.raises(ValueError) as info:
+        parse_word(f"a {token}")
+    assert str(info.value) == f"unknown generator in token {token!r}"
