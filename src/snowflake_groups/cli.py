@@ -344,10 +344,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "command", None) == "fill" and args.shape == "snowflake" and args.p is None:
-        parser.error("fill snowflake requires --p")
-    if getattr(args, "command", None) == "fill" and args.shape != "snowflake" and not args.input:
-        parser.error(f"fill {args.shape} requires --input")
+    if getattr(args, "command", None) == "fill":
+        if args.shape == "snowflake" and args.p is None:
+            parser.error("fill snowflake requires --p")
+        if args.shape != "snowflake" and not args.input:
+            parser.error(f"fill {args.shape} requires --input")
+        # the options the shape does not read: a snowflake has no file, a polygon no depth
+        unread = (
+            {"--input": args.input} if args.shape == "snowflake"
+            else {"--p": args.p, "--subdivision-constant": args.subdivision_constant}
+        )
+        ignored = [opt for opt, value in unread.items() if value is not None]
+        if ignored:
+            parser.error(f"fill {args.shape} does not take {' or '.join(ignored)}")
     try:
         return args.func(args)
     except (ValueError, OSError, BudgetExceeded) as exc:

@@ -20,21 +20,26 @@ boundary word reduces to the identity; planarity is by construction and
 is not re-verified.  A cell whose word freely reduces to the empty word
 encloses nothing, so it is left out and does not count toward the area.
 Cells enter a diagram only through Diagram.add, which spells each
-(flavor, exponent) once and free-reduces each distinct cell word once:
-the cells of a word share one boundary, checked, measured and formatted
-once, and the first cell whose word is not trivial is named.  Every word a filling gives add counts toward the diagram's letter
-limit, a freely trivial or repeated one too, so a short input is refused
-whether or not its cells survive free reduction.
+(flavor, exponent) once.  A filling gives add each cell word as the parts
+it is joined from (spelled pieces, verticals, corner paths), and add
+free-reduces, measures and checks a word once, when it first stores it:
+its normal form is folded from those of its parts, each distinct part
+Britton-reduced once per diagram.  Many cells share parts (a grid's rows
+and columns, a strip's verticals), so this reduces fewer letters than the
+words hold.  The cells of a word share one boundary, formatted once.
+Every word a filling gives add counts toward the diagram's letter limit,
+a freely trivial or repeated one too, so a short input is refused whether
+or not its cells survive free reduction.
 """
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Callable, Iterator, Optional, Sequence
 
-from .hnn_group import GroupElement, InvariantViolation, reduce_chars
+from .hnn_group import GroupElement, InvariantViolation, _fold, _key_parts, reduce_chars
 from .params import GroupParams
 from .paths import _check_depth, snowflake_loop, snowflake_path
 from .vertex_group import (
@@ -88,9 +93,10 @@ def _json_strings(values, name: str) -> tuple[str, ...]:
     return tuple(values)
 
 
-def _cell_word(diagram: "Diagram", *pieces: tuple[str, int]) -> str:
-    """The geodesic words of the (flavor, exponent) pieces, one after another."""
-    return "".join(diagram.spell(flavor, k) for flavor, k in pieces)
+def _cell_word(diagram: "Diagram", *pieces: tuple[str, int]) -> tuple[str, ...]:
+    """The geodesic words of the (flavor, exponent) pieces, one after another,
+    as the parts of a cell word."""
+    return tuple(diagram.spell(flavor, k) for flavor, k in pieces)
 
 
 def _backward(exps: Sequence[int]) -> list[int]:
@@ -160,11 +166,13 @@ class Cell:
 class Diagram:
     """A combinatorial van Kampen diagram: its cells, each made by add.
 
-    cells is a tuple, so add is the only way in, and mesh, the checks and
-    to_json read one map from each stored cell word, in order of first
-    appearance, to the boundary its cells share.  Each (flavor, k) a
-    filling spells is kept, and add counts the letters of every word it
-    is given.  Only the cells take part in equality and repr.
+    cells is a tuple, so add is the only way in.  add keeps one map from
+    each stored cell word, in order of first appearance, to the boundary
+    its cells share, and folds each new word into the mesh and the first
+    cell that is not trivial; to_json reads the same map.  Each (flavor, k)
+    a filling spells is kept, and so is the normal form of each distinct
+    part of a stored word, as its syllables; add counts the letters of
+    every word it is given.  Only the cells take part in equality and repr.
     """
 
     params: GroupParams
@@ -175,7 +183,14 @@ class Diagram:
     _words: dict[str, PathWord] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    _syllables: dict[str, tuple[tuple[int, int, int], ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
     _letters: int = field(default=0, init=False, repr=False, compare=False)
+    _mesh: int = field(default=0, init=False, repr=False, compare=False)
+    _first: Optional[tuple[int, GroupElement]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def spell(self, flavor: str, k: int) -> str:
         """The geodesic word of flavor^k (vertex_group._geodesic_chars), spelled
@@ -194,44 +209,59 @@ class Diagram:
     def area(self) -> int:
         return len(self._cells)
 
-    def add(self, word: str, basepoint: Optional[HPoint] = None) -> None:
+    def add(self, word: str | Sequence[str], basepoint: Optional[HPoint] = None) -> None:
         """Append the cell with boundary word `word` read from `basepoint`,
         unless the word freely reduces to the empty word: such a cell
         encloses nothing.  This is the only place a Cell is made.
 
-        Every word given here counts toward MAX_LETTERS, repeated or freely
-        trivial: one that would pass it raises ValueError before it is
-        looked at, so a short input cannot spell a diagram without bound.
-        A stored word is free-reduced and checked once; later cells of that
-        word share its boundary.
+        `word` is a string, or the parts it is joined from, in order; the
+        cell's word is the same either way.  Every word given here counts
+        toward MAX_LETTERS, repeated or freely trivial: one that would pass
+        it raises ValueError before it is looked at, so a short input cannot
+        spell a diagram without bound.  The first time a word is stored it
+        is free-reduced, folded into mesh and checked: its normal form is
+        folded from the syllables of its parts' normal forms, which is exact
+        whatever the parts are.  Later cells of that word share its
+        boundary.
         """
-        letters = self._letters + len(word)
+        parts = (word,) if isinstance(word, str) else word
+        chars = "".join(parts)
+        letters = self._letters + len(chars)
         if letters > MAX_LETTERS:
             raise ValueError(f"the diagram's cells would hold more than {MAX_LETTERS} letters")
         self._letters = letters
-        boundary = self._words.get(word)
+        boundary = self._words.get(chars)
         if boundary is None:
-            if not free_reduce(word):
+            if not free_reduce(chars):
                 return
-            boundary = self._words[word] = PathWord(self.params, word)
+            boundary = self._words[chars] = PathWord(self.params, chars)
+            self._mesh = max(self._mesh, boundary.length)
+            key = _fold(self.params.L, (0, 0), chain.from_iterable(map(self._reduced, parts)))
+            if key != (0, 0) and self._first is None:
+                self._first = len(self._cells), GroupElement(self.params, key)
         self._cells.append(Cell(boundary, basepoint))
+
+    def _reduced(self, part: str) -> tuple[tuple[int, int, int], ...]:
+        """The normal form of the word `part` as the steps (code, u, v) that
+        _fold takes: its head, then its syllables.  Britton-reduced in full
+        the first time this diagram asks for it."""
+        steps = self._syllables.get(part)
+        if steps is None:
+            key = reduce_chars(self.params.L, part)
+            steps = self._syllables[part] = ((0, key[0], key[1]), *_key_parts(key))
+        return steps
 
     @property
     def mesh(self) -> int:
-        """The longest cell boundary, measured once per distinct word."""
-        return max((b.length for b in self._words.values()), default=0)
+        """The longest cell boundary, measured as add stores each word."""
+        return self._mesh
 
     def first_nontrivial_cell(self) -> Optional[tuple[int, GroupElement]]:
         """(i, g): cells[i] is the first cell whose word does not reduce to
         the identity, g that word's normal form; None if there is none.
-        Each distinct word is Britton-reduced once, in full."""
-        L = self.params.L
-        for boundary in self._words.values():
-            key = reduce_chars(L, boundary.chars)
-            if key != (0, 0):
-                i = next(i for i, c in enumerate(self._cells) if c.boundary is boundary)
-                return i, GroupElement(self.params, key)
-        return None
+        Recorded by add, which Britton-reduces each distinct part of a
+        stored word once, in full."""
+        return self._first
 
     def boundaries_trivial(self) -> bool:
         """Whether every cell word Britton-reduces to the identity."""
@@ -397,11 +427,8 @@ def _bigon_cells(
     )
     tops = [-e for e in exps[:p]] + [M1 + prefix[p]] + [0] * (n - 1 - p)
     for i, (e, top) in enumerate(zip(exps, tops)):
-        word = (
-            diagram.spell(flavor, e) + verticals[i + 1]
-            + diagram.spell(flavor, top) + invert_chars(verticals[i])
-        )
-        diagram.add(word, starts[i])
+        up, down = verticals[i + 1], invert_chars(verticals[i])
+        diagram.add((diagram.spell(flavor, e), up, diagram.spell(flavor, top), down), starts[i])
     return [M1 + prefix[p]] + _backward(exps[:p])
 
 
@@ -474,7 +501,7 @@ def _fill_polygon(
         )
         subs.append(Subdivision(poly.corners[i], poly.flavors[i], tuple(_backward(out))))
     for i in range(n):
-        word = cps[i].chars + alphas[(i + 1) % n] + invert_chars(gammas[i])
+        word = (cps[i].chars, alphas[(i + 1) % n], invert_chars(gammas[i]))
         diagram.add(word, poly.side_end(params, i))
     return diagram, subs[0], subs[1]
 
@@ -529,16 +556,16 @@ def _triangle_interior(diagram: Diagram, true: ApproxPolygon, inbound: Sides) ->
     if heights[-1] != true.exponents[0]:
         raise InvariantViolation(f"the grid rises to {heights[-1]}, not to {true.exponents[0]}")
     d = [b - a for a, b in zip(heights, heights[1:])]
+    below: list[tuple[str, str, HPoint]] = []  # x^(d_i), x^(-d_i) and x^(-n_i) of each step i so far
     for j, dj in enumerate(d):
         if dj == 0:
             continue
-        word = _cell_word(diagram, ("a", -L * dj), ("x", dj), ("y", dj))
-        diagram.add(word, g2p * HPoint(rounded[j], 0))
-        for i in range(j):
-            if d[i] == 0:
-                continue
-            word = _cell_word(diagram, ("x", d[i]), ("y", -dj), ("x", -d[i]), ("y", dj))
-            diagram.add(word, g2p * HPoint(rounded[j], heights[j] - heights[i]))
+        x_up, y_up, y_down = diagram.spell("x", dj), diagram.spell("y", dj), diagram.spell("y", -dj)
+        diagram.add((diagram.spell("a", -L * dj), x_up, y_up), g2p * HPoint(rounded[j], 0))
+        row = g2p * HPoint(rounded[j], heights[j])
+        for x_i, x_back, drop in below:
+            diagram.add((x_i, y_down, x_back, y_up), row * drop)
+        below.append((x_up, diagram.spell("x", -dj), HPoint(0, -heights[j])))
     grid = d[::-1]
     return {0: grid, 1: grid}
 
@@ -566,17 +593,21 @@ def fill_triangle(
 def _diamond_grid(diagram: Diagram, corner: HPoint, dw: Sequence[int], dz: Sequence[int]) -> None:
     """One small diamond x^w y^z x^-w y^-z per nonzero segment w of dw and
     z of dz, read from corner x^(dw before w) y^(dz before z); w outer.
-    Cells of one shape share the diagram's one boundary of their word."""
+    Each row and column is spelled once; cells of one shape share the
+    diagram's one boundary of their word."""
     params = diagram.params
+    columns = [
+        (diagram.spell("y", z), diagram.spell("y", -z), HPoint.generator(params, "y", zp))
+        for zp, z in zip(accumulate(dz, initial=0), dz)
+        if z
+    ]
     for wp, w in zip(accumulate(dw, initial=0), dw):
         if w == 0:
             continue
+        x_w, x_back = diagram.spell("x", w), diagram.spell("x", -w)
         row = corner * HPoint.generator(params, "x", wp)
-        for zp, z in zip(accumulate(dz, initial=0), dz):
-            if z == 0:
-                continue
-            word = _cell_word(diagram, ("x", w), ("y", z), ("x", -w), ("y", -z))
-            diagram.add(word, row * HPoint.generator(params, "y", zp))
+        for y_z, y_back, lift in columns:
+            diagram.add((x_w, y_z, x_back, y_back), row * lift)
 
 
 def _diamond_interior(diagram: Diagram, true: ApproxPolygon, inbound: Sides) -> Sides:
@@ -694,7 +725,7 @@ def subdivide_snowflake(
     # caps
     piece_geo = invert_chars(diagram.spell("a", pieces[-1]))
     for flavor in ("s", "t"):
-        cap_word = snowflake_path(params, depth - m_star, flavor).chars + piece_geo * lam
+        cap_word = (snowflake_path(params, depth - m_star, flavor).chars, *[piece_geo] * lam)
         for _ in range(2 ** m_star):
             diagram.add(cap_word)
     if diagram.mesh > half:

@@ -110,7 +110,11 @@ def _letters(L: int) -> dict[str, tuple[int, int, int]]:
 
 
 def _fold(
-    L: int, key: Key, steps: Iterable[tuple[int, int, int]], sink: Optional[Callable[[Key], None]] = None
+    L: int,
+    key: Key,
+    steps: Iterable[tuple[int, int, int]],
+    sink: Optional[Callable[[Key], None]] = None,
+    visit: Optional[Callable[[list, int, int], None]] = None,
 ) -> Key:
     """Key of the element `key` times the steps, folded in left to right.
 
@@ -123,6 +127,9 @@ def _fold(
     instead of a copy of the key.  These are the crossing rules of the
     normal form; the BFS step _neighbors writes them out once more for its
     six letters.  With a `sink`, it is called with the key after each step.
+    With a `visit` instead, it is called after each step with the live
+    stack and the tail, visit(stack, u, v), and no key is built: for a
+    caller that reads only part of each prefix (h_visits).
     """
     stack = list(key[:-2])
     u, v = key[-2], key[-1]
@@ -148,6 +155,8 @@ def _fold(
                 u, v = cu + du, cv + dv
         if sink is not None:
             sink((*stack, u, v))
+        elif visit is not None:
+            visit(stack, u, v)
     return (*stack, u, v)
 
 
@@ -165,16 +174,17 @@ def prefix_keys(L: int, chars: str) -> list[Key]:
 
 def h_visits(L: int, chars: str) -> list[tuple[int, int, int]]:
     """(i, u, v) for each prefix i of chars that ends in H, at a^u x^v,
-    shortest first: one fold whose sink numbers every prefix and keeps only
-    those in H, so no key outside H is held (prefix_keys holds them all)."""
+    shortest first: one fold that numbers every prefix and keeps only those
+    whose stack is empty, so no key is built, let alone held (prefix_keys
+    holds them all)."""
     visits, steps = [(0, 0, 0)], count(1)
 
-    def keep(key: Key) -> None:
+    def keep(stack: list, u: int, v: int) -> None:
         i = next(steps)
-        if len(key) == 2:
-            visits.append((i, *key))
+        if not stack:
+            visits.append((i, u, v))
 
-    _fold(L, identity_key(), map(_letters(L).__getitem__, chars), keep)
+    _fold(L, identity_key(), map(_letters(L).__getitem__, chars), visit=keep)
     return visits
 
 

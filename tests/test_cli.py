@@ -718,6 +718,46 @@ def test_fill_needs_its_source(capsys, argv, err):
     assert captured.err.splitlines()[-1] == f"snowflake-groups: error: {err}"
 
 
+@pytest.mark.parametrize(
+    "shape, extra, err",
+    [
+        ("snowflake", ("--input", "missing.json"), "fill snowflake does not take --input"),
+        ("bigon", ("--p", "3"), "fill bigon does not take --p"),
+        ("bigon", ("--p", "3", "--subdivision-constant", "5"),
+         "fill bigon does not take --p or --subdivision-constant"),
+        ("triangle", ("--subdivision-constant", "5"), "fill triangle does not take --subdivision-constant"),
+        ("diamond", ("--p", "2"), "fill diamond does not take --p"),
+    ],
+)
+def test_fill_refuses_options_its_shape_does_not_read(tmp_path, capsys, shape, extra, err):
+    # without the extra option the call succeeds; with it, it is a usage
+    # error, before any file is opened
+    payload = {
+        "bigon": {"kind": "bigon", "corners": [[0, 0], [12, 1]], "flavors": ["a", "a"],
+                  "exponents": [12, -12], "D": 3, "subdivision": [6, 6]},
+        "triangle": {"kind": "triangle", "corners": [[0, 0], [0, 2], [12, 0]], "flavors": ["x", "y", "a"],
+                     "exponents": [2, 2, -12], "D": 0, "subdivision": [-6, -6]},
+        "diamond": {"kind": "diamond", "corners": [[0, 0], [0, 2], [12, 0], [12, -2]],
+                    "flavors": ["x", "y", "x", "y"], "exponents": [2, 2, -2, -2], "D": 0,
+                    "subdivision": [1, 1], "subdivision2": [1, 1]},
+    }
+    if shape == "snowflake":
+        source = ["--p", "2"]
+    else:
+        path = tmp_path / f"{shape}.json"
+        path.write_text(json.dumps(payload[shape]))
+        source = ["--input", str(path)]
+    argv = ["fill", shape, "--L", "6", *source]
+    assert run_cli(capsys, *argv)[0] == 0
+    with pytest.raises(SystemExit) as info:
+        main([*argv, *extra])
+    captured = capsys.readouterr()
+    assert (info.value.code, captured.out) == (2, "")
+    assert captured.err.splitlines()[-1] == f"snowflake-groups: error: {err}"
+    if shape == "snowflake":  # the snowflake's own option is still taken
+        assert run_cli(capsys, *argv, "--subdivision-constant", "6")[0] == 0
+
+
 def test_budget_only_on_searches(capsys):
     # the limits are fixed: no subcommand, ball and verify-loop included, takes --budget
     valid = {

@@ -91,8 +91,9 @@ def argvs(draw):
     if command == "fill":
         shape = draw(st.sampled_from(["bigon", "triangle", "diamond", "snowflake", "square"]))
         argv.append(shape)
-        if draw(_mostly(10)):  # the snowflake takes --p, a polygon --input
-            del options["--input" if shape == "snowflake" else "--p"]
+        if draw(_mostly(10)):  # the snowflake takes --p and --subdivision-constant, a polygon --input
+            for option in ("--input",) if shape == "snowflake" else ("--p", "--subdivision-constant"):
+                del options[option]
     for option, values in options.items():
         if draw(_mostly(10)):  # each option is left out one time in ten
             value = draw(values)

@@ -27,6 +27,8 @@ from snowflake_groups import (
     subdivide_snowflake,
 )
 from snowflake_groups.filling import (
+    _bigon_cells,
+    _corner_paths,
     _round_to_multiples,
     cap_depth,
     f_at_edge_point,
@@ -34,7 +36,9 @@ from snowflake_groups.filling import (
     polygon_from_json,
 )
 from snowflake_groups import words
-from snowflake_groups.words import PathWord, free_reduce
+from snowflake_groups.hnn_group import reduce_chars
+from snowflake_groups.vertex_group import _geodesic_chars
+from snowflake_groups.words import PathWord, free_reduce, invert_chars
 
 from conftest import reference_free_reduce
 
@@ -476,17 +480,143 @@ def test_cell_words_pinned(p6):
 )
 def test_randomized_cell_words_pinned(p6, kind, area, digest):
     # the 30 jittered polygons of test_fill_bounds_randomized, recorded as above
-    rng = random.Random(f"fill-{kind}")
-    jitters = jitter_pool(p6, 2) + [HPoint(0, 0)] * 6
-    make = {"bigon": random_bigon, "triangle": random_triangle, "diamond": random_diamond}[kind]
-    fill = {"bigon": fill_bigon, "triangle": fill_triangle, "diamond": fill_diamond}[kind]
     h, total = hashlib.sha256(), 0
-    for _ in range(30):
-        poly, *subs = make(p6, rng, 12, 8, jitters)
-        diagram = fill(p6, poly, *subs)[0]
+    for diagram in _seeded_fillings(p6, kind):
         total += diagram.area
         h.update(_cells_digest(diagram).encode())
     assert (total, h.hexdigest()) == (area, digest)
+
+
+def _seeded_fillings(params, kind):
+    """The diagrams of the 30 jittered polygons of test_fill_bounds_randomized,
+    filled one by one (a generator, so a test may patch between fills).
+    kind "uneven bigon": 30 bigons a^m0 and a^m1 with |m1| < |m0|, whose
+    strips after the first p cells read geodesic verticals."""
+    if kind == "uneven bigon":
+        rng = random.Random("uneven")
+        for _ in range(30):
+            m0 = rng.choice([-1, 1]) * rng.randint(8, 40)
+            m1 = -m0 + (1 if m0 > 0 else -1) * rng.randint(2, abs(m0) - 1)
+            g0 = HPoint(rng.randint(-20, 20), rng.randint(-2, 2))
+            poly = measured_polygon(params, "bigon", (g0, g0 * HPoint(m0, 0)), ("a", "a"), (m0, m1))
+            yield fill_bigon(params, poly, random_split(rng, m0, 6, 12))[0]
+        return
+    rng = random.Random(f"fill-{kind}")
+    jitters = jitter_pool(params, 2) + [HPoint(0, 0)] * 6
+    make = {"bigon": random_bigon, "triangle": random_triangle, "diamond": random_diamond}[kind]
+    fill = {"bigon": fill_bigon, "triangle": fill_triangle, "diamond": fill_diamond}[kind]
+    for _ in range(30):
+        poly, *subs = make(params, rng, 12, 8, jitters)
+        yield fill(params, poly, *subs)[0]
+
+
+def _whole_word_verdict(diagram):
+    """(i, key): cells[i] is the first cell whose joined word does not
+    reduce to 1 by reduce_chars on the whole word, key its normal form;
+    None if there is none.  The oracle for Diagram.first_nontrivial_cell."""
+    keys = {}
+    for i, cell in enumerate(diagram.cells):
+        chars = cell.boundary.chars
+        if chars not in keys:
+            keys[chars] = reduce_chars(diagram.params.L, chars)
+        if keys[chars] != (0, 0):
+            return i, keys[chars]
+    return None
+
+
+def _verdict(diagram):
+    found = diagram.first_nontrivial_cell()
+    return None if found is None else (found[0], found[1].key)
+
+
+@pytest.mark.parametrize("kind", ["bigon", "uneven bigon", "triangle", "diamond", "snowflake"])
+def test_checks_match_the_whole_word_oracle(p6, kind):
+    # add checks each word from its parts; reducing every joined word in
+    # full agrees, and mesh is the longest boundary of any cell
+    if kind == "snowflake":
+        diagrams = [subdivide_snowflake(p6, p) for p in range(2, 10)]
+    else:
+        diagrams = list(_seeded_fillings(p6, kind))
+    for diagram in diagrams:
+        assert _verdict(diagram) == _whole_word_verdict(diagram) is None
+        assert diagram.mesh == max((c.boundary.length for c in diagram.cells), default=0)
+        for part, steps in diagram._syllables.items():  # each part's recorded normal form
+            key = reduce_chars(p6.L, part)
+            assert steps == ((0, key[0], key[1]), *zip(key[2::3], key[3::3], key[4::3]))
+
+
+def test_normal_form_from_parts_is_that_of_the_whole_word(p6):
+    # words joined from short parts, so that Britton pinches and free
+    # cancellation cross the joins; every part is already in the diagram's
+    # memo, put there by a trivial word p [x, a] p^-1
+    rng = random.Random("parts")
+    pool = list("aAsStTxXyY") + ["a" * 6, "A" * 6, "sa", "AS", "tA", "aT", "xy", "YX"]
+    pool += ["".join(rng.choice("aAsStTxXyY") for _ in range(rng.randint(2, 8))) for _ in range(10)]
+    caught = 0
+    for _ in range(400):
+        parts = tuple(rng.choice(pool) for _ in range(rng.randint(1, 7)))
+        diagram = filling.Diagram(p6)
+        for part in parts:
+            diagram.add((part, "xaXA", invert_chars(part)))
+        assert diagram.boundaries_trivial()
+        known = dict(diagram._syllables)
+        diagram.add(parts)
+        assert diagram._syllables == known  # nothing new was reduced
+        key = reduce_chars(p6.L, "".join(parts))
+        if key == (0, 0) or not free_reduce("".join(parts)):
+            assert _verdict(diagram) is None
+        else:
+            assert _verdict(diagram) == (diagram.area - 1, key)
+            caught += 1
+    assert caught > 300
+
+
+def _wrong_once(spell, calls, nth):
+    """spell, except that its nth call (counted in calls) returns a word
+    with one more letter a."""
+    def wrong(*args):
+        word = spell(*args)
+        calls[0] += 1
+        if calls[0] != nth:
+            return word
+        return word + "a" if isinstance(word, str) else PathWord(word.params, word.chars + "a")
+
+    return wrong
+
+
+@pytest.mark.parametrize("where", ["spelled piece", "bigon vertical", "corner path"])
+def test_wrong_part_caught_where_the_whole_word_oracle_says(p6, monkeypatch, where):
+    # one wrong part per diagram, of each kind that add is given, is caught
+    # at the cell the whole-word oracle names, with its normal form
+    caught = injected = 0
+    for kind in ("bigon", "uneven bigon", "triangle", "diamond"):
+        fillings = _seeded_fillings(p6, kind)
+        for n in range(30):
+            calls, nth = [0], n % 5 + 1 if where == "spelled piece" else 1
+            if where == "spelled piece":  # the nth distinct (flavor, k) the diagram spells
+                monkeypatch.setattr(filling, "_geodesic_chars", _wrong_once(_geodesic_chars, calls, nth))
+            elif where == "bigon vertical":  # geodesics of H spelled while a strip is filled
+                def strip(*args, calls=calls, cells=_bigon_cells):
+                    with monkeypatch.context() as m:
+                        m.setattr(filling, "geodesic_word_h", _wrong_once(geodesic_word_h, calls, 1))
+                        return cells(*args)
+
+                monkeypatch.setattr(filling, "_bigon_cells", strip)
+            else:  # a corner path, given or measured, after _corner_paths has checked it
+                def paths(*args, calls=calls, checked=_corner_paths):
+                    out = checked(*args)
+                    out[n % len(out)] = PathWord(p6, out[n % len(out)].chars + "a")
+                    calls[0] = 1
+                    return out
+
+                monkeypatch.setattr(filling, "_corner_paths", paths)
+            diagram = next(fillings)
+            monkeypatch.undo()
+            assert _verdict(diagram) == _whole_word_verdict(diagram)
+            assert diagram.mesh == max((c.boundary.length for c in diagram.cells), default=0)
+            caught += _verdict(diagram) is not None
+            injected += calls[0] >= nth
+    assert caught == injected >= 20  # a trivial word with one more a is not trivial
 
 
 @pytest.mark.parametrize("where", [0, 50, 100])
@@ -555,14 +685,29 @@ def _counting(calls, name, fn):
 def test_each_distinct_word_handled_once(p6, monkeypatch, build):
     # a diagram keeps one boundary per distinct cell word: it is
     # free-reduced, checked and formatted once, and every cell of that word
-    # shares it; a freely trivial word makes no cell and is not kept
-    calls, reduced = Counter(), Counter()
+    # shares it; a freely trivial word makes no cell and is not kept.  The
+    # check Britton-reduces each distinct part of a stored word once, as add
+    # stores the first word that holds it, and reading the verdict or the
+    # mesh afterwards reduces nothing
+    calls, reduced, britton = Counter(), Counter(), Counter()
+    parts_of = {}  # each joined word -> the parts add was first given it as
+    add = filling.Diagram.add
 
     def reducing(word):
         reduced[word] += 1
         return free_reduce(word)
 
+    def reducing_in_full(L, chars):
+        britton[chars] += 1
+        return reduce_chars(L, chars)
+
+    def recording(diagram, word, basepoint=None):
+        parts_of.setdefault("".join(word), (word,) if isinstance(word, str) else tuple(word))
+        add(diagram, word, basepoint)
+
     monkeypatch.setattr(filling, "free_reduce", reducing)
+    monkeypatch.setattr(filling, "reduce_chars", reducing_in_full)
+    monkeypatch.setattr(filling.Diagram, "add", recording)
     monkeypatch.setattr(filling, "PathWord", _counting(calls, "PathWord", filling.PathWord))
     monkeypatch.setattr(words, "format_word", _counting(calls, "format_word", words.format_word))
     if build == "snowflake":
@@ -581,6 +726,13 @@ def test_each_distinct_word_handled_once(p6, monkeypatch, build):
     assert len(reduced) == len(shared) + len(trivial)
     assert len(trivial) == (6 if build == "diamond" else 0)
     assert calls == {"PathWord": len(shared)}
+    parts = {part for word in shared for part in parts_of[word]}
+    assert britton == Counter(parts) and sum(map(len, parts)) < sum(map(len, shared))
+    britton.clear()
+    assert (diagram.mesh, diagram.boundaries_trivial(), diagram.first_nontrivial_cell()) == (
+        max(b.length for b in diagram._words.values()), True, None
+    )
+    assert not britton
     texts = [cell["boundary"] for cell in diagram.to_json()["cells"]]
     assert calls["format_word"] == len(shared)
     assert texts == [str(c.boundary) for c in diagram.cells]
@@ -590,6 +742,7 @@ def test_each_distinct_word_handled_once(p6, monkeypatch, build):
     with pytest.raises(AttributeError):
         diagram.cells = [filling.Cell(PathWord(p6, "a" * 500))]
     assert diagram.mesh < 500 and diagram.boundaries_trivial()
+    assert not britton
 
 
 def test_diagram_equality_ignores_spellings(p6):
