@@ -209,13 +209,13 @@ class Diagram:
     def area(self) -> int:
         return len(self._cells)
 
-    def add(self, word: str | Sequence[str], basepoint: Optional[HPoint] = None) -> None:
-        """Append the cell with boundary word `word` read from `basepoint`,
-        unless the word freely reduces to the empty word: such a cell
-        encloses nothing.  This is the only place a Cell is made.
+    def add(self, parts: Sequence[str], basepoint: Optional[HPoint] = None) -> None:
+        """Append the cell with boundary word "".join(parts) read from
+        `basepoint`, unless the word freely reduces to the empty word: such a
+        cell encloses nothing.  This is the only place a Cell is made.
 
-        `word` is a string, or the parts it is joined from, in order; the
-        cell's word is the same either way.  Every word given here counts
+        `parts` are the words the cell's word is joined from, in order; a
+        string is the sequence of its letters.  Every word given here counts
         toward MAX_LETTERS, repeated or freely trivial: one that would pass
         it raises ValueError before it is looked at, so a short input cannot
         spell a diagram without bound.  The first time a word is stored it
@@ -224,7 +224,6 @@ class Diagram:
         whatever the parts are.  Later cells of that word share its
         boundary.
         """
-        parts = (word,) if isinstance(word, str) else word
         chars = "".join(parts)
         letters = self._letters + len(chars)
         if letters > MAX_LETTERS:
@@ -693,7 +692,7 @@ def subdivide_snowflake(
         raise ValueError(f"subdivision constant must be >= 1, got {lam}")
     diagram = Diagram(params)
     if depth == 1:
-        diagram.add(snowflake_loop(params, 1).chars, HPoint.identity())
+        diagram.add(snowflake_loop(params, 1).chars, HPoint(0, 0))
         return diagram
     half = 5 * 2**depth - 4
     if lam > half:
@@ -709,7 +708,7 @@ def subdivide_snowflake(
 
     # central diamond -> lam^2 small diamonds
     k1 = L ** (depth - 1) // lam
-    _diamond_grid(diagram, HPoint.identity(), [k1] * lam, [k1] * lam)
+    _diamond_grid(diagram, HPoint(0, 0), [k1] * lam, [k1] * lam)
 
     # branch levels
     for m, piece in enumerate(pieces[:-1], 1):

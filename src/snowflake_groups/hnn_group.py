@@ -30,9 +30,10 @@ the module has no mutable state, so everything here is safe to share
 across threads.
 
 Reduction, multiplication and inversion all fold letters or syllables
-into a key held as a list stack (_fold), so each letter costs O(1).  The
-crossing rules above live in _fold and once more in the BFS step
-_neighbors, which applies all six letters to a key in one pass.
+into a key held as a list stack (_fold, whose one callback reads every
+prefix), so each letter costs O(1).  The crossing rules above live in
+_fold and once more in the BFS step _neighbors, which applies all six
+letters to a key in one pass.
 
 Distances in the {a, s, t} Cayley graph come from a min-plus program along
 the Bass-Serre tree (_tree_dist).  The key h_0 e_1 h_1 ... e_n h_n of g
@@ -90,10 +91,6 @@ class InvariantViolation(RuntimeError):
     """A guarantee the code states (a snap distance, a rounding order) failed."""
 
 
-def identity_key() -> Key:
-    return (0, 0)
-
-
 def _letters(L: int) -> dict[str, tuple[int, int, int]]:
     """The letter dispatch: letter -> its step (code, du, dv) for _fold.
 
@@ -113,7 +110,6 @@ def _fold(
     L: int,
     key: Key,
     steps: Iterable[tuple[int, int, int]],
-    sink: Optional[Callable[[Key], None]] = None,
     visit: Optional[Callable[[list, int, int], None]] = None,
 ) -> Key:
     """Key of the element `key` times the steps, folded in left to right.
@@ -126,10 +122,10 @@ def _fold(
     triple or, in a pinch, deletes the top one, so a letter costs O(1)
     instead of a copy of the key.  These are the crossing rules of the
     normal form; the BFS step _neighbors writes them out once more for its
-    six letters.  With a `sink`, it is called with the key after each step.
-    With a `visit` instead, it is called after each step with the live
-    stack and the tail, visit(stack, u, v), and no key is built: for a
-    caller that reads only part of each prefix (h_visits).
+    six letters.  A `visit`, if given, is called after each step with the
+    live stack and the tail, visit(stack, u, v); the fold builds no key but
+    the last, so a caller builds only what it reads of each prefix
+    (prefix_keys the whole key, h_visits an H point).
     """
     stack = list(key[:-2])
     u, v = key[-2], key[-1]
@@ -153,22 +149,21 @@ def _fold(
             else:
                 stack += (ru, rv, code)
                 u, v = cu + du, cv + dv
-        if sink is not None:
-            sink((*stack, u, v))
-        elif visit is not None:
+        if visit is not None:
             visit(stack, u, v)
     return (*stack, u, v)
 
 
-def reduce_chars(L: int, chars: str, key: Key = (0, 0)) -> Key:
-    """Key of the element `key` times the word chars."""
-    return _fold(L, key, map(_letters(L).__getitem__, chars))
+def reduce_chars(L: int, chars: str) -> Key:
+    """Key of the word chars."""
+    return _fold(L, (0, 0), map(_letters(L).__getitem__, chars))
 
 
 def prefix_keys(L: int, chars: str) -> list[Key]:
     """The keys of all prefixes of chars, shortest first (len(chars) + 1 keys)."""
-    keys = [identity_key()]
-    _fold(L, identity_key(), map(_letters(L).__getitem__, chars), keys.append)
+    keys = [(0, 0)]
+    push = keys.append
+    _fold(L, (0, 0), map(_letters(L).__getitem__, chars), lambda stack, u, v: push((*stack, u, v)))
     return keys
 
 
@@ -184,7 +179,7 @@ def h_visits(L: int, chars: str) -> list[tuple[int, int, int]]:
         if not stack:
             visits.append((i, u, v))
 
-    _fold(L, identity_key(), map(_letters(L).__getitem__, chars), visit=keep)
+    _fold(L, (0, 0), map(_letters(L).__getitem__, chars), visit=keep)
     return visits
 
 
@@ -220,7 +215,7 @@ def _key_invert(L: int, key: Key) -> Key:
     steps = [(0, -key[-2], -key[-1])]
     for i in range(len(key) - 3, 1, -3):  # code positions, last syllable first
         steps.append((-key[i], -key[i - 2], -key[i - 1]))
-    return _fold(L, identity_key(), steps)
+    return _fold(L, (0, 0), steps)
 
 
 def _key_mul(L: int, left: Key, right: Key) -> Key:
@@ -354,8 +349,8 @@ def bfs_ball(params: GroupParams, radius: int) -> Ball:
     if radius < 0:
         raise ValueError(f"radius must be nonnegative, got {radius}")
     L, limit = params.L, MAX_BALL_STATES
-    dist: dict[Key, int] = {identity_key(): 0}
-    frontier: list[Key] = [identity_key()]
+    dist: dict[Key, int] = {(0, 0): 0}
+    frontier: list[Key] = [(0, 0)]
     for d in range(1, radius + 1):
         nxt: list[Key] = []
         for key in frontier:

@@ -20,13 +20,15 @@ where |g^k| = 2 + |a^k| for g in {x, y}, k != 0, over both decompositions
 (r = l mod L and r - L, _splits), as validated against the BFS oracle.
 
 The guard routes to a^(qL+r) need only lo = |a^q| and hi = |a^(q+1)|, and
-_routes is their one home.  For q >= 1, hi = lo + e, e = +-1 by parity, so
-they are 4 + 2lo + r and 4 + 2lo + 2e + L - r, the first no longer iff
-r < L/2 + e, and those to a^(qL+r+1) are one longer and one shorter.  So
-|a^m| is a two-state scan down the base-L digits of m (_scan): with
-c = L/2 + e, a digit r takes (lo, c) to (2lo + 4 + r, L/2 + 1) if r < c,
-else to (2lo + 4 + 2c - r, L/2 - 1), from (t, L/2 + 1) at the top digit t
-if t <= L/2 + 2, else from (6 + L - t, L/2 - 1) (q = 0, first route t).
+_routes is their one home: from lo and hi it gives the two routes to a^(qL)
+and the r at which the run of q turns from climbing to falling.  For
+q >= 1, hi = lo + e, e = +-1 by parity, so the routes to a^(qL+r) are
+4 + 2lo + r and 4 + 2lo + 2e + L - r, the first no longer iff r < L/2 + e,
+and those to a^(qL+r+1) are one longer and one shorter.  So |a^m| is a
+two-state scan down the base-L digits of m (_scan): with c = L/2 + e, a
+digit r takes (lo, c) to (2lo + 4 + r, L/2 + 1) if r < c, else to
+(2lo + 4 + 2c - r, L/2 - 1), from (t, L/2 + 1) at the top digit t if
+t <= L/2 + 2, else from (6 + L - t, L/2 - 1) (q = 0, first route t).
 dist_table and _a_ball build on the routes a run of L lengths at a time.
 All functions are pure and the module keeps no state.
 """
@@ -47,10 +49,6 @@ class HPoint(NamedTuple):
 
     u: int
     v: int
-
-    @classmethod
-    def identity(cls) -> "HPoint":
-        return cls(0, 0)
 
     @classmethod
     def from_xyz(cls, params: GroupParams, ell: int, m: int, n: int) -> "HPoint":
@@ -88,14 +86,17 @@ class HPoint(NamedTuple):
 # distance of a-powers
 
 
-def _routes(L: int, lo: int, hi: int, r: int) -> tuple[int, int]:
-    """The two guard routes to a^(qL + r), 0 <= r <= L, given lo = |a^q|, hi = |a^(q+1)|.
+def _routes(L: int, lo: int, hi: int) -> tuple[int, int, int]:
+    """(low, high, k): the shape of the run of q, given lo = |a^q|, hi = |a^(q+1)|.
 
-    Through a^(qL) and r steps up, or through a^((q+1)L) and L - r steps
-    down; |a^(qL + r)| is the shorter.  |a^(kL)| = 4 + 2|a^k| for k >= 1,
-    and a^(0L) = 1 (lo = 0 exactly when q = 0).
+    The two guard routes to a^(qL + r), 0 <= r <= L, go through a^(qL) and
+    r steps up, of length low + r, or through a^((q+1)L) and L - r steps
+    down, of length high - r; |a^(qL + r)| is the shorter, so the run climbs
+    for r < k and falls from k on.  |a^(jL)| = 4 + 2|a^j| for j >= 1, and
+    a^(0L) = 1 (lo = 0 exactly when q = 0).
     """
-    return (4 + 2 * lo if lo else 0) + r, 4 + 2 * hi + L - r
+    low, high = 4 + 2 * lo if lo else 0, 4 + 2 * hi + L
+    return low, high, (high - low + 1) // 2
 
 
 def _scan(L: int, m: int) -> tuple[list[int], list[int], int]:
@@ -143,8 +144,7 @@ def _run(pool: list[int], L: int, lo: int, hi: int, n: int) -> list[int]:
     """The first n <= L of |a^(qL + r)| = min(low + r, high - r), (low, high)
     the routes to a^(qL), as two slices of pool (pool[i] == i): the first
     k climb, the rest fall, and k <= L (L/2 -+ 1 by parity, L/2 + 3 at q = 0)."""
-    low, high = _routes(L, lo, hi, 0)
-    k = (high - low + 1) // 2
+    low, high, k = _routes(L, lo, hi)
     top = high - k if n > k else low + n - 1  # the largest pool index the run reads
     if top >= len(pool):
         pool += range(len(pool), 2 * top + 2)
@@ -210,8 +210,7 @@ def _a_ball(L: int, r: int, max_points: int) -> dict[int, int]:
     out: dict[int, int] = {}
     for q in sorted({0, *level, *(k - 1 for k in level if k)}):
         lo, hi = (level.get(q, r + 1), level.get(q + 1, r + 1)) if q else (0, 1)
-        low, high = _routes(L, lo, hi, 0)
-        k = (high - low + 1) // 2
+        low, high, k = _routes(L, lo, hi)
         up, down = min(k, L, r - low + 1), max(k, high - r, 0)  # climb i < up, fall i >= down
         out.update(zip(range(q * L, q * L + up), range(low, low + up)))
         out.update(zip(range(q * L + down, q * L + L), range(high - down, high - L, -1)))

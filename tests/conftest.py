@@ -47,7 +47,7 @@ def _feed_char(L, key, ch):
 
 def reference_reduce(L, chars, key=(0, 0)):
     """Key of `key` times chars, one letter at a time: the reference for
-    hnn_group.reduce_chars."""
+    hnn_group._fold and reduce_chars."""
     for ch in chars:
         key = _feed_char(L, key, ch)
     return key

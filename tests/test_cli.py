@@ -47,6 +47,14 @@ def test_snowflake_and_verify(capsys):
     assert code == 0 and out.strip() == "s a s^-1 t a t^-1"
     code, out, _ = run_cli(capsys, "verify-loop", "--L", "6", "--n", "1")
     assert code == 0 and out.strip() == "geodesic: true"
+    loop = (
+        "s^2 a s^-1 t a t^-1 s^-1 t s a s^-1 t a t^-2 "
+        "s^2 a^-1 s^-1 t a^-1 t^-1 s^-1 t s a^-1 s^-1 t a^-1 t^-2"
+    )
+    code, out, _ = run_cli(capsys, "snowflake", "--L", "6", "--n", "2", "--loop")
+    assert code == 0 and out == loop + "\n"
+    code, out, _ = run_cli(capsys, "--format", "json", "snowflake", "--L", "6", "--n", "2", "--loop")
+    assert code == 0 and json.loads(out) == {"L": 6, "length": 32, "n": 2, "word": loop}
 
 
 def test_verify_loop_failure_exit_code(capsys):
@@ -196,11 +204,12 @@ def test_fill_snowflake_guarantee(capsys, argv, code, err):
         # the ratio |a^(m_n)| / m_n^(1/alpha) is a float
         (("mn", "--L", "6", "--n-max", "1023"),
          "error: |a^(m_n)| at n_max = 1023 is beyond the float range of its ratio\n"),
+        (("mn", "--L", "6", "--n-max", "-1"), "error: n_max must be >= 0\n"),
         (("area-budget", "--central", "1", "--enfilade", "1", "--branching", "1", "--shells", "10000000000"),
          "error: shell count must be at most 10000000, got 10000000000\n"),
         (("table", "--L", "6", "--m-max", "100000000000"), "error: m_max must be at most 10000000, got 100000000000\n"),
     ],
-    ids=["R-zero-denominator", "R-huge-exponent", "mn-float-range", "shells", "m-max"],
+    ids=["R-zero-denominator", "R-huge-exponent", "mn-float-range", "mn-negative", "shells", "m-max"],
 )
 def test_short_argument_refused(capsys, argv, err):
     assert run_cli(capsys, *argv) == (2, "", err)
@@ -530,10 +539,11 @@ def test_polygon_text_fields_take_lists_only(tmp_path, capsys, change):
          "polygon JSON: malformed field: corners[0] must be a list of 2 entries"),
         (("fill", "bigon"), {**_BIGON, "corners": [[0, 0], [12, 1, 0]]},
          "polygon JSON: malformed field: corners[1] must be a list of 2 entries"),
+        (("fill", "bigon"), {**_BIGON, "corners": 5}, "polygon JSON: malformed field: corners must be a list"),
         (("central",), {"nodes": [{"id": "a"}, {"id": "b"}], "edges": [["a", "b"]]},
          "dual tree JSON: malformed field: edges[0] must be a list of 3 entries"),
     ],
-    ids=["corner-of-1", "corner-of-3", "edge-of-2"],
+    ids=["corner-of-1", "corner-of-3", "corners-not-a-list", "edge-of-2"],
 )
 def test_input_rows_of_the_wrong_size(tmp_path, capsys, argv, payload, err):
     path = tmp_path / "input.json"
@@ -561,6 +571,11 @@ _DIAMOND = {"kind": "diamond", "corners": [[0, 0], [1, 2], [12, 0], [12, -2]],
          "diamond sides must have flavors ('x', 'y', 'x', 'y')"),
         ("bigon", {**_BIGON, "flavors": ["a", "x"]}, "bigon sides must share one flavor"),
         ("bigon", {**_BIGON, "corner_paths": ["1"]}, "need one corner path per side"),
+        # a corner path longer than D, given or measured: the second given
+        # one here; the first geodesic once D drops below its length 3
+        ("bigon", {**_BIGON, "corner_paths": ["s a s^-1", "s a^-1 s^-1 a^2 a^-2"]},
+         "corner path 1 has length 7 > D = 3"),
+        ("bigon", {**_BIGON, "D": 2}, "corner path 0 has length 3 > D = 2"),
         ("bigon", {**_BIGON, "corners": [[0, 0], [0, 0]], "exponents": [0, 0], "subdivision": []},
          "subdivision must have at least one segment"),
         ("bigon", {**_BIGON, "flavors": ["s", "s"]}, "not an H generator: 's'"),
@@ -571,7 +586,8 @@ _DIAMOND = {"kind": "diamond", "corners": [[0, 0], [1, 2], [12, 0], [12, -2]],
         ("triangle", {**_TRIANGLE, "subdivision": [16, -27]}, "a-side subdivision sums to -11, expected -12"),
     ],
     ids=["kind", "corners", "flavors", "exponents", "triangle-flavors", "diamond-flavors",
-         "bigon-flavors", "corner-paths", "empty-subdivision", "stable-flavor",
+         "bigon-flavors", "corner-paths", "long-corner-path", "long-geodesic-corner",
+         "empty-subdivision", "stable-flavor",
          "mixed-a-side", "mixed-a-side-that-filled", "mixed-a-side-sum"],
 )
 def test_polygon_refusals(tmp_path, capsys, shape, payload, err):
@@ -852,6 +868,7 @@ def test_huge_exponent(capsys):
         (("central",), {"nodes": 3}),
         (("central",), {"nodes": [{"id": "a"}]}),
         (("central",), {"nodes": [{"id": "a", "arcs": [-3]}], "edges": []}),
+        (("central",), {"nodes": [{"id": "a", "arcs": [1]}, {"id": "b", "arcs": [2]}], "edges": [["a", "b", -1]]}),
     ],
 )
 def test_malformed_input_file_exit_2(tmp_path, capsys, argv, payload):

@@ -213,8 +213,10 @@ _DIAMOND = ApproxPolygon(
         (lambda p: snap_triangle(p, _DIAMOND), "snap_triangle needs a triangle"),
         (lambda p: snap_diamond(p, _TRIANGLE), "snap_diamond needs a diamond"),
         (lambda p: fill_diamond(p, _TRIANGLE, [2], [2]), "fill_diamond needs a diamond"),
+        (lambda p: fill_bigon(p, _TRIANGLE, [2]), "fill_bigon needs a bigon"),
+        (lambda p: fill_triangle(p, _DIAMOND, [2]), "fill_triangle needs a triangle"),
     ],
-    ids=["snap_triangle", "snap_diamond", "fill_diamond"],
+    ids=["snap_triangle", "snap_diamond", "fill_diamond", "fill_bigon", "fill_triangle"],
 )
 def test_wrong_kind_refused(p6, call, err):
     with pytest.raises(ValueError) as info:
@@ -941,6 +943,8 @@ def test_tree_validation():
         HnnDualTree({"a": ()}, [("a", "z", 1)])  # unknown node
     with pytest.raises(ValueError):
         HnnDualTree({"a": (-3,)}, [])  # negative arc
+    with pytest.raises(ValueError, match="edge lengths must be nonnegative"):
+        HnnDualTree({"a": (1,), "b": (2,)}, [("a", "b", -1)])
 
 
 def test_tree_json_and_dot(p6):

@@ -21,10 +21,12 @@ from snowflake_groups import (
 )
 from snowflake_groups import hnn_group
 from snowflake_groups.hnn_group import (
+    _fold,
     _key_invert,
     _key_mul,
     _line,
     _key_text,
+    _letters,
     _line_table,
     _neighbors,
     _tree_dist,
@@ -174,6 +176,11 @@ def _big_key(rng, L):
     return key[:-2] + (key[-2] + rng.randrange(-5, 6), key[-1] + rng.randrange(-5, 6))
 
 
+def _fold_chars(L, start, chars):
+    """The key of `start` times chars, by _fold from that start key."""
+    return _fold(L, start, map(_letters(L).__getitem__, chars))
+
+
 @pytest.mark.parametrize("L", [6, 8, 10, 12])
 def test_fold_matches_reference_feed(L):
     # the list-stack fold against the letter-at-a-time feed, from start keys
@@ -186,14 +193,15 @@ def test_fold_matches_reference_feed(L):
         for stable, crossing in (("s", "a"), ("S", "x"), ("t", "a"), ("T", "y")):
             run = rng.choice((crossing, crossing.upper())) * rng.randrange(5)
             pinch = stable + run + stable.swapcase()
-            key = reduce_chars(L, pinch, start)
+            key = _fold_chars(L, start, pinch)
             # the pinch is an element of H: it moves the tail and nothing else
             assert key == reference_reduce(L, pinch, start) and len(key) == len(start), pinch
             pinches.append(pinch)
         w = _random_word(rng, 30)
         cut = rng.randrange(len(w) + 1)
         w = w[:cut] + rng.choice(pinches) + w[cut:]
-        key = reduce_chars(L, w, start)
+        key = _fold_chars(L, start, w)
+        assert reduce_chars(L, w) == reference_reduce(L, w), w
         assert key == reference_reduce(L, w, start), (start, w)
         assert prefix_keys(L, w) == reference_prefix_keys(L, w), w
         visits = [(i, *k) for i, k in enumerate(reference_prefix_keys(L, w)) if len(k) == 2]

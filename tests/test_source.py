@@ -205,3 +205,86 @@ def test_benchmark_entry_points_resolve():
         if not callable(obj):
             missing.append(f"{module}.{attr}")
     assert missing == []
+
+
+# parameters with a default that no caller sets but that stay, with why
+TEST_SEAMS = {
+    ("main", "argv"): "the CLI's test seam: the CLI tests run main in process on their own arguments",
+}
+
+
+def _defaulted_parameters(tree):
+    """(def, parameter, position) for each parameter with a default of every
+    def, nested ones too; position is None for a keyword-only parameter."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            for i, arg in enumerate(positional[first:], first):
+                yield node.name, arg.arg, i
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield node.name, arg.arg, None
+
+
+def _calls(tree):
+    """(callee name, positions filled, keywords) for every call whose callee
+    is a name or an attribute.  An attribute call fills one more position,
+    as it may be a bound method; a *args fills every position and a
+    **kwargs every keyword (None)."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name):
+            name, filled = func.id, len(node.args)
+        elif isinstance(func, ast.Attribute):
+            name, filled = func.attr, len(node.args) + 1
+        else:
+            continue
+        if any(isinstance(arg, ast.Starred) for arg in node.args):
+            filled = float("inf")
+        keywords = {kw.arg for kw in node.keywords}
+        yield name, filled, keywords
+
+
+def _unset_defaults(defining, using):
+    """(def, parameter) for each defaulted parameter of the `defining`
+    sources that no call in the `using` sources sets, by keyword or by
+    position.  Calls match defs by name only, as _uncalled does."""
+    calls: dict[str, list] = {}
+    for source in using:
+        for name, filled, keywords in _calls(ast.parse(source)):
+            calls.setdefault(name, []).append((filled, keywords))
+    return sorted(
+        (name, param)
+        for source in defining
+        for name, param, i in _defaulted_parameters(ast.parse(source))
+        if not any(
+            param in keywords or None in keywords or (i is not None and filled > i)
+            for filled, keywords in calls.get(name, ())
+        )
+    )
+
+
+def test_defaulted_parameters_check_flags_an_unset_option():
+    defining = (
+        "def f(a, b=1, *, c=2): pass\n"
+        "def k(p, q=0): pass\n"
+        "class A:\n    def m(self, d=3, e=4): pass\n"
+        "def g(h=5, i=6):\n    def inner(j=7): pass\n"
+    )
+    using = "f(0, 1)\nk(1)\nA().m(0)\nx.m(e=1)\ng(*args)\ninner(**opts)\n"
+    assert _unset_defaults([defining], [using]) == [("f", "c"), ("k", "q")]
+
+
+def test_defaulted_parameters_have_callers():
+    # an option earns its default by a caller that sets it in the package,
+    # the benchmark or the acceptance tests: one that only the unit tests
+    # set is a second path through the code.  Like the public-names check,
+    # calls match defs by name, not by object.
+    using = [*SOURCES, *sorted((ROOT / "perfbench").glob("*.py")), ROOT / "tests" / "test_acceptance.py"]
+    unset = _unset_defaults([p.read_text() for p in SOURCES], [p.read_text() for p in using])
+    found = [f"{name}({param})" for name, param in unset if (name, param) not in TEST_SEAMS]
+    assert found == [], f"defaulted parameters no caller sets: {', '.join(found)}"

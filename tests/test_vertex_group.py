@@ -74,6 +74,8 @@ def test_dist_a_power_snowflake_lengths(p6, p10):
 
 
 def test_dist_power_examples(p6, p10):
+    for m in (-37, -6, 0, 1, 36, 10**40 + 3):
+        assert dist_power(p6, "a", m) == dist_a_power(p6, m), m
     assert dist_power(p6, "x", 1) == 3
     assert dist_power(p6, "y", 1) == 3
     assert dist_power(p6, "y", 0) == 0
@@ -165,7 +167,8 @@ def test_dist_a_power_matches_table_and_reference(L):
 @pytest.mark.parametrize("L", [6, 8, 10, 12, 14, 10**30])
 def test_scan_step_is_the_guard_routes(L):
     # one step of _scan from the prefix p to m = pL + r is the specialisation
-    # of _routes at hi = lo + e: the shorter route, and the e of m
+    # of _routes at hi = lo + e: the shorter route, and the e of m; the run
+    # turns where _routes says
     dist, _ = _reference_dist_a(L)
     if L < 100:
         prefixes, residues = range(1, 4 * L), range(L)
@@ -178,7 +181,9 @@ def test_scan_step_is_the_guard_routes(L):
         lo, e = dist(p), dist(p + 1) - dist(p)
         steps.add(e)
         for r in residues:
-            low, high = _routes(L, lo, lo + e, r)
+            low, high, k = _routes(L, lo, lo + e)
+            low, high = low + r, high - r  # the routes to a^(pL + r)
+            assert (low < high) == (r < k), (p, r)  # the run climbs below k
             _, cuts, got = _scan(L, p * L + r)
             assert (got, cuts[-1] - L // 2) == (min(low, high), min(low + 1, high - 1) - min(low, high)), (p, r)
     assert steps == {1, -1}
@@ -266,7 +271,7 @@ def _a_ball_per_entry(L, r):
     out = {}
     for q in sorted({0, *level, *(k - 1 for k in level if k)}):
         lo, hi = (level.get(q, r + 1), level.get(q + 1, r + 1)) if q else (0, 1)
-        low, high = _routes(L, lo, hi, 0)
+        low, high, _ = _routes(L, lo, hi)
         for i in range(L):
             d = low + i if low + i < high - i else high - i
             if d <= r:
