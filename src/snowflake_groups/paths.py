@@ -19,8 +19,15 @@ and its trace is the toral path between its endpoints.
 
 The loop checks measure g_i^-1 g_j, the element spelled by the letters i
 to j of the loop, on the distance program of hnn_group._tree_dist.
+For even L the map a, s, t -> 1 is a homomorphism to Z/2
+(GroupElement.parity), so every path from g_i to g_j, a geodesic among
+them, has the parity of j - i: ruling out every distance up to c is
+ruling out every distance up to the largest c' <= c of that parity, and
+each search is capped there (ruling out h - 1 is ruling out h - 2).
 loop_bilip_constant searches each pair only as far as it could still
-raise the constant found so far.
+raise the constant found so far, and keeps what each goal's search
+settled for the rest of the call, so a goal that many pairs spell is
+searched again only for a higher cap.
 """
 from __future__ import annotations
 
@@ -270,13 +277,20 @@ def loop_bilip_constant(params: GroupParams, loop: PathWord, cap: int) -> BilipR
     The scan is a branch and bound.  Both arcs of the loop are {a, s, t}
     paths from g_i to g_j, so d <= d_loop: with cap >= d_loop a pair is
     always within its cap.  Once the constant so far is num/den, such a
-    pair raises it (strictly, d_loop / d > num/den) only if
+    pair raises it (strictly, d_loop den > num d) only if
     d <= (d_loop den - 1) // num, so it is searched only that far, and
     skipped when that is below 1; a None there only says it cannot raise
     the constant.  A pair with cap < d_loop is searched to cap, and a None
-    there makes the report incomplete.  So every field of the report, the
+    there makes the report incomplete.  Every cap then drops to its
+    largest value of the pair's parity (module docstring), and a pair
+    whose cap drops below 1 is skipped.  So every field of the report, the
     first witness of the largest ratio included, is that of searching
     each pair to min(cap, d_loop).
+
+    Many pairs spell one element, so each goal's search is kept for the
+    call: its distance d, or that it lies beyond the cap c searched.  A
+    later pair with that goal is answered from the record, and searched
+    again only for a cap above c.
     """
     L = params.L
     _check_closed(L, loop)
@@ -292,9 +306,10 @@ def loop_bilip_constant(params: GroupParams, loop: PathWord, cap: int) -> BilipR
     if n == 2:
         return BilipReport(False, True, None, None, repeated_at=(1, 0))
     table = _line_table(L, min(cap, n // 2))
-    best = Fraction(0)
+    num, den = 0, 1  # the constant so far, num/den
     witness: Optional[tuple[int, int]] = None
     complete = True
+    searched: dict[tuple, int] = {}  # goal -> its distance d >= 1, or -c: beyond c
     for i in range(n):
         goals = prefix_keys(L, loop.chars[i:])  # goals[j - i] = g_i^-1 g_j
         for j in range(i + 1, n):
@@ -302,16 +317,23 @@ def loop_bilip_constant(params: GroupParams, loop: PathWord, cap: int) -> BilipR
             if d_loop <= 1:
                 continue
             c = min(cap, d_loop)
-            if cap >= d_loop and witness is not None:  # d <= d_loop: only d <= c raises best
-                c = (d_loop * best.denominator - 1) // best.numerator
-            d = _tree_dist(L, table, goals[j - i], c) if c >= 1 else None
+            if cap >= d_loop and witness is not None:  # d <= d_loop: only d <= c raises num/den
+                c = (d_loop * den - 1) // num
+            c -= (c - d_loop) & 1  # d has the parity of j - i, so of d_loop (n is even)
+            d = None
+            if c >= 1:
+                goal = goals[j - i]
+                known = searched.get(goal, 0)
+                if known > 0:
+                    d = known if known <= c else None
+                elif -known < c:
+                    d = _tree_dist(L, table, goal, c)
+                    searched[goal] = -c if d is None else d
             if d is None:
                 complete = complete and cap >= d_loop
-            elif Fraction(d_loop, d) > best:
-                best, witness = Fraction(d_loop, d), (i, j)
-    if witness is None:
-        best = Fraction(1)
-    return BilipReport(True, complete, best, witness)
+            elif d_loop * den > num * d:
+                num, den, witness = d_loop, d, (i, j)
+    return BilipReport(True, complete, Fraction(num, den) if witness else Fraction(1), witness)
 
 
 @dataclass(frozen=True)
@@ -337,23 +359,26 @@ def verify_geodesic_loop(params: GroupParams, loop: PathWord) -> GeodesicLoopRep
 
     Each antipodal pair (g_i, g_(i+h)), h = |loop|/2, is measured by the
     program along the Bass-Serre tree (hnn_group._tree_dist), to the cap
-    h - 1, in the order of i; the first pair found within it is the
-    witness.  The goal g_i^-1 g_(i+h) is the element spelled by the letters
-    i to i + h of the loop, so no vertex of the loop is stored.  An open
-    loop or one with x/y edges is refused before the line table is built.
-    A loop of length 2 retraces its only edge, so it is not geodesic,
-    though its two vertices are at distance 1; it has no witness.  A table
-    or layer of more than hnn_group.MAX_POINTS points raises BudgetExceeded.
+    h - 2, in the order of i; the first pair found within it is the
+    witness.  The loop arc shows d <= h, and d has the parity of h (module
+    docstring), so ruling out h - 1 is ruling out h - 2.  The goal
+    g_i^-1 g_(i+h) is the element spelled by the letters i to i + h of the
+    loop, so no vertex of the loop is stored.  An open loop or one with x/y
+    edges is refused before the line table is built.  A loop of length 2
+    retraces its only edge, so it is not geodesic, though its two vertices
+    are at distance 1; it has no witness, and no table is built for it.  A
+    table or layer of more than hnn_group.MAX_POINTS points raises
+    BudgetExceeded.
     """
     L = params.L
     _check_closed(L, loop)
     half = len(loop.chars) // 2
-    table = _line_table(L, half - 1)
     if half == 1:
         return GeodesicLoopReport(False)
-    # the loop arc shows d <= half, so d <= half - 1 is all there is to rule out
+    cap = half - 2  # the loop arc shows d <= half, and d has the parity of half
+    table = _line_table(L, cap)
     for i in range(half):
-        d = _tree_dist(L, table, reduce_chars(L, loop.chars[i : i + half]), half - 1)
+        d = _tree_dist(L, table, reduce_chars(L, loop.chars[i : i + half]), cap)
         if d is not None:
             return GeodesicLoopReport(False, (i, i + half), d)
     return GeodesicLoopReport(True)

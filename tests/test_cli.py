@@ -13,6 +13,10 @@ from snowflake_groups import GroupParams, InvariantViolation, distortion_table, 
 from snowflake_groups.cli import build_parser, main
 from snowflake_groups.distortion import write_distortion_csv
 
+# the package source, for CLI subprocesses started with -B (they write no
+# bytecode into it) from any working directory
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -84,7 +88,7 @@ def test_verify_loop_length_two(capsys):
     ids=["open", "weighted"],
 )
 def test_verify_loop_refuses_bad_loop_before_its_table(capsys, monkeypatch, word, err):
-    # the line table for cap |loop|/2 - 1 would pass the state budget
+    # the line table for cap |loop|/2 - 2 would pass the state budget
     from snowflake_groups import paths
 
     def refuse(*args):
@@ -372,10 +376,10 @@ def _run_under_memory_limit(argv, megabytes, timeout=120):
         resource.setrlimit(resource.RLIMIT_AS, (megabytes << 20, megabytes << 20))
 
     return subprocess.run(
-        [sys.executable, "-m", "snowflake_groups.cli", *argv],
+        [sys.executable, "-B", "-m", "snowflake_groups.cli", *argv],
         capture_output=True,
         text=True,
-        env={"PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"), "PATH": "/usr/bin:/bin"},
+        env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
         preexec_fn=limit,
         timeout=timeout,
     )
@@ -892,11 +896,10 @@ def test_console_script_entry_point():
     import subprocess
 
     proc = subprocess.run(
-        [sys.executable, "-m", "snowflake_groups.cli", "dist", "--L", "6", "--a-power", "11"],
+        [sys.executable, "-B", "-m", "snowflake_groups.cli", "dist", "--L", "6", "--a-power", "11"],
         capture_output=True,
         text=True,
-        env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
-        cwd=".",
+        env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "9"

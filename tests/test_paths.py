@@ -279,6 +279,60 @@ def test_length_two_loop_is_not_geodesic(p6):
     assert verify_geodesic_loop(p6, PathWord(p6, ""))
 
 
+def test_verify_loop_searches_to_half_less_two(p6, monkeypatch):
+    # d has the parity of |loop|/2 = h, so the searches and the line table
+    # stop at h - 2; the witness and distance are those of searching to
+    # h - 1.  A loop of length 2 is answered before any table is built.
+    from snowflake_groups import paths
+
+    line_table, tree_dist, reaches, caps = paths._line_table, paths._tree_dist, [], []
+
+    def record_table(L, c):
+        reaches.append(c)
+        return line_table(L, c)
+
+    def record_search(L, table, key, cap):
+        caps.append(cap)
+        return tree_dist(L, table, key, cap)
+
+    monkeypatch.setattr(paths, "_line_table", record_table)
+    monkeypatch.setattr(paths, "_tree_dist", record_search)
+    cases = [
+        (parse_word("a^20 a^-20"), (False, (0, 20), 12)),
+        (parse_word("a^12 a^-12"), (False, (0, 12), 8)),
+        *((snowflake_loop(p6, n).chars, (True, None, None)) for n in (1, 2, 3)),
+    ]
+    for chars, expected in cases:
+        reaches.clear()
+        caps.clear()
+        report = verify_geodesic_loop(p6, PathWord(p6, chars))
+        assert (report.geodesic, report.witness, report.distance) == expected
+        half = len(chars) // 2
+        assert reaches == [half - 2] and set(caps) == {half - 2}
+        if report.geodesic:
+            assert len(caps) == half
+    reaches.clear()
+    assert not verify_geodesic_loop(p6, PathWord(p6, "sS")) and reaches == []
+
+
+def test_tree_dist_rules_out_a_cap_of_the_other_parity(p6, ball6_r6):
+    # a, s, t -> 1 is a homomorphism to Z/2 for even L, so |g| has the
+    # parity of g and searching to c rules out no more than searching to
+    # c - 1 when c has the other parity
+    import random
+
+    rng = random.Random(2701)
+    keys = rng.sample(sorted(ball6_r6.distances), 300)
+    table = hnn_group._line_table(6, 8)
+    for key in keys:
+        parity = GroupElement(p6, key).parity()
+        assert parity == ball6_r6.distances[key] % 2, key
+        searched = [hnn_group._tree_dist(6, table, key, c) for c in range(9)]
+        for c in range(1, 9):
+            if c % 2 != parity:
+                assert searched[c] == searched[c - 1], (key, c)
+
+
 def test_non_geodesic_loop_stops_early(p6):
     # |a^20| = 12: found at the first antipodal pair
     loop = PathWord(p6, parse_word("a^20 a^-20"))
@@ -311,14 +365,15 @@ def test_loop_checks_refuse_open_or_weighted_words(p6, check):
 
 
 def test_verify_loop_budget(p6, monkeypatch):
-    # the line table for cap 15 holds 49 points, as does the largest layer
+    # the line table for cap 14 (half the loop less 2) holds 43 points, no
+    # fewer than the largest layer
     loop = snowflake_loop(p6, 2)
-    monkeypatch.setattr(hnn_group, "MAX_POINTS", 49)
+    monkeypatch.setattr(hnn_group, "MAX_POINTS", 43)
     assert verify_geodesic_loop(p6, loop)
     monkeypatch.setattr(hnn_group, "MAX_POINTS", 40)
     with pytest.raises(BudgetExceeded) as info:
         verify_geodesic_loop(p6, loop)
-    assert info.value.frontier == 49  # refused before it is stored
+    assert info.value.frontier == 43  # refused before it is stored
     monkeypatch.setattr(hnn_group, "MAX_POINTS", 20)
     with pytest.raises(BudgetExceeded) as info:
         verify_geodesic_loop(p6, loop)
@@ -407,6 +462,8 @@ def _reference_bilip(params, loop, cap, exact):
         "a^18 t a^-3 t^-1 s a^-3 s^-1",
         "s a^2 s^-1 t a^2 t^-1 a t a^-2 t^-1 s a^-2 s^-1 a^-1",
         "s a s^-1 t a t^-1 a^2 t a^-1 t^-1 s a^-1 s^-1 a^-2",
+        "s a s^-1 t a t^-1 s a^-1 s^-1 t a^-1 t^-1",
+        "a^6 t a^-1 t^-1 s a^-1 s^-1",
     ],
 )
 def test_loop_bilip_matches_pair_dist_scan(p6, word):
@@ -425,7 +482,11 @@ def test_loop_bilip_matches_pair_dist_scan(p6, word):
 def test_loop_bilip_searches_a_pair_only_while_it_could_raise_the_constant(p6, monkeypatch):
     # with cap >= d_loop every pair is within its cap (both arcs join it, so
     # d <= d_loop); once best = num/den is set, a pair raises it only if
-    # d <= (d_loop den - 1) // num, and it is searched no further than that
+    # d <= (d_loop den - 1) // num.  |g_i^-1 g_j| has the parity of j - i,
+    # so the bound drops to that parity.  A goal is searched once, and again
+    # only above the cap of an earlier miss: a pair whose goal's searches
+    # settle it at its bound makes no call.  The scan is replayed pair by
+    # pair against the recorded calls.
     from snowflake_groups import paths
 
     tree_dist, calls = paths._tree_dist, []
@@ -436,19 +497,48 @@ def test_loop_bilip_searches_a_pair_only_while_it_could_raise_the_constant(p6, m
         return d
 
     monkeypatch.setattr(paths, "_tree_dist", record)
-    loop = PathWord(p6, parse_word("a^12 t a^-2 t^-1 s a^-2 s^-1"))
-    report = loop_bilip_constant(p6, loop, 10)
-    assert report == BilipReport(True, True, Fraction(2), (6, 14))
-    n, best, searched = len(loop.chars), Fraction(0), iter(calls)
-    for i in range(n):
-        for j in range(i + 1, n):
-            d_loop = min(j - i, n - (j - i))
-            bound = d_loop if best == 0 else (d_loop * best.denominator - 1) // best.numerator
-            if d_loop <= 1 or bound < 1:
-                continue
-            key, cap, d = next(searched)
-            assert key == reduce_chars(6, loop.chars[i:j]) and cap <= bound, (i, j, cap, bound)
-            if d is not None:
-                best = max(best, Fraction(d_loop, d))
-    assert next(searched, None) is None
-    assert sum(cap for _, cap, _ in calls) <= 567  # 980 when every pair runs to d_loop
+    cases = [
+        # 159 calls and a cap sum of 567 with one search per pair to its
+        # bound of either parity; 980 when every pair runs to d_loop
+        ("a^12 t a^-2 t^-1 s a^-2 s^-1", 10, BilipReport(True, True, Fraction(2), (6, 14)), (99, 311)),
+        ("a^18 t a^-3 t^-1 s a^-3 s^-1", 14, BilipReport(True, True, Fraction(13, 5), (6, 21)), (193, 613)),
+        # one goal is searched again, above its first miss
+        ("s a s^-1 t a t^-1 a^2 t a^-1 t^-1 s a^-1 s^-1 a^-2", 9,
+         BilipReport(True, True, Fraction(4), (3, 11)), (53, 117)),
+        # a cap below half the loop: the far pairs run to the cap's parity
+        ("a^18 t a^-3 t^-1 s a^-3 s^-1", 7, BilipReport(True, False, Fraction(13, 5), (6, 21)), (193, 955)),
+    ]
+    for word, cap, report, totals in cases:
+        calls.clear()
+        loop = PathWord(p6, parse_word(word))
+        assert loop_bilip_constant(p6, loop, cap) == report, word
+        table = hnn_group._line_table(6, cap)
+        n, searched, last = len(loop.chars), iter(calls), {}
+        best, witness, complete = Fraction(0), None, True
+        for i in range(n):
+            for j in range(i + 1, n):
+                d_loop = min(j - i, n - (j - i))
+                if d_loop <= 1:
+                    continue
+                bound = min(cap, d_loop)
+                if cap >= d_loop and witness is not None:
+                    bound = (d_loop * best.denominator - 1) // best.numerator
+                bound -= (bound - d_loop) % 2
+                answer = None
+                if bound >= 1:
+                    key = reduce_chars(6, loop.chars[i:j])
+                    searched_to, d = last.get(key, (0, None))  # the goal's last search
+                    if d is None and searched_to < bound:  # unsettled: the next call is this pair's
+                        got, got_cap, d = next(searched)
+                        assert got == key and got_cap <= bound and (got_cap - d_loop) % 2 == 0, (i, j)
+                        assert got_cap > searched_to, (i, j)  # again only above an earlier miss
+                        last[key] = got_cap, d
+                    answer = d if d is not None and d <= bound else None
+                    assert answer == tree_dist(6, table, key, bound), (word, i, j, bound)
+                if answer is None:
+                    complete = complete and cap >= d_loop
+                elif Fraction(d_loop, answer) > best:
+                    best, witness = Fraction(d_loop, answer), (i, j)
+        assert next(searched, None) is None, word
+        assert BilipReport(True, complete, best, witness) == report, word
+        assert (len(calls), sum(c for _, c, _ in calls)) == totals, word
