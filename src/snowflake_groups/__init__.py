@@ -8,7 +8,6 @@ from .vertex_group import (
     closest_points_on_a_line,
     dist_a_power,
     dist_h,
-    dist_power,
     dist_table,
     geodesic_expression,
     geodesic_word_a_power,

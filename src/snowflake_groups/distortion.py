@@ -24,7 +24,7 @@ from itertools import islice, repeat
 from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 from .params import GroupParams
-from .vertex_group import HPoint, dist_a_power, dist_h, dist_power, dist_table
+from .vertex_group import HPoint, dist_a_power, dist_h, dist_table
 from .words import MAX_LETTERS
 
 
@@ -205,7 +205,7 @@ def ag_ratio_scan(params: GroupParams, bound: int) -> AgRatioScan:
         raise ValueError("scan bound must be >= 1")
     best_n, best_d, arg = 1, 1, (0, 1)
     exps = range(-bound, bound + 1)
-    x_lengths = [dist_power(params, "x", m) for m in exps]
+    x_lengths = [dist_h(params, HPoint(0, m)) for m in exps]
     for ell in exps:
         a = dist_a_power(params, ell)
         for m, x in zip(exps, x_lengths):

@@ -93,12 +93,6 @@ def _json_strings(values, name: str) -> tuple[str, ...]:
     return tuple(values)
 
 
-def _cell_word(diagram: "Diagram", *pieces: tuple[str, int]) -> tuple[str, ...]:
-    """The geodesic words of the (flavor, exponent) pieces, one after another,
-    as the parts of a cell word."""
-    return tuple(diagram.spell(flavor, k) for flavor, k in pieces)
-
-
 def _backward(exps: Sequence[int]) -> list[int]:
     """A side's subdivision read from its other end."""
     return [-e for e in reversed(exps)]
@@ -149,9 +143,6 @@ class ApproxPolygon:
             dist_h(params, self.side_end(params, i).inverse() * self.corners[(i + 1) % n])
             for i in range(n)
         ]
-
-    def is_true(self, params: GroupParams) -> bool:
-        return all(g == 0 for g in self.gaps(params))
 
 
 @dataclass(frozen=True)
@@ -279,10 +270,8 @@ class Diagram:
 
 @dataclass(frozen=True)
 class Subdivision:
-    """A side split into segments: start corner, flavor, signed exponents."""
+    """A side split into segments: the signed exponents of a side's segments."""
 
-    start: HPoint
-    flavor: str
     exponents: tuple[int, ...]
 
     def max_exponent(self) -> int:
@@ -297,8 +286,8 @@ def _corner_paths(params: GroupParams, poly: ApproxPolygon) -> list[PathWord]:
         diff = poly.side_end(params, i).inverse() * poly.corners[(i + 1) % n]
         if poly.corner_paths is not None:
             cp = poly.corner_paths[i]
-            end = cp.endpoint()
-            if not end.in_vertex_group() or end.h_point() != diff:
+            # the key (u, v) of a^u x^v equals HPoint(u, v); a key outside H has 5 or more entries
+            if reduce_chars(params.L, cp.chars) != diff:
                 raise ValueError(f"corner path {i} does not join side {i} to corner {i + 1}")
             length = cp.length
         else:
@@ -365,8 +354,9 @@ def snap_diamond(params: GroupParams, poly: ApproxPolygon) -> ApproxPolygon:
     true = ApproxPolygon(
         "diamond", (g1p, h1p, g2p, h2p), ("x", "y", "x", "y"), (m1p, n1p, m2p, n2p), 0
     )
-    if not true.is_true(params):
-        raise InvariantViolation(f"snapped diamond has gaps {true.gaps(params)}")
+    gaps = true.gaps(params)
+    if any(gaps):
+        raise InvariantViolation(f"snapped diamond has gaps {gaps}")
     for old, new in zip(poly.corners, true.corners):
         moved = 2 * dist_h(params, old.inverse() * new)
         if moved > 2 * poly.D + 3 * L:
@@ -449,7 +439,7 @@ def fill_bigon(
         diagram, poly.corners[0], poly.flavors[0], subdivision,
         poly.corners[1], poly.exponents[1], cps[0].chars, cps[1].chars,
     )
-    return diagram, Subdivision(poly.corners[1], poly.flavors[1], tuple(out))
+    return diagram, Subdivision(tuple(out))
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +488,7 @@ def _fill_polygon(
             diagram, true.corners[i], poly.flavors[i], exps,
             poly.side_end(params, i), -poly.exponents[i], invert_chars(gammas[i]), alphas[i],
         )
-        subs.append(Subdivision(poly.corners[i], poly.flavors[i], tuple(_backward(out))))
+        subs.append(Subdivision(tuple(_backward(out))))
     for i in range(n):
         word = (cps[i].chars, alphas[(i + 1) % n], invert_chars(gammas[i]))
         diagram.add(word, poly.side_end(params, i))
@@ -542,12 +532,11 @@ def _triangle_interior(diagram: Diagram, true: ApproxPolygon, inbound: Sides) ->
     for j in range(1, len(prefix)):
         if rounded[j] == prefix[j] and rounded[j - 1] == prefix[j - 1]:
             continue  # nothing moved; no strip cell needed
-        word = _cell_word(
-            diagram,
-            ("a", prefix[j] - prefix[j - 1]),
-            ("a", rounded[j] - prefix[j]),
-            ("a", rounded[j - 1] - rounded[j]),
-            ("a", prefix[j - 1] - rounded[j - 1]),
+        word = (
+            diagram.spell("a", prefix[j] - prefix[j - 1]),
+            diagram.spell("a", rounded[j] - prefix[j]),
+            diagram.spell("a", rounded[j - 1] - rounded[j]),
+            diagram.spell("a", prefix[j - 1] - rounded[j - 1]),
         )
         diagram.add(word, g2p * HPoint(prefix[j - 1], 0))
 
@@ -658,11 +647,11 @@ def cap_depth(params: GroupParams, depth: int, subdivision_constant: int) -> int
 
 
 def subdivide_snowflake(
-    params: GroupParams, depth: int, subdivision_constant: Optional[int] = None
+    params: GroupParams, depth: int, subdivision_constant: Optional[int]
 ) -> Diagram:
     """Subdivide the depth-p snowflake loop into boundedly many short cells.
 
-    The central diamond becomes Lam^2 small diamonds (Lam defaults to L);
+    The central diamond becomes Lam^2 small diamonds (Lam is L when None);
     the subdivision is propagated into the branches, and every branch is
     capped by a single cell at the depth where the capping inequality first
     holds.  For p at least 2 every cell boundary is trivial and has length
@@ -711,10 +700,11 @@ def subdivide_snowflake(
     _diamond_grid(diagram, HPoint(0, 0), [k1] * lam, [k1] * lam)
 
     # branch levels
+    spell = diagram.spell
     for m, piece in enumerate(pieces[:-1], 1):
         d = piece // L
-        tri_word = _cell_word(diagram, ("a", -L * d), ("x", d), ("y", d))
-        dia_word = _cell_word(diagram, ("x", d), ("y", -d), ("x", -d), ("y", d))
+        tri_word = (spell("a", -L * d), spell("x", d), spell("y", d))
+        dia_word = (spell("x", d), spell("y", -d), spell("x", -d), spell("y", d))
         for _ in range(2 ** (m + 1)):
             for _ in range(lam):
                 diagram.add(tri_word)
@@ -722,7 +712,7 @@ def subdivide_snowflake(
                 diagram.add(dia_word)
 
     # caps
-    piece_geo = invert_chars(diagram.spell("a", pieces[-1]))
+    piece_geo = invert_chars(spell("a", pieces[-1]))
     for flavor in ("s", "t"):
         cap_word = (snowflake_path(params, depth - m_star, flavor).chars, *[piece_geo] * lam)
         for _ in range(2 ** m_star):

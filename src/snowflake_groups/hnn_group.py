@@ -232,14 +232,6 @@ class GroupElement:
     def is_identity(self) -> bool:
         return self.key == (0, 0)
 
-    def in_vertex_group(self) -> bool:
-        return len(self.key) == 2
-
-    def h_point(self) -> HPoint:
-        if not self.in_vertex_group():
-            raise ValueError(f"{self} is not in the vertex group")
-        return HPoint(*self.key)
-
     def word_chars(self) -> str:
         """The normal form spelled out; ValueError past MAX_LETTERS letters."""
         return parse_word(_key_text(self.key))

@@ -63,7 +63,7 @@ def _check_depth(n: int, kind: str) -> None:
         raise ValueError(f"the depth-{n} snowflake {kind} is longer than {MAX_LETTERS} letters")
 
 
-def snowflake_path(params: GroupParams, n: int, flavor: str = "s") -> PathWord:
+def snowflake_path(params: GroupParams, n: int, flavor: str) -> PathWord:
     """sigma_{n,flavor}: a geodesic from 1 to a^(L^n) of length 5 * 2^n - 4.
 
     sigma_{n,s} is the expansion of the digits (0, ..., 0, 1) of L^n, the

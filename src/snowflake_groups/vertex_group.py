@@ -56,7 +56,7 @@ class HPoint(NamedTuple):
         return cls(ell + params.L * n, m - n)
 
     @classmethod
-    def generator(cls, params: GroupParams, gen: str, k: int = 1) -> "HPoint":
+    def generator(cls, params: GroupParams, gen: str, k: int) -> "HPoint":
         if gen == "a":
             return cls(k, 0)
         if gen == "x":
@@ -122,11 +122,6 @@ def _scan(L: int, m: int) -> tuple[list[int], list[int], int]:
     return digits, cuts, lo
 
 
-def _dist_a(L: int, m: int) -> int:
-    """|a^m| for m >= 0."""
-    return _scan(L, m)[2]
-
-
 def _pair(L: int, k: int) -> tuple[int, int]:
     """(|a^k|, |a^(k+1)|) for any k, from one scan (of -k - 1 for k < 0)."""
     if k < 0:
@@ -137,7 +132,7 @@ def _pair(L: int, k: int) -> tuple[int, int]:
 
 def dist_a_power(params: GroupParams, m: int) -> int:
     """|a^m| over {a, s, t}; symmetric in the sign of m."""
-    return _dist_a(params.L, abs(m))
+    return _scan(params.L, abs(m))[2]
 
 
 def _run(pool: list[int], L: int, lo: int, hi: int, n: int) -> list[int]:
@@ -222,15 +217,6 @@ def _a_ball(L: int, r: int, max_points: int) -> dict[int, int]:
 def _gpow(d: int) -> int:
     """|x^k| = |y^k| = 2 + |a^k| for k != 0, else 0, from d = |a^k|."""
     return d + 2 if d else 0
-
-
-def dist_power(params: GroupParams, gen: str, m: int) -> int:
-    """|gen^m| for gen in {a, x, y}."""
-    if gen == "a":
-        return _dist_a(params.L, abs(m))
-    if gen in ("x", "y"):
-        return _gpow(_dist_a(params.L, abs(m)))
-    raise ValueError(f"not an H generator: {gen!r}")
 
 
 def _splits(L: int, u: int) -> tuple[tuple[int, int], ...]:

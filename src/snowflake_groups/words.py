@@ -12,11 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import groupby
-from typing import TYPE_CHECKING
 
-if TYPE_CHECKING:  # pragma: no cover
-    from .hnn_group import GroupElement
-    from .params import GroupParams
+from .params import GroupParams
 
 GENERATORS = frozenset("astxy")
 _VALID = set("aAsStTxXyY")
@@ -98,7 +95,7 @@ def format_word(chars: str) -> str:
 class PathWord:
     """An edge path in the Cayley graph, starting (by convention) at 1."""
 
-    params: "GroupParams"
+    params: GroupParams
     chars: str
 
     def __post_init__(self) -> None:
@@ -117,11 +114,6 @@ class PathWord:
         """Weighted length: a/s/t edges count 1, x/y edges count L."""
         heavy = sum(self.chars.count(c) for c in "xXyY")
         return len(self.chars) + (self.params.L - 1) * heavy
-
-    def endpoint(self) -> "GroupElement":
-        from .hnn_group import reduce_word
-
-        return reduce_word(self.params, self.chars)
 
     def vertex_keys(self) -> list[tuple]:
         """Normal-form keys of all vertices visited, in order (length+1 entries)."""

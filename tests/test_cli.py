@@ -575,6 +575,10 @@ _DIAMOND = {"kind": "diamond", "corners": [[0, 0], [1, 2], [12, 0], [12, -2]],
          "diamond sides must have flavors ('x', 'y', 'x', 'y')"),
         ("bigon", {**_BIGON, "flavors": ["a", "x"]}, "bigon sides must share one flavor"),
         ("bigon", {**_BIGON, "corner_paths": ["1"]}, "need one corner path per side"),
+        # a given corner path must end at the next corner: not outside H,
+        # not at another point of H
+        ("bigon", {**_BIGON, "corner_paths": ["s", "1"]}, "corner path 0 does not join side 0 to corner 1"),
+        ("bigon", {**_BIGON, "corner_paths": ["x^-1", "x"]}, "corner path 0 does not join side 0 to corner 1"),
         # a corner path longer than D, given or measured: the second given
         # one here; the first geodesic once D drops below its length 3
         ("bigon", {**_BIGON, "corner_paths": ["s a s^-1", "s a^-1 s^-1 a^2 a^-2"]},
@@ -590,7 +594,8 @@ _DIAMOND = {"kind": "diamond", "corners": [[0, 0], [1, 2], [12, 0], [12, -2]],
         ("triangle", {**_TRIANGLE, "subdivision": [16, -27]}, "a-side subdivision sums to -11, expected -12"),
     ],
     ids=["kind", "corners", "flavors", "exponents", "triangle-flavors", "diamond-flavors",
-         "bigon-flavors", "corner-paths", "long-corner-path", "long-geodesic-corner",
+         "bigon-flavors", "corner-paths", "corner-path-outside-h", "corner-path-wrong-point",
+         "long-corner-path", "long-geodesic-corner",
          "empty-subdivision", "stable-flavor",
          "mixed-a-side", "mixed-a-side-that-filled", "mixed-a-side-sum"],
 )

@@ -10,9 +10,10 @@ import pytest
 
 from snowflake_groups import (
     GroupParams,
+    HPoint,
     ag_ratio_scan,
     dist_a_power,
-    dist_power,
+    dist_h,
     dist_table,
     distortion,
     distortion_table,
@@ -175,7 +176,8 @@ def test_xy_distortion_and_steps():
         params = GroupParams(L)
         table = dist_table(params, 10**6)
         root = params.root
-        assert dist_power(params, "x", 17) == 2 + table[17] == dist_power(params, "y", 17)
+        x17, y17 = HPoint(0, 17), HPoint.generator(params, "y", 17)
+        assert dist_h(params, x17) == 2 + table[17] == dist_h(params, y17)
         prev = None
         for m in range(1, 10**6 + 1):
             d = 2 + table[m]  # |x^m| = |y^m| = 2 + |a^m|
@@ -188,9 +190,7 @@ def test_xy_distortion_and_steps():
 def test_ag_ratio_scan_small(p6):
     scan = ag_ratio_scan(p6, 20)
     assert scan.max_ratio >= 1
-    num = dist_a_power(p6, scan.at[0]) + dist_power(p6, "x", scan.at[1])
-    from snowflake_groups import HPoint, dist_h
-
+    num = dist_a_power(p6, scan.at[0]) + dist_h(p6, HPoint(0, scan.at[1]))
     assert scan.max_ratio == num / dist_h(p6, HPoint(*scan.at))
 
 

@@ -127,9 +127,9 @@ def random_diamond(params, rng, max_exp, max_parts, jitters):
     )
 
 
-def subdivision_ok(params, sub, poly_side_start, poly_side_end):
-    assert sub.start == poly_side_start
-    assert sub.start * HPoint.generator(params, sub.flavor, sum(sub.exponents)) == poly_side_end
+def subdivision_ok(params, sub, flavor, side_start, side_end):
+    # the segments' exponents add up to the whole side
+    assert side_start * HPoint.generator(params, flavor, sum(sub.exponents)) == side_end
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +144,7 @@ def test_snap_true_triangle_is_identity(p6):
     snapped = snap_triangle(p6, tri)
     assert snapped.corners == tri.corners
     assert snapped.exponents == tri.exponents
-    assert snapped.is_true(p6)
+    assert not any(snapped.gaps(p6))
 
 
 def test_snap_perturbed_triangle(p6):
@@ -154,7 +154,7 @@ def test_snap_perturbed_triangle(p6):
     tri = measured_polygon(p6, "triangle", (g0, g1, g2), ("x", "y", "a"), (1, 1, -6))
     assert tri.D <= 2
     snapped = snap_triangle(p6, tri)
-    assert snapped.is_true(p6)
+    assert not any(snapped.gaps(p6))
     bound = 2 * tri.D + p6.L
     for old, new in zip(tri.corners, snapped.corners):
         assert dist_h(p6, old.inverse() * new) <= bound
@@ -184,7 +184,7 @@ def test_snap_perturbed_diamond(p6):
     for _ in range(40):
         dia, _, _ = random_diamond(p6, rng, 6, 6, jit)
         snapped = snap_diamond(p6, dia)
-        assert snapped.is_true(p6)
+        assert not any(snapped.gaps(p6))
         for old, new in zip(dia.corners, snapped.corners):
             assert 2 * dist_h(p6, old.inverse() * new) <= 2 * dia.D + 3 * p6.L
 
@@ -241,7 +241,7 @@ def test_fill_bigon_parallel_a_lines(p6):
     assert diagram.boundaries_trivial()
     assert sum(sub.exponents) == -12
     assert sub.max_exponent() <= 6 + p6.L * poly.D**a
-    subdivision_ok(p6, sub, poly.corners[1], poly.corners[1] * HPoint(-12, 0))
+    subdivision_ok(p6, sub, "a", poly.corners[1], poly.corners[1] * HPoint(-12, 0))
 
 
 def test_fill_bigon_zero_offset(p6):
@@ -382,7 +382,7 @@ def test_fill_bounds_randomized(p6, kind):
         for sub, i in zip(subs, sides):
             start = poly.corners[i]
             end = start * fpoint(p6, poly.flavors[i], poly.exponents[i])
-            subdivision_ok(p6, sub, start, end)
+            subdivision_ok(p6, sub, poly.flavors[i], start, end)
 
 
 @pytest.mark.parametrize("L", [6, 8])
@@ -393,7 +393,7 @@ def test_no_cell_is_freely_trivial(L):
     params = GroupParams(L)
     rng = random.Random(f"free-{L}")
     jitters = jitter_pool(params, 2) + [HPoint(0, 0)] * 6
-    diagrams = [subdivide_snowflake(params, p) for p in (2, 3, 4)]
+    diagrams = [subdivide_snowflake(params, p, L) for p in (2, 3, 4)]
     for _ in range(20):
         poly, split = random_bigon(params, rng, 12, 8, jitters)
         diagrams.append(fill_bigon(params, poly, split)[0])
@@ -462,7 +462,7 @@ def test_cell_words_pinned(p6):
         "README triangle": _cells_digest(fill_triangle(p6, tri, [-6, -6])[0]),
         "corner-path bigon": _cells_digest(fill_bigon(p6, bigon, [6, 6])[0]),
         "true diamond": _cells_digest(fill_diamond(p6, dia, [1, 1], [1, 1])[0]),
-        "snowflake p=5": _cells_digest(subdivide_snowflake(p6, 5)),
+        "snowflake p=5": _cells_digest(subdivide_snowflake(p6, 5, 6)),
     }
     assert digests == {
         "README triangle": "f59fcb413c2b372c3fc4456099769d9c8e19ec76cbee67b3a8b064427d78c49d",
@@ -536,7 +536,7 @@ def test_checks_match_the_whole_word_oracle(p6, kind):
     # add checks each word from its parts; reducing every joined word in
     # full agrees, and mesh is the longest boundary of any cell
     if kind == "snowflake":
-        diagrams = [subdivide_snowflake(p6, p) for p in range(2, 10)]
+        diagrams = [subdivide_snowflake(p6, p, 6) for p in range(2, 10)]
     else:
         diagrams = list(_seeded_fillings(p6, kind))
     for diagram in diagrams:
@@ -665,12 +665,12 @@ def test_subdivide_snowflake_letters_bounded(p6, monkeypatch):
     # a diagram given exactly MAX_LETTERS letters is made, one more is
     # refused; the limit counts every word add was given, not only the
     # words of the cells it kept
-    total = subdivide_snowflake(p6, 5)._letters
+    total = subdivide_snowflake(p6, 5, 6)._letters
     monkeypatch.setattr(filling, "MAX_LETTERS", total)
-    assert subdivide_snowflake(p6, 5).area == 128
+    assert subdivide_snowflake(p6, 5, 6).area == 128
     monkeypatch.setattr(filling, "MAX_LETTERS", total - 1)
     with pytest.raises(ValueError, match=f"more than {total - 1} letters"):
-        subdivide_snowflake(p6, 5)
+        subdivide_snowflake(p6, 5, 6)
 
 
 def _counting(calls, name, fn):
@@ -713,7 +713,7 @@ def test_each_distinct_word_handled_once(p6, monkeypatch, build):
     monkeypatch.setattr(filling, "PathWord", _counting(calls, "PathWord", filling.PathWord))
     monkeypatch.setattr(words, "format_word", _counting(calls, "format_word", words.format_word))
     if build == "snowflake":
-        diagram = subdivide_snowflake(p6, 5)
+        diagram = subdivide_snowflake(p6, 5, 6)
     else:
         corners = (HPoint(0, 0), HPoint(1, 6), HPoint(36, 0), HPoint(36, -6))
         dia = ApproxPolygon("diamond", corners, ("x", "y", "x", "y"), (6, 6, -6, -6), 1)
@@ -765,7 +765,7 @@ def test_diagram_equality_ignores_spellings(p6):
 
 
 def test_subdivide_snowflake_depth_one(p6):
-    d = subdivide_snowflake(p6, 1)
+    d = subdivide_snowflake(p6, 1, 6)
     assert d.area == 1
     assert d.boundaries_trivial()
     # p = 1 is the girth loop: no filling can beat the loop length itself
@@ -774,7 +774,8 @@ def test_subdivide_snowflake_depth_one(p6):
 
 def test_subdivide_snowflake_small_depths(p6):
     for p in (2, 3):
-        d = subdivide_snowflake(p6, p)
+        d = subdivide_snowflake(p6, p, 6)
+        assert subdivide_snowflake(p6, p, None) == d  # Lam is L when None
         half = 5 * 2**p - 4
         assert d.mesh <= half
         assert d.boundaries_trivial()
@@ -783,7 +784,7 @@ def test_subdivide_snowflake_small_depths(p6):
 def test_subdivide_snowflake_stable_count(p6):
     counts = {}
     for p in (3, 4, 5):
-        d = subdivide_snowflake(p6, p)
+        d = subdivide_snowflake(p6, p, 6)
         counts[p] = d.area
         assert d.mesh <= 5 * 2**p - 4
     assert len(set(counts.values())) == 1
@@ -804,7 +805,7 @@ def test_subdivide_cap_depth(p6):
 
 def test_subdivide_rejects_bad_inputs(p6):
     with pytest.raises(ValueError):
-        subdivide_snowflake(p6, 0)
+        subdivide_snowflake(p6, 0, 6)
     with pytest.raises(ValueError):
         subdivide_snowflake(p6, 3, 5)  # 5 does not divide 36
     for lam in (0, -6):

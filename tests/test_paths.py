@@ -31,16 +31,16 @@ def test_snowflake_path_examples(p6):
     w = snowflake_path(p6, 1, "s")
     assert str(w) == "s a s^-1 t a t^-1"
     assert w.length == 6
-    assert w.endpoint().h_point() == HPoint(6, 0)
+    assert reduce_chars(p6.L, w.chars) == HPoint(6, 0)
     w = snowflake_path(p6, 2, "s")
     assert w.length == 16
-    assert w.endpoint().h_point() == HPoint(36, 0)
+    assert reduce_chars(p6.L, w.chars) == HPoint(36, 0)
     assert str(snowflake_path(p6, 1, "t")) == "t a t^-1 s a s^-1"
 
 
 def test_snowflake_path_rejects_bad_depth(p6):
     with pytest.raises(ValueError):
-        snowflake_path(p6, 0)
+        snowflake_path(p6, 0, "s")
     with pytest.raises(ValueError):
         snowflake_path(p6, 2, "u")
     # a path has 5 * 2^n - 4 letters, a loop twice that: MAX_LETTERS = 10^7
@@ -48,7 +48,7 @@ def test_snowflake_path_rejects_bad_depth(p6):
     _check_depth(20, "path")
     _check_depth(19, "loop")
     with pytest.raises(ValueError, match="depth-21 snowflake path is longer than"):
-        snowflake_path(p6, 21)
+        snowflake_path(p6, 21, "s")
     with pytest.raises(ValueError, match="depth-20 snowflake loop is longer than"):
         snowflake_loop(p6, 20)
 
@@ -77,15 +77,14 @@ def test_snowflake_path_is_geodesic_word_of_L_power(L):
 def test_snowflake_endpoint_big_integers(L):
     params = GroupParams(L)
     for n in (1, 2, 3, 5, 8, 11):
-        end = snowflake_path(params, n, "s").endpoint()
-        assert end.h_point() == HPoint(L**n, 0)
+        assert reduce_chars(L, snowflake_path(params, n, "s").chars) == HPoint(L**n, 0)
 
 
 def test_snowflake_loop_examples(p6):
     assert snowflake_loop(p6, 1).length == 12
     assert snowflake_loop(p6, 2).length == 32
     for n in (1, 2, 3, 6):
-        assert snowflake_loop(p6, n).endpoint().is_identity()
+        assert reduce_chars(p6.L, snowflake_loop(p6, n).chars) == (0, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -249,23 +249,35 @@ def _calls(tree):
         yield name, filled, keywords
 
 
-def _unset_defaults(defining, using):
-    """(def, parameter) for each defaulted parameter of the `defining`
-    sources that no call in the `using` sources sets, by keyword or by
-    position.  Calls match defs by name only, as _uncalled does."""
+def _default_uses(defining, using):
+    """(def, parameter, uses) for each defaulted parameter of the `defining`
+    sources: uses holds True if some call in the `using` sources sets it,
+    by keyword or by position, and False if some call leaves it to its
+    default.  Calls match defs by name only, as _uncalled does."""
     calls: dict[str, list] = {}
     for source in using:
         for name, filled, keywords in _calls(ast.parse(source)):
             calls.setdefault(name, []).append((filled, keywords))
-    return sorted(
-        (name, param)
-        for source in defining
-        for name, param, i in _defaulted_parameters(ast.parse(source))
-        if not any(
-            param in keywords or None in keywords or (i is not None and filled > i)
-            for filled, keywords in calls.get(name, ())
-        )
-    )
+    for source in defining:
+        for name, param, i in _defaulted_parameters(ast.parse(source)):
+            uses = {
+                param in keywords or None in keywords or (i is not None and filled > i)
+                for filled, keywords in calls.get(name, ())
+            }
+            yield name, param, uses
+
+
+def _unset_defaults(defining, using):
+    """(def, parameter) for each defaulted parameter that no call sets."""
+    found = _default_uses(defining, using)
+    return sorted((name, param) for name, param, uses in found if True not in uses)
+
+
+def _unomitted_defaults(defining, using):
+    """(def, parameter) for each defaulted parameter that no call leaves to
+    its default."""
+    found = _default_uses(defining, using)
+    return sorted((name, param) for name, param, uses in found if False not in uses)
 
 
 def test_defaulted_parameters_check_flags_an_unset_option():
@@ -288,3 +300,26 @@ def test_defaulted_parameters_have_callers():
     unset = _unset_defaults([p.read_text() for p in SOURCES], [p.read_text() for p in using])
     found = [f"{name}({param})" for name, param in unset if (name, param) not in TEST_SEAMS]
     assert found == [], f"defaulted parameters no caller sets: {', '.join(found)}"
+
+
+def test_defaulted_parameters_check_flags_an_unused_default():
+    defining = (
+        "def f(a, b=1, *, c=2): pass\n"
+        "def k(p, q=0): pass\n"
+        "class A:\n    def m(self, d=3, e=4): pass\n"
+        "def g(h=5): pass\n"
+        "def n(r=6): pass\n"
+    )
+    using = "f(0, 1)\nf(0, c=3)\nk(1, 2)\nk(*args)\nA().m(0)\nx.m(e=1)\ng(**opts)\n"
+    assert _unomitted_defaults([defining], [using]) == [("g", "h"), ("k", "q"), ("n", "r")]
+
+
+def test_defaulted_parameters_are_left_to_their_default():
+    # a default earns its place by a caller that relies on it, in the
+    # package, the benchmark or the acceptance tests; with
+    # test_defaulted_parameters_have_callers, every default is an option
+    # with two values in use.  Calls match defs by name, not by object.
+    using = [*SOURCES, *sorted((ROOT / "perfbench").glob("*.py")), ROOT / "tests" / "test_acceptance.py"]
+    always_set = _unomitted_defaults([p.read_text() for p in SOURCES], [p.read_text() for p in using])
+    found = [f"{name}({param})" for name, param in always_set]
+    assert found == [], f"defaulted parameters every call sets: {', '.join(found)}"

@@ -13,7 +13,6 @@ from snowflake_groups import (
     closest_points_on_a_line,
     dist_a_power,
     dist_h,
-    dist_power,
     dist_table,
     geodesic_expression,
     geodesic_word_a_power,
@@ -23,10 +22,10 @@ from snowflake_groups import (
     xy_line_intersection,
 )
 from snowflake_groups import vertex_group
+from snowflake_groups.hnn_group import reduce_chars
 from snowflake_groups.vertex_group import (
     BudgetExceeded,
     _a_ball,
-    _dist_a,
     _geodesic_chars,
     _h_route,
     _routes,
@@ -54,7 +53,7 @@ def test_params_rejects_bad_l(bad):
 @pytest.mark.parametrize("gen", ["s", "t", "A", ""])
 def test_dist_power_refuses_other_generators(p6, gen):
     with pytest.raises(ValueError) as info:
-        dist_power(p6, gen, 3)
+        HPoint.generator(p6, gen, 3)
     assert str(info.value) == f"not an H generator: {gen!r}"
 
 
@@ -75,11 +74,11 @@ def test_dist_a_power_snowflake_lengths(p6, p10):
 
 def test_dist_power_examples(p6, p10):
     for m in (-37, -6, 0, 1, 36, 10**40 + 3):
-        assert dist_power(p6, "a", m) == dist_a_power(p6, m), m
-    assert dist_power(p6, "x", 1) == 3
-    assert dist_power(p6, "y", 1) == 3
-    assert dist_power(p6, "y", 0) == 0
-    assert dist_power(p10, "x", 20) == 10
+        assert dist_h(p6, HPoint.generator(p6, "a", m)) == dist_a_power(p6, m), m
+    assert dist_h(p6, HPoint(0, 1)) == 3
+    assert dist_h(p6, HPoint.generator(p6, "y", 1)) == 3
+    assert dist_h(p6, HPoint.generator(p6, "y", 0)) == 0
+    assert dist_h(p10, HPoint(0, 20)) == 10
 
 
 def test_dist_h_examples(p6, p10):
@@ -238,10 +237,10 @@ def test_dist_table_matches_dist_a_at_every_cut(L):
     # only the first 40 lengths, which must cost nothing in L
     params = GroupParams(L)
     for m_max in range(3 * L if L <= 100 else 40):
-        assert dist_table(params, m_max) == [_dist_a(L, m) for m in range(m_max + 1)], m_max
+        assert dist_table(params, m_max) == [dist_a_power(params, m) for m in range(m_max + 1)], m_max
     if L <= 1000:
         m_max = 3000 * L + L // 2 if L <= 100 else 200 * L
-        assert dist_table(params, m_max) == [_dist_a(L, m) for m in range(m_max + 1)]
+        assert dist_table(params, m_max) == [dist_a_power(params, m) for m in range(m_max + 1)]
 
 
 def test_dist_table_shares_its_lengths(p6):
@@ -299,10 +298,11 @@ def test_a_ball_at_huge_L():
     # for L far above r, S(r) keeps its balanced digits as L grows: S(r) at
     # L = 10^30, read in a few runs of a few points each, is S(r) at L = 1000
     big = 10**30
+    params = GroupParams(big)
     for r in range(41):
         ball = _a_ball(big, r, 10**6)
         assert ball == {_rebase(m, 1000, big): d for m, d in _a_ball(1000, r, 10**6).items()}, r
-        assert all(_dist_a(big, m) == d for m, d in ball.items()), r
+        assert all(dist_a_power(params, m) == d for m, d in ball.items()), r
 
 
 def test_oracle_equivalence_small_ball(p6, ball6_r6):
@@ -318,7 +318,7 @@ def test_oracle_equivalence_small_ball(p6, ball6_r6):
 def test_dist_symmetry(m):
     params = GroupParams(6)
     assert dist_a_power(params, m) == dist_a_power(params, -m)
-    assert dist_power(params, "x", m) == dist_power(params, "y", m)
+    assert dist_h(params, HPoint(0, m)) == dist_h(params, HPoint.generator(params, "y", m))
 
 
 @settings(max_examples=100, deadline=None)
@@ -408,8 +408,7 @@ def test_geodesic_word_a_power_examples(p6, p10):
     assert str(geodesic_word_a_power(p6, 1)) == "a"
     w = geodesic_word_a_power(p10, 36)
     assert w.length == 16
-    end = w.endpoint()
-    assert end.in_vertex_group() and end.h_point() == HPoint(36, 0)
+    assert reduce_chars(p10.L, w.chars) == HPoint(36, 0)
     assert geodesic_word_a_power(p6, 0).chars == ""
 
 
@@ -442,7 +441,7 @@ def test_geodesic_word_a_power_sound(L):
     for m in list(range(-300, 301)) + [L**4 + 7, -(L**3) - 11]:
         w = geodesic_word_a_power(params, m)
         assert w.length == dist_a_power(params, m)
-        assert w.endpoint().h_point() == HPoint(m, 0)
+        assert reduce_chars(L, w.chars) == HPoint(m, 0)
 
 
 def test_geodesic_word_h_examples(p6, p10):
@@ -451,7 +450,7 @@ def test_geodesic_word_h_examples(p6, p10):
     assert geodesic_word_h(p6, HPoint(0, 0)).chars == ""
     w = geodesic_word_h(p10, HPoint(12, 0))
     assert w.length == 8
-    assert w.endpoint().h_point() == HPoint(12, 0)
+    assert reduce_chars(p10.L, w.chars) == HPoint(12, 0)
     # passes through x y before the a-tail
     assert w.chars.startswith("s")
 
@@ -463,8 +462,7 @@ def test_geodesic_word_h_escape_shape(p6):
         for v in range(-4, 5):
             w = geodesic_word_h(p6, HPoint(u, v))
             assert w.length == dist_h(p6, HPoint(u, v))
-            end = w.endpoint()
-            assert end.in_vertex_group() and end.h_point() == HPoint(u, v)
+            assert reduce_chars(p6.L, w.chars) == HPoint(u, v)
             # the trailing a-run is short except the documented corner cases
             run = 0
             for ch in reversed(w.chars):
