@@ -37,10 +37,6 @@ from .words import PathWord, parse_word
 _EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*$")
 
 
-def _params(args) -> GroupParams:
-    return GroupParams(args.L)
-
-
 def _emit(args, payload: dict, plain: str) -> None:
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True))
@@ -49,7 +45,7 @@ def _emit(args, payload: dict, plain: str) -> None:
 
 
 def _cmd_dist(args) -> int:
-    params = _params(args)
+    params = GroupParams(args.L)
     if args.a_power is not None:
         d = dist_a_power(params, args.a_power)
         _emit(args, {"L": params.L, "a_power": args.a_power, "dist": d}, str(d))
@@ -61,7 +57,7 @@ def _cmd_dist(args) -> int:
 
 
 def _cmd_expr(args) -> int:
-    params = _params(args)
+    params = GroupParams(args.L)
     e = geodesic_expression(params, args.m)
     payload = {
         "L": params.L,
@@ -74,7 +70,7 @@ def _cmd_expr(args) -> int:
 
 
 def _cmd_word(args) -> int:
-    params = _params(args)
+    params = GroupParams(args.L)
     h = HPoint(*args.h) if args.h is not None else None
     w = geodesic_word_a_power(params, args.a_power) if h is None else geodesic_word_h(params, h)
     _emit(args, {"L": params.L, "word": str(w), "length": w.length}, str(w))
@@ -90,13 +86,13 @@ def _refuse_unprintable(value: int, option: str) -> None:
 
 
 def _cmd_table(args) -> int:
-    params = _params(args)
+    params = GroupParams(args.L)
     distortion.write_distortion_csv(distortion.distortion_rows(params, args.m_max), sys.stdout)
     return 0
 
 
 def _cmd_mn(args) -> int:
-    params = _params(args)
+    params = GroupParams(args.L)
     rows = distortion.mn_sequence(params, args.n_max)
     _refuse_unprintable(rows[-1].m, f"--n-max {args.n_max}")  # m_n grows with n
     if args.format == "json":
@@ -116,7 +112,7 @@ def _cmd_mn(args) -> int:
 
 
 def _cmd_snowflake(args) -> int:
-    params = _params(args)
+    params = GroupParams(args.L)
     if args.loop:
         w = paths.snowflake_loop(params, args.n)
     else:
@@ -126,7 +122,7 @@ def _cmd_snowflake(args) -> int:
 
 
 def _cmd_verify_loop(args) -> int:
-    params = _params(args)
+    params = GroupParams(args.L)
     if args.n is not None:
         loop = paths.snowflake_loop(params, args.n)
     else:
@@ -146,7 +142,7 @@ def _cmd_verify_loop(args) -> int:
 
 
 def _cmd_ball(args) -> int:
-    params = _params(args)
+    params = GroupParams(args.L)
     ball = bfs_ball(params, args.radius)
     ball.dump_jsonl(sys.stdout)
     return 0
@@ -166,7 +162,7 @@ def _rational(text: str) -> Fraction:
 
 
 def _cmd_enfilade(args) -> int:
-    params = _params(args)
+    params = GroupParams(args.L)
     word = PathWord(params, parse_word(args.word))
     dec = paths.enfilade_decompose(params, word, _rational(args.R))
     payload = {
@@ -201,7 +197,7 @@ def _subdivision(data, name: str) -> list[int]:
 
 
 def _cmd_fill(args) -> int:
-    params = _params(args)
+    params = GroupParams(args.L)
     if args.shape == "snowflake":
         diagram = filling.subdivide_snowflake(params, args.p, args.subdivision_constant)
         payload = diagram.to_json()
@@ -225,7 +221,7 @@ def _cmd_fill(args) -> int:
 
 def _cmd_central(args) -> int:
     if args.p is not None:
-        params = _params(args)
+        params = GroupParams(args.L)
         tree = filling.snowflake_hnn_tree(params, args.p)
     else:
         tree = filling.HnnDualTree.from_json(_read_json(args.input))

@@ -134,33 +134,23 @@ def eq42_limit(params: GroupParams) -> float:
 
 @dataclass(frozen=True)
 class GapReport:
-    """Proxies for the liminf/limsup distortion constants and their gap.
+    """The gap between the limsup and liminf distortion constants, and the
+    Hoelder defect, read off proxies for the two constants.
 
     The proxies are the limits along the two witness subsequences only:
-    limsup proxy from m_n, liminf proxy = lim |a^(L^n)|/2^n = 5 exactly.
+    limsup proxy eq42_limit from m_n, liminf proxy = lim |a^(L^n)|/2^n = 5
+    exactly.
     """
 
-    L: int
-    limsup_proxy: float
-    liminf_proxy: float
-    gap_ratio: float  # limsup_proxy / liminf_proxy, must exceed (L+6)/10
-    gap_bound: float
-    gap_ok: bool
-    holder_product: float | None  # (liminf/limsup) 2^(1-1/alpha) for L >= 10
-    holder_below_one: bool | None
+    gap_ratio: float  # limsup / liminf proxy, must exceed (L+6)/10
+    holder_product: float | None  # (liminf/limsup) 2^(1-1/alpha) for L >= 10, must be below 1
 
 
 def gap_checks(params: GroupParams) -> GapReport:
-    """Check limsup/liminf > (L+6)/10, and for L >= 10 the Hoelder defect."""
-    hi = eq42_limit(params)
-    lo = 5.0
-    bound = (params.L + 6) / 10.0
-    holder = None
-    below = None
-    if params.L >= 10:
-        holder = (lo / hi) * 2.0 ** (1.0 - 1.0 / params.alpha)
-        below = holder < 1.0
-    return GapReport(params.L, hi, lo, hi / lo, bound, hi / lo > bound, holder, below)
+    """The gap limsup/liminf, to exceed (L+6)/10, and for L >= 10 the Hoelder defect."""
+    hi, lo = eq42_limit(params), 5.0
+    holder = (lo / hi) * 2.0 ** (1.0 - 1.0 / params.alpha) if params.L >= 10 else None
+    return GapReport(hi / lo, holder)
 
 
 _HOLDER_TOL = 1e-12  # float slack, relative to max(1, sum r_i^(1/a))

@@ -15,10 +15,10 @@ multiples of L one by one.  Area (cell count) and mesh (longest cell
 boundary) follow from it as the docstrings state.
 
 Diagrams here are combinatorial: a diagram is its tuple of cells, each a
-closed boundary word with the point it is read from.  Every produced
-boundary word reduces to the identity; planarity is by construction and
-is not re-verified.  A cell whose word freely reduces to the empty word
-encloses nothing, so it is left out and does not count toward the area.
+closed boundary word.  Every produced boundary word reduces to the
+identity; planarity is by construction and is not re-verified.  A cell
+whose word freely reduces to the empty word encloses nothing, so it is
+left out and does not count toward the area.
 Cells enter a diagram only through Diagram.add, which spells each
 (flavor, exponent) once.  A filling gives add each cell word as the parts
 it is joined from (spelled pieces, verticals, corner paths), and add
@@ -150,7 +150,6 @@ class Cell:
     """A 2-cell: its closed boundary word (trivial in G_L)."""
 
     boundary: PathWord
-    basepoint: Optional[HPoint] = None
 
 
 @dataclass
@@ -200,10 +199,10 @@ class Diagram:
     def area(self) -> int:
         return len(self._cells)
 
-    def add(self, parts: Sequence[str], basepoint: Optional[HPoint] = None) -> None:
-        """Append the cell with boundary word "".join(parts) read from
-        `basepoint`, unless the word freely reduces to the empty word: such a
-        cell encloses nothing.  This is the only place a Cell is made.
+    def add(self, parts: Sequence[str]) -> None:
+        """Append the cell with boundary word "".join(parts), unless the word
+        freely reduces to the empty word: such a cell encloses nothing.  This
+        is the only place a Cell is made.
 
         `parts` are the words the cell's word is joined from, in order; a
         string is the sequence of its letters.  Every word given here counts
@@ -229,7 +228,7 @@ class Diagram:
             key = _fold(self.params.L, (0, 0), chain.from_iterable(map(self._reduced, parts)))
             if key != (0, 0) and self._first is None:
                 self._first = len(self._cells), GroupElement(self.params, key)
-        self._cells.append(Cell(boundary, basepoint))
+        self._cells.append(Cell(boundary))
 
     def _reduced(self, part: str) -> tuple[tuple[int, int, int], ...]:
         """The normal form of the word `part` as the steps (code, u, v) that
@@ -407,17 +406,17 @@ def _bigon_cells(
     prefix = list(accumulate(exps, initial=0))
     lo, hi = min(0, -M1), max(0, -M1)
     p = min(n - 1, max(i for i, s in enumerate(prefix) if lo <= s <= hi))
-    starts = [G0 * HPoint.generator(params, flavor, s) for s in prefix[:n]]
+    after = [G0 * HPoint.generator(params, flavor, s) for s in prefix[p + 1 : n]]
     delta0 = invert_chars(cp_start)  # from G0 to G1 f^M1; translates along side0
     verticals = (
         [delta0] * (p + 1)
-        + [geodesic_word_h(params, g.inverse() * G1).chars for g in starts[p + 1 :]]
+        + [geodesic_word_h(params, g.inverse() * G1).chars for g in after]
         + [cp_end]
     )
     tops = [-e for e in exps[:p]] + [M1 + prefix[p]] + [0] * (n - 1 - p)
     for i, (e, top) in enumerate(zip(exps, tops)):
         up, down = verticals[i + 1], invert_chars(verticals[i])
-        diagram.add((diagram.spell(flavor, e), up, diagram.spell(flavor, top), down), starts[i])
+        diagram.add((diagram.spell(flavor, e), up, diagram.spell(flavor, top), down))
     return [M1 + prefix[p]] + _backward(exps[:p])
 
 
@@ -490,8 +489,7 @@ def _fill_polygon(
         )
         subs.append(Subdivision(tuple(_backward(out))))
     for i in range(n):
-        word = (cps[i].chars, alphas[(i + 1) % n], invert_chars(gammas[i]))
-        diagram.add(word, poly.side_end(params, i))
+        diagram.add((cps[i].chars, alphas[(i + 1) % n], invert_chars(gammas[i])))
     return diagram, subs[0], subs[1]
 
 
@@ -524,9 +522,7 @@ def _triangle_interior(diagram: Diagram, true: ApproxPolygon, inbound: Sides) ->
     grid has one small triangle per step and one small diamond per pair of
     steps, and cuts the x- and y-sides alike.
     """
-    params = diagram.params
-    L = params.L
-    g2p = true.corners[2]
+    L = diagram.params.L
     prefix = list(accumulate(inbound[2], initial=0))
     rounded = _round_to_multiples(L, prefix)
     for j in range(1, len(prefix)):
@@ -538,22 +534,21 @@ def _triangle_interior(diagram: Diagram, true: ApproxPolygon, inbound: Sides) ->
             diagram.spell("a", rounded[j - 1] - rounded[j]),
             diagram.spell("a", prefix[j - 1] - rounded[j - 1]),
         )
-        diagram.add(word, g2p * HPoint(prefix[j - 1], 0))
+        diagram.add(word)
 
     heights = [-r // L for r in rounded]  # n_j, from 0 up to m0'
     if heights[-1] != true.exponents[0]:
         raise InvariantViolation(f"the grid rises to {heights[-1]}, not to {true.exponents[0]}")
     d = [b - a for a, b in zip(heights, heights[1:])]
-    below: list[tuple[str, str, HPoint]] = []  # x^(d_i), x^(-d_i) and x^(-n_i) of each step i so far
-    for j, dj in enumerate(d):
+    below: list[tuple[str, str]] = []  # x^(d_i) and x^(-d_i) of each step i so far
+    for dj in d:
         if dj == 0:
             continue
         x_up, y_up, y_down = diagram.spell("x", dj), diagram.spell("y", dj), diagram.spell("y", -dj)
-        diagram.add((diagram.spell("a", -L * dj), x_up, y_up), g2p * HPoint(rounded[j], 0))
-        row = g2p * HPoint(rounded[j], heights[j])
-        for x_i, x_back, drop in below:
-            diagram.add((x_i, y_down, x_back, y_up), row * drop)
-        below.append((x_up, diagram.spell("x", -dj), HPoint(0, -heights[j])))
+        diagram.add((diagram.spell("a", -L * dj), x_up, y_up))
+        for x_i, x_back in below:
+            diagram.add((x_i, y_down, x_back, y_up))
+        below.append((x_up, diagram.spell("x", -dj)))
     grid = d[::-1]
     return {0: grid, 1: grid}
 
@@ -578,29 +573,22 @@ def fill_triangle(
     return _fill_polygon(params, poly, snap_triangle, {2: a_subdivision}, _triangle_interior)
 
 
-def _diamond_grid(diagram: Diagram, corner: HPoint, dw: Sequence[int], dz: Sequence[int]) -> None:
+def _diamond_grid(diagram: Diagram, dw: Sequence[int], dz: Sequence[int]) -> None:
     """One small diamond x^w y^z x^-w y^-z per nonzero segment w of dw and
-    z of dz, read from corner x^(dw before w) y^(dz before z); w outer.
-    Each row and column is spelled once; cells of one shape share the
-    diagram's one boundary of their word."""
-    params = diagram.params
-    columns = [
-        (diagram.spell("y", z), diagram.spell("y", -z), HPoint.generator(params, "y", zp))
-        for zp, z in zip(accumulate(dz, initial=0), dz)
-        if z
-    ]
-    for wp, w in zip(accumulate(dw, initial=0), dw):
+    z of dz; w outer.  Each row and column is spelled once; cells of one
+    shape share the diagram's one boundary of their word."""
+    columns = [(diagram.spell("y", z), diagram.spell("y", -z)) for z in dz if z]
+    for w in dw:
         if w == 0:
             continue
         x_w, x_back = diagram.spell("x", w), diagram.spell("x", -w)
-        row = corner * HPoint.generator(params, "x", wp)
-        for y_z, y_back, lift in columns:
-            diagram.add((x_w, y_z, x_back, y_back), row * lift)
+        for y_z, y_back in columns:
+            diagram.add((x_w, y_z, x_back, y_back))
 
 
 def _diamond_interior(diagram: Diagram, true: ApproxPolygon, inbound: Sides) -> Sides:
     """Grid of small diamonds on a true diamond whose sides 0 and 1 are subdivided."""
-    _diamond_grid(diagram, true.corners[0], inbound[0], inbound[1])
+    _diamond_grid(diagram, inbound[0], inbound[1])
     return {2: _backward(inbound[0]), 3: _backward(inbound[1])}
 
 
@@ -681,7 +669,7 @@ def subdivide_snowflake(
         raise ValueError(f"subdivision constant must be >= 1, got {lam}")
     diagram = Diagram(params)
     if depth == 1:
-        diagram.add(snowflake_loop(params, 1).chars, HPoint(0, 0))
+        diagram.add(snowflake_loop(params, 1).chars)
         return diagram
     half = 5 * 2**depth - 4
     if lam > half:
@@ -697,7 +685,7 @@ def subdivide_snowflake(
 
     # central diamond -> lam^2 small diamonds
     k1 = L ** (depth - 1) // lam
-    _diamond_grid(diagram, HPoint(0, 0), [k1] * lam, [k1] * lam)
+    _diamond_grid(diagram, [k1] * lam, [k1] * lam)
 
     # branch levels
     spell = diagram.spell

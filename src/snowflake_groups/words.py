@@ -106,9 +106,6 @@ class PathWord:
     def __str__(self) -> str:
         return format_word(self.chars)
 
-    def __len__(self) -> int:
-        return len(self.chars)
-
     @property
     def length(self) -> int:
         """Weighted length: a/s/t edges count 1, x/y edges count L."""

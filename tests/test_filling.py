@@ -441,17 +441,16 @@ def test_polygon_json_roundtrip(p6):
 
 
 def _cells_digest(diagram):
-    """sha256 over the cells' words and basepoints, in order."""
+    """sha256 over the cells' words, in order."""
     h = hashlib.sha256()
     for c in diagram.cells:
-        b = c.basepoint
-        h.update(f"{c.boundary.chars} {'-' if b is None else f'{b.u},{b.v}'}\n".encode())
+        h.update(f"{c.boundary.chars}\n".encode())
     return h.hexdigest()
 
 
 def test_cell_words_pinned(p6):
-    # recorded before diagrams shared their spellings: every cell word and
-    # basepoint, in order, is byte-identical
+    # every cell word, in order, is byte-identical to the words made before
+    # diagrams shared their spellings
     tri = ApproxPolygon("triangle", (HPoint(0, 0), HPoint(0, 2), HPoint(12, 0)), ("x", "y", "a"), (2, 2, -12), 0)
     cp0 = PathWord(p6, geodesic_word_h(p6, HPoint(1, 0)).chars + "aA")
     cp1 = PathWord(p6, geodesic_word_h(p6, HPoint(-1, 0)).chars + "sS")
@@ -465,19 +464,19 @@ def test_cell_words_pinned(p6):
         "snowflake p=5": _cells_digest(subdivide_snowflake(p6, 5, 6)),
     }
     assert digests == {
-        "README triangle": "f59fcb413c2b372c3fc4456099769d9c8e19ec76cbee67b3a8b064427d78c49d",
-        "corner-path bigon": "8506d3492742a0ccaafa01ebd874d9d16a2d3df5f51bdc7f4005ac4dd458eac5",
-        "true diamond": "3a3dbe72750fa5e59771257eee22e0bd1def6f90ed47bbaaea67e1feeddb8889",
-        "snowflake p=5": "d7bbf9f12c75a55be671a79be83fb0e777b9a4b95c6c23ef78032e029b77502e",
+        "README triangle": "6a31368f6ef9986851b4a1c9a6ec04c96628240121d43da9e457d6ce99805749",
+        "corner-path bigon": "05e60ebd1eedab8f8211a8b51887c2609a610ff1ca3d45c1e1bbbf0d735fea09",
+        "true diamond": "4b256b55ecd14bf8db5af93cc84eeeba308479a4932e8610c23f32f2fbf2523f",
+        "snowflake p=5": "f29a9d8f26706ebad993dfe2e8227bce11bd3b61221d1e68b4cdf3864ed6eb9a",
     }
 
 
 @pytest.mark.parametrize(
     "kind, area, digest",
     [
-        ("bigon", 132, "7916c0dca16357e8bc636798f38a0f8e3282d754d0117220201bea493adc0738"),
-        ("triangle", 765, "c5add84511664f93efa0aad7794f68391f866d9c759606931c5bebe0fb36a8c3"),
-        ("diamond", 1537, "8f71465a8f56824bd913ac863c2c8802f10b8c456f9d8a3e48e34574275d9dbb"),
+        ("bigon", 132, "57afbda62dfbc26a8acbe6886fe974bbae1d84fb9c8e527711595089caf78a2f"),
+        ("triangle", 765, "983370dd6e4c964eefecbd85ef3996cf515081f780b15e9644cc1a014ced40ff"),
+        ("diamond", 1537, "3e5f71277fc90af977e0a014f04d73cf559fc9cd17d45cf17e5d31f9a300927c"),
     ],
 )
 def test_randomized_cell_words_pinned(p6, kind, area, digest):
@@ -635,7 +634,7 @@ def test_one_bad_cell_among_repeats_is_found(p6, where):
     good = filling.Diagram(p6)
     for c in diagram.cells:
         if c.boundary.chars != "a":
-            good.add(c.boundary.chars, c.basepoint)
+            good.add(c.boundary.chars)
     assert good.area == 100 and good.boundaries_trivial()
 
 
@@ -703,9 +702,9 @@ def test_each_distinct_word_handled_once(p6, monkeypatch, build):
         britton[chars] += 1
         return reduce_chars(L, chars)
 
-    def recording(diagram, word, basepoint=None):
+    def recording(diagram, word):
         parts_of.setdefault("".join(word), (word,) if isinstance(word, str) else tuple(word))
-        add(diagram, word, basepoint)
+        add(diagram, word)
 
     monkeypatch.setattr(filling, "free_reduce", reducing)
     monkeypatch.setattr(filling, "reduce_chars", reducing_in_full)
@@ -752,7 +751,7 @@ def test_diagram_equality_ignores_spellings(p6):
     filled = fill_triangle(p6, tri, [-6, -6])[0]
     bare = filling.Diagram(p6)
     for c in filled.cells:
-        bare.add(c.boundary.chars, c.basepoint)
+        bare.add(c.boundary.chars)
     assert filled == bare and repr(filled) == repr(bare)
     assert filled.to_json() == bare.to_json()
     assert bare.spell("x", 7) == geodesic_word_h(p6, HPoint(0, 7)).chars

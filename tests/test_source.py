@@ -120,6 +120,8 @@ def test_no_global_or_nonlocal_in_package():
 
 
 ROOT = Path(__file__).resolve().parents[1]
+# the sources whose calls and reads keep a name, an option or a field alive
+CALLERS = [*SOURCES, *sorted((ROOT / "perfbench").glob("*.py")), ROOT / "tests" / "test_acceptance.py"]
 
 # public names with no caller that stay: each states a result of the paper,
 # checked by the unit tests
@@ -213,9 +215,40 @@ TEST_SEAMS = {
 }
 
 
+def _named(node):
+    """The name a Name or Attribute node ends in, else None."""
+    return getattr(node, "id", getattr(node, "attr", None))
+
+
+def _fields(tree):
+    """(class, field, position, defaulted) for each field of every dataclass
+    and NamedTuple, nested ones too.  position is the field's place among
+    the constructor's parameters, None for a field(init=False); defaulted
+    says whether the field has a default."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+        if "dataclass" not in map(_named, decorators) and "NamedTuple" not in map(_named, node.bases):
+            continue
+        i = 0
+        for item in node.body:
+            if not (isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)):
+                continue
+            value, options = item.value, {}
+            if isinstance(value, ast.Call) and _named(value.func) == "field":
+                options = {kw.arg: kw.value for kw in value.keywords}
+                value = options.get("default", options.get("default_factory"))
+            init = getattr(options.get("init"), "value", True) is not False
+            yield node.name, item.target.id, i if init else None, value is not None
+            i += init
+
+
 def _defaulted_parameters(tree):
     """(def, parameter, position) for each parameter with a default of every
-    def, nested ones too; position is None for a keyword-only parameter."""
+    def, nested ones too, and of every constructor: (class, field, position)
+    for each init field with a default of a dataclass or NamedTuple.
+    position is None for a keyword-only parameter."""
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             args = node.args
@@ -226,6 +259,9 @@ def _defaulted_parameters(tree):
             for arg, default in zip(args.kwonlyargs, args.kw_defaults):
                 if default is not None:
                     yield node.name, arg.arg, None
+    for cls, name, i, defaulted in _fields(tree):
+        if defaulted and i is not None:
+            yield cls, name, i
 
 
 def _calls(tree):
@@ -291,13 +327,34 @@ def test_defaulted_parameters_check_flags_an_unset_option():
     assert _unset_defaults([defining], [using]) == [("f", "c"), ("k", "q")]
 
 
+_RECORDS = (
+    "from dataclasses import dataclass, field\n"
+    "@dataclass(frozen=True)\nclass A:\n    a: int\n    b: int = 1\n"
+    "    _c: list = field(default_factory=list, init=False)\n"
+    "    d: str = field(default='x')\n    e: int = field(init=False)\n"
+    "class P(typing.NamedTuple):\n    u: int\n    v: int = 0\n"
+    "class Plain:\n    w: int = 2\n"
+    "def f(g=3): pass\n"
+)
+
+
+def test_defaulted_parameters_include_constructor_fields():
+    # a dataclass's init fields are its constructor's parameters, in order;
+    # a field(init=False) is none of them, and a plain class has no fields
+    assert sorted(_defaulted_parameters(ast.parse(_RECORDS))) == [
+        ("A", "b", 1), ("A", "d", 2), ("P", "v", 1), ("f", "g", 0)
+    ]
+    using = "A(0, 2, 'y')\nP(1)\nf()\n"
+    assert _unset_defaults([_RECORDS], [using]) == [("P", "v"), ("f", "g")]
+    assert _unomitted_defaults([_RECORDS], [using]) == [("A", "b"), ("A", "d")]
+
+
 def test_defaulted_parameters_have_callers():
     # an option earns its default by a caller that sets it in the package,
     # the benchmark or the acceptance tests: one that only the unit tests
     # set is a second path through the code.  Like the public-names check,
     # calls match defs by name, not by object.
-    using = [*SOURCES, *sorted((ROOT / "perfbench").glob("*.py")), ROOT / "tests" / "test_acceptance.py"]
-    unset = _unset_defaults([p.read_text() for p in SOURCES], [p.read_text() for p in using])
+    unset = _unset_defaults([p.read_text() for p in SOURCES], [p.read_text() for p in CALLERS])
     found = [f"{name}({param})" for name, param in unset if (name, param) not in TEST_SEAMS]
     assert found == [], f"defaulted parameters no caller sets: {', '.join(found)}"
 
@@ -319,7 +376,47 @@ def test_defaulted_parameters_are_left_to_their_default():
     # package, the benchmark or the acceptance tests; with
     # test_defaulted_parameters_have_callers, every default is an option
     # with two values in use.  Calls match defs by name, not by object.
-    using = [*SOURCES, *sorted((ROOT / "perfbench").glob("*.py")), ROOT / "tests" / "test_acceptance.py"]
-    always_set = _unomitted_defaults([p.read_text() for p in SOURCES], [p.read_text() for p in using])
+    always_set = _unomitted_defaults([p.read_text() for p in SOURCES], [p.read_text() for p in CALLERS])
     found = [f"{name}({param})" for name, param in always_set]
     assert found == [], f"defaulted parameters every call sets: {', '.join(found)}"
+
+
+# public fields that no caller reads but that stay, with why
+UNREAD_FIELDS = {
+    "GapReport.holder_product": "the paper's Hoelder defect, below 1 for L >= 10",
+    "BilipReport.repeated_at": "the witness of a loop that is not embedded: where a vertex repeats",
+}
+
+
+def _unread_fields(defining, using):
+    """"Class.field" for each public field of a dataclass or NamedTuple of the
+    `defining` sources that no `using` source reads as an attribute.  Reads
+    match fields by name only, as _uncalled does."""
+    read = {
+        node.attr
+        for source in using
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return sorted(
+        f"{cls}.{name}"
+        for source in defining
+        for cls, name, _, _ in _fields(ast.parse(source))
+        if not name.startswith("_") and name not in read
+    )
+
+
+def test_public_fields_check_flags_an_unread_field():
+    # a store is not a read, and neither is a subscript by the field's name
+    using = "print(x.a, p.u)\ny.d = 1\nz['b']\nw.e += 1\nq.w\n"
+    assert _unread_fields([_RECORDS], [using]) == ["A.b", "A.d", "A.e", "P.v"]
+
+
+def test_public_fields_are_read():
+    # a field earns its place by a reader in the package, the benchmark or
+    # the acceptance tests: one that nothing reads costs each constructor
+    # call and states nothing.  Reads match fields by name, not by object,
+    # so a field that shares its name with anything read passes.
+    unread = _unread_fields([p.read_text() for p in SOURCES], [p.read_text() for p in CALLERS])
+    found = [name for name in unread if name not in UNREAD_FIELDS]
+    assert found == [], f"public fields no caller reads: {', '.join(found)}"

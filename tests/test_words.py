@@ -42,7 +42,7 @@ def test_invert_chars():
 def test_pathword_lengths(p6):
     w = PathWord(p6, "saxXy")
     # a/s/t edges weigh 1, x/y edges weigh L
-    assert len(w) == 5
+    assert len(w.chars) == 5
     assert w.length == 2 + 3 * p6.L
 
 
