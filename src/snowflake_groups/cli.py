@@ -10,8 +10,9 @@ limits are fixed.  `ball` stores at most hnn_group.MAX_BALL_STATES =
 hnn_group.MAX_POINTS = 10^6 points in its table or one layer, and a
 `fill` diagram is given at most words.MAX_LETTERS = 10^7 letters, every
 cell word counting, a freely trivial or repeated one too.  Input files are
-read by _read_json, so a malformed or too deeply nested file is a usage
-error too.
+read here, by _read_polygon and _read_tree, and filling gets typed values:
+a malformed or too deeply nested file, or a field of the wrong JSON type,
+is a usage error too, its message naming the field.
 """
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ import argparse
 import json
 import re
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 from . import distortion, filling, paths
@@ -188,12 +190,83 @@ def _read_json(path: str):
             raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
-def _subdivision(data, name: str) -> list[int]:
-    """The exponent list `name` of a polygon file."""
+# The field checkers: each returns what it checks or raises TypeError naming
+# the field.  Types match exactly, as int() would read 6.9, "12" and true.
+_JSON_TYPES = {int: ("an integer", "integers"), str: ("a string", "strings"), dict: ("an object", "objects")}
+
+
+def _one(value, kind: type, name: str):
+    if type(value) is not kind:
+        raise TypeError(f"{name} must be {_JSON_TYPES[kind][0]}")
+    return value
+
+
+def _list_of(values, kind: type, name: str) -> list:
+    """values if it is a list of entries of JSON type kind: a string is not
+    read letter by letter."""
+    if type(values) is not list or any(type(v) is not kind for v in values):
+        raise TypeError(f"{name} must be a list of {_JSON_TYPES[kind][1]}")
+    return values
+
+
+def _rows(rows, kinds: tuple[type, ...], name: str) -> list:
+    """rows if it is a list of lists of one entry of each JSON type in kinds."""
+    if type(rows) is not list:
+        raise TypeError(f"{name} must be a list")
+    for i, row in enumerate(rows):
+        if type(row) is not list or len(row) != len(kinds):
+            raise TypeError(f"{name}[{i}] must be a list of {len(kinds)} entries")
+        for j, (value, kind) in enumerate(zip(row, kinds)):
+            _one(value, kind, f"{name}[{i}][{j}]")
+    return rows
+
+
+@contextmanager
+def _fields(what: str):
+    """A missing or refused field of a `what` file as a one-line ValueError."""
     try:
-        return [filling._json_int(k) for k in data[name]]
-    except (KeyError, TypeError, ValueError):
-        raise ValueError(f"polygon JSON: {name!r} must be a list of integers") from None
+        yield
+    except KeyError as exc:
+        raise ValueError(f"{what}: missing field {exc}") from None
+    except TypeError as exc:
+        raise ValueError(f"{what}: malformed field: {exc}") from None
+
+
+def _read_polygon(params: GroupParams, path: str, shape: str) -> tuple[filling.ApproxPolygon, list]:
+    """The polygon of a polygon file and the subdivisions fill_<shape> takes."""
+    data = _read_json(path)
+    with _fields("polygon JSON"):
+        corner_paths = _one(data, dict, "top level").get("corner_paths")
+        if corner_paths is not None:  # null is absent
+            words = _list_of(corner_paths, str, "corner_paths")
+            corner_paths = tuple(PathWord(params, parse_word(w)) for w in words)
+        poly = filling.ApproxPolygon(
+            _one(data["kind"], str, "kind"),
+            tuple(HPoint(u, v) for u, v in _rows(data["corners"], (int, int), "corners")),
+            tuple(_list_of(data["flavors"], str, "flavors")),
+            tuple(_list_of(data["exponents"], int, "exponents")),
+            _one(data["D"], int, "D"),
+            corner_paths,
+        )
+        names = ("subdivision", "subdivision2") if shape == "diamond" else ("subdivision",)
+        return poly, [_list_of(data[name], int, name) for name in names]
+
+
+def _read_tree(path: str) -> filling.HnnDualTree:
+    """The tree of a dual-tree file.  Node ids must be distinct JSON strings;
+    any other id is refused naming it.  A node's "kind" is ignored."""
+    data = _read_json(path)
+    with _fields("dual tree JSON"):
+        arcs: dict[str, tuple[int, ...]] = {}
+        for i, node in enumerate(_list_of(_one(data, dict, "top level")["nodes"], dict, "nodes")):
+            name = node["id"]
+            if type(name) is not str:
+                raise ValueError(f"dual tree JSON: node id {name!r} is not a string")
+            if name in arcs:
+                raise ValueError(f"dual tree JSON: node id {name!r} is repeated")
+            arcs[name] = tuple(_list_of(node.get("arcs", []), int, f"nodes[{i}].arcs"))
+        edges = [tuple(row) for row in _rows(data["edges"], (str, str, int), "edges")]
+        return filling.HnnDualTree(arcs, edges)
 
 
 def _cmd_fill(args) -> int:
@@ -202,11 +275,9 @@ def _cmd_fill(args) -> int:
         diagram = filling.subdivide_snowflake(params, args.p, args.subdivision_constant)
         payload = diagram.to_json()
     else:
-        data = _read_json(args.input)
-        poly = filling.polygon_from_json(params, data)
-        names = ("subdivision", "subdivision2") if args.shape == "diamond" else ("subdivision",)
+        poly, subdivisions = _read_polygon(params, args.input, args.shape)
         fill = getattr(filling, f"fill_{args.shape}")
-        diagram, *sides = fill(params, poly, *[_subdivision(data, name) for name in names])
+        diagram, *sides = fill(params, poly, *subdivisions)
         payload = diagram.to_json()
         payload["subdivisions"] = [list(side.exponents) for side in sides]
     failure = diagram.first_nontrivial_cell()
@@ -224,7 +295,7 @@ def _cmd_central(args) -> int:
         params = GroupParams(args.L)
         tree = filling.snowflake_hnn_tree(params, args.p)
     else:
-        tree = filling.HnnDualTree.from_json(_read_json(args.input))
+        tree = _read_tree(args.input)
     loc = filling.find_central_region(tree)
     payload = {
         "kind": loc.kind,

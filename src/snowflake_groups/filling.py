@@ -33,7 +33,6 @@ or not its cells survive free reduction.
 """
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, chain
@@ -51,46 +50,9 @@ from .vertex_group import (
     geodesic_word_h,
     xy_line_intersection,
 )
-from .words import MAX_LETTERS, PathWord, free_reduce, invert_chars, parse_word
+from .words import MAX_LETTERS, PathWord, free_reduce, invert_chars
 
 _FLAVOR_ORDER = {"bigon": None, "triangle": ("x", "y", "a"), "diamond": ("x", "y", "x", "y")}
-
-
-@contextmanager
-def _json_fields(what: str) -> Iterator[None]:
-    """Report a missing or mistyped field of a JSON input as a one-line ValueError."""
-    try:
-        yield
-    except KeyError as exc:
-        raise ValueError(f"{what}: missing field {exc}") from None
-    except (TypeError, AttributeError) as exc:
-        raise ValueError(f"{what}: malformed field: {exc}") from None
-
-
-def _json_int(value) -> int:
-    """value if it is a JSON integer, else TypeError (int() reads 6.9, "12" and true)."""
-    if type(value) is not int:
-        raise TypeError(f"expected an integer, got {type(value).__name__}")
-    return value
-
-
-def _json_rows(rows, name: str, size: int):
-    """rows (the JSON field `name`) if it is a list of lists of `size`
-    entries, else TypeError naming the field, before any row is unpacked."""
-    if not isinstance(rows, (list, tuple)):
-        raise TypeError(f"{name} must be a list")
-    for i, row in enumerate(rows):
-        if not isinstance(row, (list, tuple)) or len(row) != size:
-            raise TypeError(f"{name}[{i}] must be a list of {size} entries")
-    return rows
-
-
-def _json_strings(values, name: str) -> tuple[str, ...]:
-    """values (the JSON field `name`) as a tuple if it is a list of strings,
-    else TypeError naming the field: a string would be read letter by letter."""
-    if not isinstance(values, (list, tuple)) or not all(type(v) is str for v in values):
-        raise TypeError(f"{name} must be a list of strings")
-    return tuple(values)
 
 
 def _backward(exps: Sequence[int]) -> list[int]:
@@ -763,23 +725,6 @@ class HnnDualTree:
     def boundary_length(self) -> int:
         return sum(sum(a) for a in self.arcs.values()) + 2 * sum(l for _, _, l in self.edges)
 
-    @classmethod
-    def from_json(cls, data: dict) -> "HnnDualTree":
-        """The tree of a dual-tree file.  Node ids must be distinct JSON
-        strings; any other id is refused with ValueError naming it.  A
-        node's "kind" is ignored."""
-        with _json_fields("dual tree JSON"):
-            arcs: dict[str, tuple[int, ...]] = {}
-            for n in data["nodes"]:
-                node = n["id"]
-                if type(node) is not str:
-                    raise ValueError(f"dual tree JSON: node id {node!r} is not a string")
-                if node in arcs:
-                    raise ValueError(f"dual tree JSON: node id {node!r} is repeated")
-                arcs[node] = tuple(map(_json_int, n.get("arcs", ())))
-            edges = [(a, b, _json_int(l)) for a, b, l in _json_rows(data["edges"], "edges", 3)]
-            return cls(arcs, edges)
-
     def to_dot(self) -> str:
         """The tree in Graphviz DOT, every id and label a quoted string."""
         lines = ["graph dual_tree {"]
@@ -921,24 +866,3 @@ def area_budget(central: int, enfilade: int, branching: int, shells: int) -> int
         raise ValueError(f"shell count must be at most {MAX_LETTERS}, got {shells}")
     return central + 4 * (enfilade + branching) * (2**shells - 1) + 2 ** (shells + 2)
 
-
-# ---------------------------------------------------------------------------
-# JSON interchange for polygons
-
-
-def polygon_from_json(params: GroupParams, data: dict) -> ApproxPolygon:
-    """The polygon of a polygon file.  flavors and corner_paths must be lists
-    of strings; anything else is refused with ValueError naming the field."""
-    with _json_fields("polygon JSON"):
-        corner_paths = None
-        if data.get("corner_paths") is not None:
-            words = _json_strings(data["corner_paths"], "corner_paths")
-            corner_paths = tuple(PathWord(params, parse_word(w)) for w in words)
-        return ApproxPolygon(
-            data["kind"],
-            tuple(HPoint(_json_int(u), _json_int(v)) for u, v in _json_rows(data["corners"], "corners", 2)),
-            _json_strings(data["flavors"], "flavors"),
-            tuple(map(_json_int, data["exponents"])),
-            _json_int(data["D"]),
-            corner_paths,
-        )

@@ -9,9 +9,19 @@ from pathlib import Path
 
 import pytest
 
-from snowflake_groups import GroupParams, InvariantViolation, distortion_table, filling, hnn_group
-from snowflake_groups.cli import build_parser, main
+from snowflake_groups import (
+    ApproxPolygon,
+    GroupParams,
+    HnnDualTree,
+    HPoint,
+    InvariantViolation,
+    distortion_table,
+    filling,
+    hnn_group,
+)
+from snowflake_groups.cli import _read_polygon, _read_tree, build_parser, main
 from snowflake_groups.distortion import write_distortion_csv
+from snowflake_groups.words import PathWord
 
 # the package source, for CLI subprocesses started with -B (they write no
 # bytecode into it) from any working directory
@@ -501,15 +511,15 @@ def test_fill_oversize_geodesic_refused_before_spelling(tmp_path, change, err):
     [
         # int() would read these as 6, 12 and 1
         (("fill", "bigon"), {**_BIGON, "subdivision": [6, 6.9]},
-         "polygon JSON: 'subdivision' must be a list of integers"),
+         "polygon JSON: malformed field: subdivision must be a list of integers"),
         (("fill", "bigon"), {**_BIGON, "exponents": ["12", -12]},
-         "polygon JSON: malformed field: expected an integer, got str"),
+         "polygon JSON: malformed field: exponents must be a list of integers"),
         (("fill", "bigon"), {**_BIGON, "D": True},
-         "polygon JSON: malformed field: expected an integer, got bool"),
+         "polygon JSON: malformed field: D must be an integer"),
         (("central",), {"nodes": [{"id": "a", "arcs": [1.5]}], "edges": []},
-         "dual tree JSON: malformed field: expected an integer, got float"),
+         "dual tree JSON: malformed field: nodes[0].arcs must be a list of integers"),
         (("central",), {"nodes": [{"id": "a"}, {"id": "b"}], "edges": [["a", "b", False]]},
-         "dual tree JSON: malformed field: expected an integer, got bool"),
+         "dual tree JSON: malformed field: edges[0][2] must be an integer"),
     ],
 )
 def test_input_files_take_json_integers_only(tmp_path, capsys, argv, payload, err):
@@ -560,6 +570,84 @@ _TRIANGLE = {"kind": "triangle", "corners": [[0, 0], [0, 2], [12, 0]], "flavors"
 _DIAMOND = {"kind": "diamond", "corners": [[0, 0], [1, 2], [12, 0], [12, -2]],
             "flavors": ["x", "y", "x", "y"], "exponents": [2, 2, -2, -2], "D": 1,
             "subdivision": [1, 1], "subdivision2": [1, 1]}
+
+
+_TREE = {"nodes": [{"id": "a", "arcs": [10]}, {"id": "b", "arcs": [2]}], "edges": [["a", "b", 0]]}
+# a JSON value of each type, and for each field a list of entries of the wrong type
+_WRONG_VALUES = {"null": None, "true": True, "1.5": 1.5, "s": "s", "{}": {}}
+_WRONG_LISTS = {
+    "kind": ["diamond"], "corners": [[0, "0"], [1, 2], [12, 0], [12, -2]], "flavors": ["x", 1, "x", "y"],
+    "exponents": [2, 2, -2, "-2"], "D": [1], "corner_paths": ["1", 1, "1", "1"], "subdivision": [1, 1.0],
+    "subdivision2": [1, True], "nodes": [1], "id": ["a"], "arcs": [1.5], "edges": [5],
+}
+
+
+def _wrong_field_cases():
+    """(argv, payload, the field's name in the message) for every field of
+    both formats and the top level, given each JSON type it does not take."""
+    for field, wrong_list in _WRONG_LISTS.items():
+        for label, value in [*_WRONG_VALUES.items(), ("list", wrong_list)]:
+            if (field, label) in {("kind", "s"), ("id", "s"), ("corner_paths", "null")}:
+                continue  # a string kind or id is the right type; a null corner_paths is absent
+            if field in ("id", "arcs"):
+                nodes = [{**_TREE["nodes"][0], field: value}, _TREE["nodes"][1]]
+                case = ("central",), {**_TREE, "nodes": nodes}, "node id" if field == "id" else "nodes[0].arcs"
+            elif field in _TREE:
+                case = ("central",), {**_TREE, field: value}, field
+            else:
+                case = ("fill", "diamond"), {**_DIAMOND, field: value}, field
+            yield pytest.param(*case, id=f"{field}-{label}")
+    for argv in (("fill", "diamond"), ("central",)):
+        for label, value in [*_WRONG_VALUES.items(), ("list", [1, 2])]:
+            if label != "{}":
+                yield pytest.param(argv, value, "top level", id=f"{argv[0]}-top-level-{label}")
+
+
+@pytest.mark.parametrize("argv, payload, name", _wrong_field_cases())
+def test_every_field_refuses_every_wrong_json_type(tmp_path, capsys, argv, payload, name):
+    # one line naming the field, never a Python message such as
+    # "'int' object is not iterable" or "unhashable type: 'list'"
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, *argv, "--L", "6", "--input", str(path))
+    assert (code, out, err.count("\n")) == (2, "", 1), err
+    what = "polygon" if argv[0] == "fill" else "dual tree"
+    assert re.fullmatch(rf"error: {what} JSON: .*\b{re.escape(name)}\b.*\n", err), err
+
+
+def test_polygon_json_roundtrip(tmp_path, p6):
+    corners = (HPoint(0, 0), HPoint(0, 2), HPoint(12, 0))
+    poly = ApproxPolygon("triangle", corners, ("x", "y", "a"), (2, 2, -12), 1)
+    data = {"kind": "triangle", "corners": [[0, 0], [0, 2], [12, 0]], "flavors": ["x", "y", "a"],
+            "exponents": [2, 2, -12], "D": 1, "subdivision": [-6, -6]}
+    path = tmp_path / "triangle.json"
+    path.write_text(json.dumps(data))
+    assert _read_polygon(p6, str(path), "triangle") == (poly, [[-6, -6]])
+    data["corner_paths"] = ["x^-2 s s^-1", "a^12 x^-2", "1"]
+    path.write_text(json.dumps(data))
+    paths = tuple(PathWord(p6, c) for c in ("XXsS", "a" * 12 + "XX", ""))
+    assert _read_polygon(p6, str(path), "triangle") == (
+        ApproxPolygon("triangle", corners, ("x", "y", "a"), (2, 2, -12), 1, paths), [[-6, -6]]
+    )
+
+
+def test_tree_json(tmp_path):
+    data = {
+        "nodes": [
+            {"id": "center", "arcs": [], "kind": "central-diamond"},
+            {"id": "b0", "arcs": [1], "kind": "leaf"},
+            {"id": "b1", "arcs": [2, 3]},
+        ],
+        "edges": [["center", "b0", 1], ["center", "b1", 2]],
+    }
+    tree = HnnDualTree({"center": (), "b0": (1,), "b1": (2, 3)}, [("center", "b0", 1), ("center", "b1", 2)])
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps(data))
+    assert _read_tree(str(path)) == tree
+    for node in data["nodes"]:  # a node's kind is ignored
+        node.pop("kind", None)
+    path.write_text(json.dumps(data))
+    assert _read_tree(str(path)) == tree
 
 
 @pytest.mark.parametrize(

@@ -33,7 +33,6 @@ from snowflake_groups.filling import (
     cap_depth,
     f_at_edge_point,
     f_at_vertex,
-    polygon_from_json,
 )
 from snowflake_groups import words
 from snowflake_groups.hnn_group import reduce_chars
@@ -423,17 +422,6 @@ def test_fill_rejects_wrong_corner_path(p6):
     poly = ApproxPolygon("bigon", (HPoint(0, 0), HPoint(12, 0)), ("a", "a"), (12, -12), 2, (bad, bad))
     with pytest.raises(ValueError):
         fill_bigon(p6, poly, [6, 6])
-
-
-def test_polygon_json_roundtrip(p6):
-    corners = (HPoint(0, 0), HPoint(0, 2), HPoint(12, 0))
-    poly = ApproxPolygon("triangle", corners, ("x", "y", "a"), (2, 2, -12), 1)
-    data = {"kind": "triangle", "corners": [[0, 0], [0, 2], [12, 0]], "flavors": ["x", "y", "a"],
-            "exponents": [2, 2, -12], "D": 1}
-    assert polygon_from_json(p6, data) == poly
-    data["corner_paths"] = ["x^-2 s s^-1", "a^12 x^-2", "1"]
-    paths = tuple(PathWord(p6, c) for c in ("XXsS", "a" * 12 + "XX", ""))
-    assert polygon_from_json(p6, data) == ApproxPolygon("triangle", corners, ("x", "y", "a"), (2, 2, -12), 1, paths)
 
 
 # ---------------------------------------------------------------------------
@@ -947,20 +935,7 @@ def test_tree_validation():
         HnnDualTree({"a": (1,), "b": (2,)}, [("a", "b", -1)])
 
 
-def test_tree_json_and_dot(p6):
-    data = {
-        "nodes": [
-            {"id": "center", "arcs": [], "kind": "central-diamond"},
-            {"id": "b0", "arcs": [1], "kind": "leaf"},
-            {"id": "b1", "arcs": [2, 3]},
-        ],
-        "edges": [["center", "b0", 1], ["center", "b1", 2]],
-    }
-    tree = HnnDualTree({"center": (), "b0": (1,), "b1": (2, 3)}, [("center", "b0", 1), ("center", "b1", 2)])
-    assert HnnDualTree.from_json(data) == tree
-    for node in data["nodes"]:  # a node's kind is ignored
-        node.pop("kind", None)
-    assert HnnDualTree.from_json(data) == tree
+def test_tree_to_dot(p6):
     dot = snowflake_hnn_tree(p6, 2).to_dot()
     assert dot.startswith("graph") and '"center"' in dot
 

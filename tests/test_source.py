@@ -264,11 +264,22 @@ def _defaulted_parameters(tree):
             yield cls, name, i
 
 
+# the package's modules, by the names they are imported under
+MODULES = {path.stem for path in SOURCES}
+
+
 def _calls(tree):
     """(callee name, positions filled, keywords) for every call whose callee
     is a name or an attribute.  An attribute call fills one more position,
-    as it may be a bound method; a *args fills every position and a
+    as it may be a bound method, unless its object is a module: a package
+    module or a name bound by import.  A *args fills every position and a
     **kwargs every keyword (None)."""
+    modules = MODULES | {
+        alias.asname or alias.name.partition(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+    }
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
@@ -276,7 +287,8 @@ def _calls(tree):
         if isinstance(func, ast.Name):
             name, filled = func.id, len(node.args)
         elif isinstance(func, ast.Attribute):
-            name, filled = func.attr, len(node.args) + 1
+            bound = not (isinstance(func.value, ast.Name) and func.value.id in modules)
+            name, filled = func.attr, len(node.args) + bound
         else:
             continue
         if any(isinstance(arg, ast.Starred) for arg in node.args):
@@ -347,6 +359,14 @@ def test_defaulted_parameters_include_constructor_fields():
     using = "A(0, 2, 'y')\nP(1)\nf()\n"
     assert _unset_defaults([_RECORDS], [using]) == [("P", "v"), ("f", "g")]
     assert _unomitted_defaults([_RECORDS], [using]) == [("A", "b"), ("A", "d")]
+
+
+@pytest.mark.parametrize("using", ["import m\nm.P(1)\n", "filling.P(1)\n"], ids=["imported", "package-module"])
+def test_defaulted_parameters_check_reads_module_calls_unbound(using):
+    # a constructor called through a module fills the positions of its
+    # arguments only: m.P(1) leaves P.v to its default, as P(1) does
+    assert ("P", "v") in _unset_defaults([_RECORDS], [using])
+    assert ("P", "v") not in _unset_defaults([_RECORDS], ["p.P(1)\n"])
 
 
 def test_defaulted_parameters_have_callers():
